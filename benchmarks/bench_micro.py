@@ -70,20 +70,6 @@ def test_micro_dp_round_exact(benchmark):
 
 
 @pytest.mark.benchmark(group="micro")
-def test_micro_dp_round_exact_reference(benchmark):
-    """The same exact DP round with the round-scoped caches disabled —
-    the cached/reference latency gap record_bench.py tracks over time."""
-    jobs = _queued_jobs(8)
-    prices = PriceBook.calibrate(jobs, MATRIX, UTILITY, CLUSTER.fresh_state(), 0.0)
-    allocator = DPAllocator(
-        prices=prices, matrix=MATRIX, cluster=CLUSTER, utility=UTILITY,
-        now=0.0, delay_estimator=NO_DELAY,
-        config=DPConfig(queue_limit=10, round_caching=False),
-    )
-    benchmark(lambda: allocator.allocate(jobs, CLUSTER.fresh_state()))
-
-
-@pytest.mark.benchmark(group="micro")
 def test_micro_dp_round_greedy(benchmark):
     jobs = _queued_jobs(64)
     prices = PriceBook.calibrate(jobs, MATRIX, UTILITY, CLUSTER.fresh_state(), 0.0)

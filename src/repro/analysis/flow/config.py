@@ -250,7 +250,7 @@ DEFAULT_CONFIG = FlowConfig(
             "the key captures.",
         ),
         MemoSpec(
-            function="find_alloc._search_cached",
+            function="find_alloc._search",
             key_params=("rt", "state_key"),
             ignored_params=("ctx",),
             guarded=(("state", _STATE_KEY_READS),),

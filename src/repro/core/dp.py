@@ -26,8 +26,6 @@ recursion, the greedy ranking walk, and the greedy allocation walk —
 shares one :class:`~repro.core.round_context.RoundContext`, so identical
 ``(job, free-capacity-vector)`` subproblems reached along different
 branch orders (and re-reached by the greedy passes) are solved once.
-``DPConfig.round_caching=False`` disables every cache layer for the
-golden-parity reference mode.
 """
 
 from __future__ import annotations
@@ -62,9 +60,6 @@ class DPConfig:
     """Memo-size cap; overflow falls back to the greedy mid-flight."""
     branch_objective: str = "payoff"
     """``"payoff"`` (primal-dual reading) or ``"cost"`` (literal line 18)."""
-    round_caching: bool = True
-    """Share the round-scoped ``FIND_ALLOC`` caches; ``False`` runs the
-    semantics-identical reference mode (golden-parity baseline)."""
     decision_deadline_s: Optional[float] = None
     """Wall-clock budget for one ``allocate()``'s exact DP search.  When
     the recursion runs past it, the search is abandoned and the
@@ -129,7 +124,6 @@ class DPAllocator:
                 now=self.now,
                 delay_estimator=self.delay_estimator,
                 state=state,
-                caching=self.config.round_caching,
             )
         self.last_context = ctx
         # Sanctioned timer-into-decision flow: the deadline fallback

@@ -22,16 +22,24 @@ minus the price-book cost (line 29).  Keeping a running job's existing
 placement is always a candidate (with no reallocation delay), which is
 what makes allocations sticky when nothing better appears.
 
-Performance note: this sits inside Hadar's DP recursion and runs hundreds
-of thousands of times per simulation, so all round-constant lookups come
-from a shared :class:`~repro.core.round_context.RoundContext` — per-model
-rate vectors, fastest-first orderings, and per-``(slot, free)`` prices are
-computed once per round, candidate costings are memoized on
-``(picks, local free counts)``, and :func:`cached_find_alloc` short-cuts
-entire searches when a DP branch revisits a ``(job, free-vector)``
-subproblem.  Passing ``ctx=None`` (or a ``caching=False`` context) runs
-the identical search without any sharing — the golden-parity suite pins
-both modes to byte-identical schedules.
+The module holds one search and one reference:
+
+* :func:`explain_alloc` is the straight-line specification — generate
+  both families at one state, cost every candidate, keep the best.  It
+  recomputes everything per call and also reports each family's best
+  payoff, which is what the decision tracer shows.
+* :func:`cached_find_alloc` (and its standalone wrapper
+  :func:`find_alloc`) runs the same computation through the shared
+  :class:`~repro.core.round_context.RoundContext` layers: candidate
+  generation per job shape, gang physics per ``(model, W)``, costings
+  per job, and whole results per ``(job, free-vector)``.  It sits inside
+  Hadar's DP recursion and runs hundreds of thousands of times per
+  simulation.
+
+Every float expression of the search mirrors one in the reference, so
+``cached_find_alloc(ctx, rt, state)`` equals
+``explain_alloc(ctx, rt, state).best`` bit for bit; the golden-parity and
+property suites pin this.
 """
 
 from __future__ import annotations
@@ -144,10 +152,10 @@ def find_alloc(
     stable allocations naturally preferred.
 
     ``ctx`` is the round-scoped context sharing lookups and caches across
-    calls; when omitted, a throwaway non-caching context reproduces the
-    standalone per-call behaviour.  A provided context's frozen fields
-    (prices, matrix, cluster, utility, now, delay estimator) take
-    precedence and must match the other arguments.
+    calls; when omitted, a throwaway context serves this one call.  A
+    provided context's frozen fields (prices, matrix, cluster, utility,
+    now, delay estimator) take precedence and must match the other
+    arguments.
     """
     if ctx is None:
         ctx = RoundContext(
@@ -158,7 +166,6 @@ def find_alloc(
             now=now,
             delay_estimator=delay_estimator,
             state=state,
-            caching=False,
         )
     return cached_find_alloc(ctx, rt, state)
 
@@ -180,9 +187,6 @@ def cached_find_alloc(
     """
     stats = ctx.stats
     stats.find_alloc_calls += 1
-    if not ctx.caching:
-        stats.find_alloc_runs += 1
-        return _search_reference(ctx, rt, state)
     if state_key is None:
         state_key = state.key()
     hit = ctx.result_get(rt.job_id, state_key)
@@ -190,217 +194,29 @@ def cached_find_alloc(
         stats.result_hits += 1
         return hit
     stats.find_alloc_runs += 1
-    result = _search_cached(ctx, rt, state, state_key)
+    result = _search(ctx, rt, state, state_key)
     ctx.result_put(rt.job_id, state_key, result)
     return result
-
-
-def _search_reference(
-    ctx: RoundContext, rt: JobRuntime, state: ClusterState
-) -> Optional[AllocationCandidate]:
-    """One full candidate generation + evaluation pass, straight-line.
-
-    This is the reference specification the golden-parity suite pins the
-    cached fast path against: everything is recomputed per call, exactly
-    as the pre-``RoundContext`` implementation did.  The cached path
-    (:func:`_search_cached`) restructures the same computation around the
-    shared generation/physics layers but must land on byte-identical
-    results — every float expression there mirrors one here.
-    """
-    job = rt.job
-    model = job.model.name
-    w = job.num_workers
-
-    # -- round-frozen tables (computed once per round, not per call) ----------
-    rate_of = ctx.rates_for(model)
-    usable_desc = ctx.usable_desc(model)
-    if not usable_desc:
-        return None
-    free_slots: list[tuple[int, str, int]] = [
-        (node_id, type_name, free)
-        for (node_id, type_name), free in state.free_slots()
-    ]
-    free_of: dict[tuple[int, str], int] = {
-        (node_id, type_name): free for node_id, type_name, free in free_slots
-    }
-    price_of: dict[tuple[int, str], float] = {
-        slot: ctx.price(slot, free) for slot, free in free_of.items()
-    }
-
-    candidates: set[_Picks] = set()
-
-    # -- consolidated (line 24): whole gang on one server ----------------------
-    fast_order = ctx.node_fast_order(model)
-    per_node_free: dict[int, int] = {}
-    per_node: dict[int, list[tuple[int, str, int]]] = {}
-    for node_id, type_name, free in free_slots:
-        if rate_of[type_name] > 0.0:
-            per_node_free[node_id] = per_node_free.get(node_id, 0) + free
-            per_node.setdefault(node_id, []).append((node_id, type_name, free))
-    for node_id, slots in per_node.items():
-        if per_node_free[node_id] < w:
-            continue
-        # The frozen fastest-first type order filtered to free slots is
-        # exactly the per-call sort it replaces (type name breaks ties).
-        fast = [
-            (node_id, t, free_of[(node_id, t)])
-            for t in fast_order[node_id]
-            if free_of.get((node_id, t), 0) > 0
-        ]
-        picks = _greedy_take(fast, w)
-        if picks is not None:
-            candidates.add(picks)
-        cheap = sorted(slots, key=lambda s: (price_of[(s[0], s[1])], s[1]))
-        picks = _greedy_take(cheap, w)
-        if picks is not None:
-            candidates.add(picks)
-
-    # -- cross-server (line 25): one pair of candidates per bottleneck type ----
-    for i in range(len(usable_desc)):
-        allowed = set(usable_desc[: i + 1])
-        slots = [s for s in free_slots if s[1] in allowed]
-        if sum(free for *_, free in slots) < w:
-            continue
-        cheap = sorted(
-            slots, key=lambda s: (price_of[(s[0], s[1])], -rate_of[s[1]], s[0])
-        )
-        picks = _greedy_take(cheap, w)
-        if picks is not None:
-            candidates.add(picks)
-        fast = sorted(
-            slots, key=lambda s: (-rate_of[s[1]], price_of[(s[0], s[1])], s[0])
-        )
-        picks = _greedy_take(fast, w)
-        if picks is not None:
-            candidates.add(picks)
-
-    # -- keep the current placement when it still fits --------------------------
-    current_picks: Optional[_Picks] = None
-    if rt.allocation and state.can_fit(rt.allocation):
-        current_picks = tuple(
-            sorted(
-                (node_id, type_name, count)
-                for (node_id, type_name), count in rt.allocation.placements.items()
-            )
-        )
-        usable = True
-        for _, t, _ in current_picks:
-            r = rate_of.get(t)
-            if r is None:  # type outside the cluster inventory (defensive)
-                r = ctx.matrix.rate(model, t)
-            if r <= 0.0:
-                usable = False
-                break
-        if usable:
-            candidates.add(current_picks)
-
-    if not candidates:
-        return None
-
-    # -- evaluate raw candidates -------------------------------------------------
-    model_bytes = job.model.model_bytes
-    comm = ctx.cluster.comm
-    now = ctx.now
-    utility = ctx.utility
-    age = now - job.arrival_time
-    if age < 0.0:
-        age = 0.0
-    remaining = rt.remaining_iterations
-    stats = ctx.stats
-    memo = ctx.candidate_memo(rt.job_id)
-
-    best_key: Optional[tuple] = None
-    best: Optional[tuple[_Picks, float, float, float, float, float]] = None
-    move_delay: Optional[float] = None  # same for every non-current candidate
-    # Iteration order cannot leak into the result: the selection key ends
-    # with the full picks tuple, a total order over candidates.
-    for picks in candidates:  # repro-lint: disable=REP004
-        is_current = picks == current_picks
-        mkey = None
-        if memo is not None:
-            # A costing depends only on the picks, the picked slots' free
-            # counts (through prices), and the current-placement flag —
-            # shareable across every call in the round.
-            mkey = (
-                picks,
-                tuple(free_of[(n, t)] for n, t, _ in picks),
-                is_current,
-            )
-            cached = memo.get(mkey, _MISS)
-            if cached is not _MISS:
-                stats.candidate_hits += 1
-                if cached is None:
-                    continue
-                cost, u, payoff, rate, jct, multi_node = cached
-                key = (-payoff, cost, multi_node, picks)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (picks, cost, u, payoff, rate, jct)
-                continue
-        stats.candidate_evals += 1
-        bottleneck = min(rate_of.get(t) or ctx.matrix.rate(model, t) for _, t, _ in picks)
-        if bottleneck <= 0.0:
-            if memo is not None:
-                memo[mkey] = None
-            continue
-        nodes = {n for n, _, _ in picks}
-        multi_node = len(nodes) > 1
-        penalty = comm.throughput_penalty_n(w, multi_node, model_bytes, 1.0 / bottleneck)
-        rate = bottleneck * w * penalty
-        if is_current and rt.slowdown < 1.0:
-            # Keeping a straggling gang keeps its degradation; a fresh
-            # placement starts with healthy workers (straggler awareness).
-            rate *= rt.slowdown
-        base_cost = sum(price_of[(n, t)] * c for n, t, c in picks)
-        cost = base_cost / penalty  # comm surcharge: slower gang = pricier time
-        if is_current:
-            delay = 0.0
-        else:
-            if move_delay is None:
-                move_delay = ctx.move_delay_for(rt, picks)
-            delay = move_delay
-        jct = age + delay + remaining / rate
-        u = utility.value_for(rt, jct, now)
-        payoff = u - cost
-        if payoff <= 0.0:
-            if memo is not None:
-                memo[mkey] = None
-            continue
-        if memo is not None:
-            memo[mkey] = (cost, u, payoff, rate, jct, multi_node)
-        key = (-payoff, cost, multi_node, picks)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (picks, cost, u, payoff, rate, jct)
-
-    if best is None:
-        return None
-    picks, cost, u, payoff, rate, jct = best
-    return AllocationCandidate(
-        allocation=Allocation.from_pairs(picks),
-        cost=cost,
-        utility=u,
-        payoff=payoff,
-        rate=rate,
-        estimated_jct=jct,
-    )
 
 
 def explain_alloc(
     ctx: RoundContext, rt: JobRuntime, state: ClusterState
 ) -> AllocationExplanation:
-    """Re-derive one job's ``FIND_ALLOC`` outcome with full diagnostics.
+    """``FIND_ALLOC`` for one job at one state, straight-line, with diagnostics.
 
-    Runs the reference candidate generation and evaluation, but keeps the
-    best payoff of *every* family regardless of sign (the search discards
+    This is the reference specification of the search: every candidate
+    of both families (plus the current placement) is generated and costed
+    afresh, and ``best`` is what :func:`cached_find_alloc` must return at
+    the same state, bit for bit.  On top of that it keeps the best payoff
+    of *every* family regardless of sign (the search discards
     non-positive payoffs outright) and names the reason no gang survived.
-    Only the decision tracer calls this, once per job per traced round,
-    at the post-decision state — never inside the DP recursion — so it
-    favours clarity over sharing: it reads the round's frozen tables and
-    price memo through ``ctx`` (all value-preserving) but touches neither
-    the candidate/result memos nor, thanks to
-    :meth:`~repro.core.round_context.RoundContext.suspend_stats`, the
-    round's hot-path counters.
+
+    The decision tracer calls this once per job per traced round, at the
+    post-decision state, never inside the DP recursion.  It reads the
+    round's frozen tables and price memo through ``ctx`` (all
+    value-preserving) but touches neither the candidate/result memos nor,
+    thanks to :meth:`~repro.core.round_context.RoundContext.suspend_stats`,
+    the round's hot-path counters.
     """
     job = rt.job
     model = job.model.name
@@ -564,7 +380,7 @@ def _generate_candidates(
     """The job-independent candidate families at one free-capacity vector.
 
     Produces exactly the consolidated (line 24) and cross-server (line 25)
-    pick sets of :func:`_search_reference` — the current-placement
+    pick sets of :func:`explain_alloc` — the current-placement
     candidate is per-job and added by the caller.  Two transformations
     relative to the reference, both value-preserving:
 
@@ -711,7 +527,7 @@ def _generate_candidates(
     return tuple(pairs), frozenset(candidates)
 
 
-def _search_cached(
+def _search(
     ctx: RoundContext,
     rt: JobRuntime,
     state: ClusterState,
@@ -719,8 +535,9 @@ def _search_cached(
 ) -> Optional[AllocationCandidate]:
     """The candidate search through the round's shared caching layers.
 
-    Byte-identical to :func:`_search_reference` (the golden-parity suite
-    pins this), reorganized so the expensive work is shared:
+    Byte-identical to ``explain_alloc(ctx, rt, state).best`` (the
+    golden-parity and property suites pin this), reorganized so the
+    expensive work is shared:
 
     * candidate **generation** is looked up per ``(model, W, state key)``
       — every job of the same shape at the same free vector reuses it;

@@ -55,11 +55,6 @@ class PricingConfig:
     eta: float | None = None
     min_ratio: float = math.e
     horizon_slack: float = 1.0
-    incremental: bool = True
-    """Reuse Eq. (8) records across rounds via a persistent
-    :class:`PriceCalibrator` (``False`` re-derives every job every round —
-    the reference mode the parity suite pins the incremental path against;
-    both produce byte-identical books)."""
 
     def __post_init__(self) -> None:
         if self.eta is not None and self.eta <= 0:

@@ -28,11 +28,11 @@ every ``find_alloc`` call in that round.  It provides
   ``benchmarks/record_bench.py`` and surfaced per simulation through
   :attr:`repro.sim.engine.SimulationResult.hotpath_stats`.
 
-Construct with ``caching=False`` for the **reference mode**: the same
-search code runs with every cache layer disabled, reproducing the
-pre-context per-call behaviour (the golden-parity suite in
-``tests/core/test_hotpath_parity.py`` proves both modes emit
-byte-identical schedules).
+The caches have no off switch.  The uncached specification is
+:func:`repro.core.find_alloc.explain_alloc`, which recomputes every
+candidate per call; the golden-parity suite in
+``tests/core/test_hotpath_parity.py`` runs whole simulations through it
+and proves the cached search emits byte-identical schedules.
 
 The caches assume what the rest of the round machinery already assumes:
 ``prices``, ``now``, every job's runtime snapshot, and the
@@ -142,7 +142,6 @@ class RoundContext:
         "utility",
         "now",
         "delay_estimator",
-        "caching",
         "stats",
         "_caps",
         "_types",
@@ -173,7 +172,6 @@ class RoundContext:
         now: float,
         delay_estimator: "DelayEstimator",
         state: "ClusterState",
-        caching: bool = True,
     ):
         self.prices = prices
         self.matrix = matrix
@@ -181,7 +179,6 @@ class RoundContext:
         self.utility = utility
         self.now = now
         self.delay_estimator = delay_estimator
-        self.caching = caching
         self.stats = RoundStats()
         # The slot universe (and each slot's capacity) is immutable for the
         # round; only free counts move, and they arrive as explicit args.
@@ -232,13 +229,10 @@ class RoundContext:
     def price(self, slot: tuple[int, str], free: int) -> float:
         """Eq. (5) price of ``slot`` at ``free`` unclaimed devices.
 
-        Memoized per ``(slot, free)`` when caching: a branch state's
+        Memoized per ``(slot, free)``: a branch state's
         ``allocate``/``release`` only changes the free counts of the slots
         it touches, so untouched slots keep hitting their cached entries.
         """
-        if not self.caching:
-            self.stats.price_evals += 1
-            return self.prices.price_given(slot[1], self._caps.get(slot, 0), free)
         key = (slot, free)
         hit = self._price_cache.get(key)
         if hit is not None:
@@ -301,8 +295,6 @@ class RoundContext:
         """
         from repro.cluster.allocation import Allocation
 
-        if not self.caching:
-            return self.delay_estimator(rt, Allocation.from_pairs(picks))
         delay = self._move_delay.get(rt.job_id)
         if delay is None:
             delay = self.delay_estimator(rt, Allocation.from_pairs(picks))
@@ -320,8 +312,7 @@ class RoundContext:
         vector, and the round-frozen prices; never the job's identity or
         the rate *values*.  ``shape`` is ``(usable_desc, rank_sig, W)``,
         so even different models share one generation per reachable state
-        when their type orders agree.  Callers must only use this in
-        caching mode.
+        when their type orders agree.
         """
         return self._gen_cache.get((shape, state_key), _MISS)
 
@@ -428,10 +419,8 @@ class RoundContext:
     def xserver_put(self, key: tuple, value: tuple) -> None:
         self._xserver[key] = value
 
-    def candidate_memo(self, job_id: int) -> Optional[dict]:
-        """The job's candidate-evaluation memo, or ``None`` when disabled."""
-        if not self.caching:
-            return None
+    def candidate_memo(self, job_id: int) -> dict:
+        """The job's candidate-evaluation memo (shared by every call)."""
         memo = self._cand_memo.get(job_id)
         if memo is None:
             memo = self._cand_memo[job_id] = {}
@@ -439,10 +428,7 @@ class RoundContext:
 
     def result_get(self, job_id: int, state_key: tuple[int, ...]):
         """Cached full-search result, or the module sentinel on a miss."""
-        if not self.caching:
-            return _MISS
         return self._results.get((job_id, state_key), _MISS)
 
     def result_put(self, job_id: int, state_key: tuple[int, ...], value) -> None:
-        if self.caching:
-            self._results[(job_id, state_key)] = value
+        self._results[(job_id, state_key)] = value

@@ -112,8 +112,8 @@ class HadarScheduler(Scheduler):
         unless :attr:`trace_decisions`; consumed by
         :class:`~repro.sim.phases.TracePhase`."""
         self._calibrator: Optional[PriceCalibrator] = None
-        """Persistent across rounds when ``pricing.incremental``; rebuilt
-        per round (every job dirty) in reference mode."""
+        """Persistent across rounds: reuses each job's Eq. (8) record
+        until its remaining work moves."""
 
     @property
     def name(self) -> str:
@@ -198,12 +198,9 @@ class HadarScheduler(Scheduler):
             return pinned
 
         calib_start = time.perf_counter()
-        if cfg.pricing.incremental:
-            calibrator = self._calibrator
-            if calibrator is None:
-                calibrator = self._calibrator = PriceCalibrator(cfg.pricing)
-        else:
-            calibrator = PriceCalibrator(cfg.pricing)
+        calibrator = self._calibrator
+        if calibrator is None:
+            calibrator = self._calibrator = PriceCalibrator(cfg.pricing)
         prices = calibrator.calibrate(
             jobs=queue,
             matrix=ctx.matrix,
@@ -223,7 +220,6 @@ class HadarScheduler(Scheduler):
             now=ctx.now,
             delay_estimator=self._estimate_delay,
             state=state,
-            caching=cfg.dp.round_caching,
         )
         allocator = DPAllocator(
             prices=prices,

@@ -13,7 +13,7 @@ Subcommands::
 the first violation) — the CI obs-smoke gate.  ``summarize`` prints the
 top-k slowest rounds, admission/skip rates, and per-type price
 trajectories.  ``diff`` compares two traces decision-by-decision (e.g.
-cached vs reference mode) and exits 1 when schedules fork.  ``export
+a change vs its recorded baseline) and exits 1 when schedules fork.  ``export
 --perfetto`` writes a Chrome ``trace_event`` file that opens directly in
 ``ui.perfetto.dev``.  ``validate``/``summarize``/``diff`` transparently
 accept a size-rotated trace set (``trace.jsonl.part-000000`` … plus the

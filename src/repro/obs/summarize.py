@@ -5,8 +5,7 @@ lives in :mod:`repro.obs.__main__`, the only obs module allowed to write
 to stdout under REP007).  ``summarize_trace`` answers "where did the time
 go and who got in"; ``diff_traces`` answers "do these two runs make the
 same decisions, and if not, where do they fork" — the workhorse for
-comparing cached vs reference mode, or a change against a recorded
-baseline.
+comparing a change against a recorded baseline.
 """
 
 from __future__ import annotations
@@ -200,8 +199,8 @@ def diff_traces(
 
     Two rounds match when they admit the same jobs with the same gangs.
     Decision latencies are summed for a wall-clock comparison (the main
-    use: cached vs ``round_caching=False`` reference runs of one
-    scenario must match on decisions and differ only in latency).
+    use: a performance change and its recorded baseline must match on
+    decisions and differ only in latency).
     """
     rounds_a = [r for r in records_a if r.get("kind") == "round"]
     rounds_b = [r for r in records_b if r.get("kind") == "round"]

@@ -76,7 +76,7 @@ class TestMemoPass:
         report = analyze_paths([copy], rules=("REP010",))
         drift = [f for f in report.findings if f.path == "<config>"]
         assert {
-            "_search_cached" in f.message or "_generate_candidates" in f.message
+            "_search" in f.message or "_generate_candidates" in f.message
             for f in drift
         } == {True}
         assert len(drift) == 2

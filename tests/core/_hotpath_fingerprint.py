@@ -53,11 +53,16 @@ def run_scenario(
     """One parity scenario; ``engine_kwargs`` flow to :func:`simulate`
     (the observability-parity suite attaches ``tracer=``/``metrics=``
     here and expects the same fingerprints)."""
+    return run_scheduler(make_scheduler(name, **hadar_kwargs), seed, engine_kwargs)
+
+
+def run_scheduler(
+    scheduler, seed: int, engine_kwargs: dict | None = None
+) -> "SimulationResult":
+    """The parity scenario of ``seed`` driven by a caller-built scheduler."""
     cluster = simulated_cluster()
     trace = generate_philly_trace(PhillyTraceConfig(num_jobs=NUM_JOBS, seed=seed))
-    return simulate(
-        cluster, trace, make_scheduler(name, **hadar_kwargs), **(engine_kwargs or {})
-    )
+    return simulate(cluster, trace, scheduler, **(engine_kwargs or {}))
 
 
 def fingerprint(result: "SimulationResult") -> dict:

@@ -84,41 +84,53 @@ def build_engine(name: str, seed: int, *, chaos: bool) -> SimulationEngine:
     )
 
 
-def run_interrupted(name: str, seed: int, cut: int, *, chaos: bool):
-    """Step to the cut, serialize, discard, restore, run to completion."""
-    engine = build_engine(name, seed, chaos=chaos)
-    engine.start()
-    for _ in range(cut):
-        if not engine.step():
-            break
-    blob = SnapshotCodec().dumps(engine.snapshot())
-    del engine  # the restored engine must not lean on the original
+def run_counting_steps(name: str, seed: int, *, chaos: bool):
+    """The uninterrupted run and its step count.
 
-    restored = build_engine(name, seed, chaos=chaos)
-    restored.restore(SnapshotCodec().loads(blob))
-    return restored.run()
-
-
-def total_steps(name: str, seed: int, *, chaos: bool) -> int:
+    :meth:`SimulationEngine.run` is exactly start, step to exhaustion,
+    stop, so the result is the batch run's.
+    """
     engine = build_engine(name, seed, chaos=chaos)
     engine.start()
     steps = 0
     while engine.step():
         steps += 1
-    engine.stop()
-    return steps
+    return engine.stop(), steps
+
+
+def snapshots_at(name: str, seed: int, cuts, *, chaos: bool) -> list[str]:
+    """One run stepped through ascending ``cuts``, serialized at each."""
+    engine = build_engine(name, seed, chaos=chaos)
+    engine.start()
+    blobs = []
+    done = 0
+    for cut in cuts:
+        while done < cut and engine.step():
+            done += 1
+        blobs.append(SnapshotCodec().dumps(engine.snapshot()))
+    return blobs
+
+
+def finish_restored(name: str, seed: int, blob: str, *, chaos: bool):
+    """Restore a serialized snapshot into a fresh engine and run it out.
+
+    The fresh engine shares nothing with the one that was snapshotted.
+    """
+    restored = build_engine(name, seed, chaos=chaos)
+    restored.restore(SnapshotCodec().loads(blob))
+    return restored.run()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", SCHEDULER_NAMES)
 def test_kill_restore_is_byte_identical_under_chaos(name: str, seed: int):
-    reference = build_engine(name, seed, chaos=True).run()
+    reference, steps = run_counting_steps(name, seed, chaos=True)
     want = digest(fingerprint(reference))
-    steps = total_steps(name, seed, chaos=True)
     assert steps > 10
-    for numerator in CUT_FRACTIONS:
-        cut = steps * numerator // 3
-        result = run_interrupted(name, seed, cut, chaos=True)
+    cuts = [steps * numerator // 3 for numerator in CUT_FRACTIONS]
+    blobs = snapshots_at(name, seed, cuts, chaos=True)
+    for cut, blob in zip(cuts, blobs):
+        result = finish_restored(name, seed, blob, chaos=True)
         assert digest(fingerprint(result)) == want, (
             f"{name}/{seed}: restored run diverged after snapshot at "
             f"step {cut}/{steps}"
@@ -132,9 +144,9 @@ def test_kill_restore_is_byte_identical_under_chaos(name: str, seed: int):
 def test_kill_restore_reproduces_goldens(name: str, seed: int):
     """Plain restored runs must land on the committed golden schedules."""
     golden = GOLDEN[f"{name}/{seed}"]
-    steps = total_steps(name, seed, chaos=False)
-    cut = steps // 2
-    result = run_interrupted(name, seed, cut, chaos=False)
+    _, steps = run_counting_steps(name, seed, chaos=False)
+    (blob,) = snapshots_at(name, seed, [steps // 2], chaos=False)
+    result = finish_restored(name, seed, blob, chaos=False)
     assert digest(fingerprint(result)) == golden["sha256"]
     assert repr(result.makespan()) == golden["makespan"]
     assert len(result.completed) == golden["completed"]

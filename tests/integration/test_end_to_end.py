@@ -43,12 +43,22 @@ def continuous_trace():
     )
 
 
+_STATIC_RESULTS: dict = {}
+
+
+def static_run(factory, cluster, static_trace):
+    """One static-trace run per scheduler, shared by the read-only checks."""
+    if factory not in _STATIC_RESULTS:
+        _STATIC_RESULTS[factory] = simulate(cluster, static_trace, factory())
+    return _STATIC_RESULTS[factory]
+
+
 @pytest.mark.parametrize("factory", ALL_SCHEDULERS, ids=lambda f: f.__name__)
 class TestAllSchedulers:
     def test_static_trace_completes_with_conserved_work(
         self, factory, cluster, static_trace
     ):
-        result = simulate(cluster, static_trace, factory())
+        result = static_run(factory, cluster, static_trace)
         assert result.all_completed
         for rt in result.runtimes.values():
             assert rt.iterations_done == pytest.approx(
@@ -66,7 +76,7 @@ class TestAllSchedulers:
         from repro.workload.throughput import default_throughput_matrix
 
         matrix = default_throughput_matrix()
-        result = simulate(cluster, static_trace, factory())
+        result = static_run(factory, cluster, static_trace)
         for rt in result.completed:
             ideal = rt.job.total_iterations / (
                 rt.job.num_workers * matrix.max_rate(rt.job.model.name)
@@ -77,7 +87,7 @@ class TestAllSchedulers:
 class TestDeterminismAcrossRuns:
     @pytest.mark.parametrize("factory", ALL_SCHEDULERS, ids=lambda f: f.__name__)
     def test_same_seed_same_results(self, factory, cluster, static_trace):
-        a = simulate(cluster, static_trace, factory())
+        a = static_run(factory, cluster, static_trace)
         b = simulate(cluster, static_trace, factory())
         assert a.jcts() == b.jcts()
         assert a.makespan() == b.makespan()

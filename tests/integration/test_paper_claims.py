@@ -94,16 +94,18 @@ class TestFig5FTF:
 
 
 class TestFig6Makespan:
-    def test_makespan_objective_beats_baselines(self, cluster, trace, results):
-        hadar_mk = simulate(cluster, trace, hadar_for_objective("makespan"))
+    @pytest.fixture(scope="class")
+    def hadar_mk(self, cluster, trace):
+        return simulate(cluster, trace, hadar_for_objective("makespan"))
+
+    def test_makespan_objective_beats_baselines(self, hadar_mk, results):
         assert hadar_mk.all_completed
         assert hadar_mk.makespan() < results["gavel"].makespan()
         assert hadar_mk.makespan() < results["tiresias"].makespan()
 
-    def test_makespan_objective_trades_jct(self, cluster, trace, results):
+    def test_makespan_objective_trades_jct(self, hadar_mk, results):
         """Steering to makespan sacrifices (or at least does not improve)
         the default objective's mean JCT ordering against itself."""
-        hadar_mk = simulate(cluster, trace, hadar_for_objective("makespan"))
         assert hadar_mk.makespan() <= results["hadar"].makespan()
 
 

@@ -9,8 +9,9 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
 from repro.cluster.topology import CommunicationModel
 from repro.core.dp import DPAllocator, DPConfig
-from repro.core.find_alloc import find_alloc
+from repro.core.find_alloc import cached_find_alloc, explain_alloc, find_alloc
 from repro.core.pricing import PriceBook
+from repro.core.round_context import RoundContext
 from repro.core.utility import NormalizedThroughputUtility
 from repro.sim.progress import JobRuntime, JobState
 from repro.workload.models import model_spec
@@ -30,6 +31,10 @@ CLUSTER = Cluster(
     comm=CommunicationModel.disabled(),
 )
 MODELS = ("resnet18", "resnet50", "cyclegan", "transformer", "a3c")
+# Same inventory with the ring-allreduce penalty on, so scattered gangs
+# pay the comm surcharge the search must cost identically.
+COMM_CLUSTER = Cluster([Node(n.node_id, dict(n.gpus)) for n in CLUSTER.nodes])
+MOVE_DELAY = lambda rt, alloc: 30.0  # noqa: E731
 
 
 @st.composite
@@ -115,3 +120,55 @@ def test_exact_dp_payoff_dominates_greedy(queue):
     exact = total_payoff(DPConfig(queue_limit=8))
     greedy = total_payoff(DPConfig(queue_limit=0))
     assert exact >= greedy - 1e-9
+
+
+def _round_context(prices, state, now):
+    return RoundContext(
+        prices=prices, matrix=MATRIX, cluster=COMM_CLUSTER, utility=UTILITY,
+        now=now, delay_estimator=MOVE_DELAY, state=state,
+    )
+
+
+@given(
+    queue=queues(),
+    data=st.data(),
+    now=st.floats(0.0, 7200.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_search_matches_straight_line_reference(queue, data, now):
+    """The cached search equals ``explain_alloc``'s best, bit for bit.
+
+    One context serves the whole queue while the state moves under it
+    (partial occupancy, jobs holding current gangs, some straggling,
+    admitted gangs committed as the greedy walk does), so the shared
+    generation/physics/candidate/result layers are all exercised; the
+    reference gets a fresh context per call and recomputes everything.
+    """
+    state = COMM_CLUSTER.fresh_state()
+    for slot in sorted(state.slots):
+        taken = data.draw(st.integers(0, state.capacity(*slot)))
+        if taken:
+            state.allocate(Allocation({slot: taken}))
+    for rt in queue:
+        if data.draw(st.booleans()):
+            # A current gang drawn over the whole inventory: it may or may
+            # not still fit the occupied state.
+            need = rt.job.num_workers
+            gang = {}
+            for slot in data.draw(st.permutations(sorted(state.slots))):
+                take = min(need, state.capacity(*slot))
+                if take:
+                    gang[slot] = take
+                    need -= take
+                if not need:
+                    break
+            rt.allocation = Allocation(gang)
+            rt.slowdown = data.draw(st.sampled_from([1.0, 0.6]))
+    prices = prices_for(queue)
+    ctx = _round_context(prices, state, now)
+    for rt in queue:
+        reference = explain_alloc(_round_context(prices, state, now), rt, state).best
+        assert cached_find_alloc(ctx, rt, state) == reference
+        assert cached_find_alloc(ctx, rt, state) == reference  # result-cache hit
+        if reference is not None and data.draw(st.booleans()):
+            state.allocate(reference.allocation)

@@ -114,14 +114,21 @@ class TestDivergence:
     def test_capacity_divergence_under_faults(self, no_comm_cluster, matrix,
                                               philly_trace_small):
         """A fault-free recording replayed into a fault-injected world skips
-        the gangs that no longer fit instead of corrupting state."""
+        the gangs that no longer fit instead of corrupting state.
+
+        Evicted jobs are never re-placed once the recording runs out, so
+        the run is capped at twice the recorded span: every recorded
+        entry is replayed (and could diverge) well before the cap.
+        """
         rec = RecordingScheduler(HadarScheduler())
-        simulate(no_comm_cluster, philly_trace_small, rec, matrix=matrix)
+        original = simulate(no_comm_cluster, philly_trace_small, rec, matrix=matrix)
         replayer = ReplayScheduler(rec.decisions, strict=False)
         result = simulate(
             no_comm_cluster, philly_trace_small, replayer, matrix=matrix,
             faults=FaultModel(node_mtbf_h=0.2, mttr_s=1800.0, seed=3),
+            max_time=2 * original.end_time,
         )
+        assert replayer.exhausted
         assert replayer.divergences, "heavy faults must break some replayed gang"
         assert all(
             d["reason"] in ("unknown_job", "unknown_slot", "capacity")
