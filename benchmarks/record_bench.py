@@ -228,7 +228,6 @@ def record(num_jobs: int, scale: str) -> dict:
                 f"{cached.end_time!r}"
             )
         c_stats = cached.hotpath_stats
-        runs_c = max(c_stats.get("find_alloc_runs", 0), 1)
         name = f"hadar/{seed}"
         scenarios[name] = {
             "cached": {
@@ -260,10 +259,6 @@ def record(num_jobs: int, scale: str) -> dict:
                 ),
                 "snapshots": snapshots,
             },
-            # Without the result cache every logical call is a full search.
-            "find_alloc_run_reduction": round(
-                c_stats.get("find_alloc_calls", 0) / runs_c, 2
-            ),
         }
         if name in retired:
             scenarios[name]["candidate_eval_reduction"] = round(

@@ -241,31 +241,15 @@ DEFAULT_CONFIG = FlowConfig(
             "job, not the picks.",
         ),
         MemoSpec(
-            function="find_alloc.cached_find_alloc",
-            key_params=("rt", "state_key"),
-            ignored_params=("ctx",),
-            guarded=(("state", _STATE_KEY_READS),),
-            note="Result cache keyed (job_id, state.key()); the search "
-            "may read the state only through the free-capacity vector "
-            "the key captures.",
-        ),
-        MemoSpec(
-            function="find_alloc._search",
-            key_params=("rt", "state_key"),
-            ignored_params=("ctx",),
-            guarded=(("state", _STATE_KEY_READS),),
-            note="Body of the (job_id, state.key()) result cache.",
-        ),
-        MemoSpec(
             function="find_alloc._generate_candidates",
             key_params=("w", "usable_desc", "state_key"),
             ignored_params=("ctx",),
             guarded=(("state", _STATE_KEY_READS),),
-            invariant_params=("model", "rate_of"),
+            invariant_params=("model",),
             note="Generation cache keyed (usable_desc, rate-rank "
-            "signature, W, state_key). model/rate_of influence the "
-            "result only through the captured usable order and rank "
-            "signature — the PR 3 equivalence argument in the "
+            "signature, W, state_key). model influences the result "
+            "only through the captured usable order and rank "
+            "signature — the equivalence argument in the "
             "_generate_candidates docstring.",
         ),
     ),

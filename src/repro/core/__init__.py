@@ -14,9 +14,8 @@ The online primal-dual scheduler of Sec. III:
   (Algorithm 2): exact memoized include/exclude recursion for small
   queues, payoff-density greedy beyond a threshold;
 * :mod:`repro.core.round_context` — the round-scoped allocation engine:
-  per-round frozen lookup tables, incremental pricing, candidate
-  memoization, and the shared ``FIND_ALLOC`` result cache (see
-  ``docs/performance.md``);
+  per-round frozen lookup tables and the price, candidate-generation,
+  gang-physics and candidate memos (see ``docs/performance.md``);
 * :mod:`repro.core.scheduler` — :class:`HadarScheduler`, the online
   Algorithm 1 loop;
 * :mod:`repro.core.policies` — one-line constructors binding Hadar to the

@@ -23,9 +23,10 @@ switch that gives the near-Gavel scaling of Fig. 7.
 
 Every ``FIND_ALLOC`` call in one ``allocate()`` pass — the exact
 recursion, the greedy ranking walk, and the greedy allocation walk —
-shares one :class:`~repro.core.round_context.RoundContext`, so identical
-``(job, free-capacity-vector)`` subproblems reached along different
-branch orders (and re-reached by the greedy passes) are solved once.
+shares one :class:`~repro.core.round_context.RoundContext`, so a
+free-capacity vector reached along different branch orders (or
+re-reached by the greedy passes) reuses its candidate generation and
+costings from the round's memos.
 """
 
 from __future__ import annotations

@@ -30,11 +30,11 @@ The module holds one search and one reference:
   payoff, which is what the decision tracer shows.
 * :func:`cached_find_alloc` (and its standalone wrapper
   :func:`find_alloc`) runs the same computation through the shared
-  :class:`~repro.core.round_context.RoundContext` layers: candidate
-  generation per job shape, gang physics per ``(model, W)``, costings
-  per job, and whole results per ``(job, free-vector)``.  It sits inside
-  Hadar's DP recursion and runs hundreds of thousands of times per
-  simulation.
+  :class:`~repro.core.round_context.RoundContext` memos: candidate
+  generation per job shape and free vector, gang physics per
+  ``(model, W)``, costings per job, and Eq. (5) prices per slot.  It
+  sits inside Hadar's DP recursion and runs hundreds of thousands of
+  times per simulation.
 
 Every float expression of the search mirrors one in the reference, so
 ``cached_find_alloc(ctx, rt, state)`` equals
@@ -45,7 +45,7 @@ property suites pin this.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.cluster.allocation import Allocation
 from repro.cluster.cluster import Cluster
@@ -118,7 +118,7 @@ class AllocationExplanation:
 
 
 def _greedy_take(
-    ordered_slots: list[tuple[int, str, int]], workers: int
+    ordered_slots: Iterable[tuple[int, str, int]], workers: int
 ) -> Optional[_Picks]:
     """Take ``workers`` devices walking ``(node, type, free)`` in order."""
     need = workers
@@ -176,27 +176,162 @@ def cached_find_alloc(
     state: ClusterState,
     state_key: Optional[tuple[int, ...]] = None,
 ) -> Optional[AllocationCandidate]:
-    """``find_alloc`` through the round's ``(job, free-vector)`` result cache.
+    """The candidate search through the round's shared memo layers.
 
-    The DP's allocate/skip recursion reaches the same free-capacity
-    vector along many branch orders; within one round the search result
-    is a pure function of ``(job, state.key())``, so reruns are shared
-    between the exact recursion, the greedy ranking pass, and the greedy
-    allocation walk.  ``state_key`` lets callers that already computed
-    ``state.key()`` (the DP memo does) skip recomputing it.
+    Byte-identical to ``explain_alloc(ctx, rt, state).best`` (the
+    golden-parity and property suites pin this), reorganized so the
+    expensive work is shared:
+
+    * candidate **generation** is looked up per ``(usable order, rate-tie
+      signature, W, state key)`` — every job of the same shape at the
+      same free vector reuses it (:func:`_generate_candidates`);
+    * gang **physics** (bottleneck rate, comm penalty, price cost) is
+      memoized per ``(model, W, picks, picked free counts)`` — only the
+      per-job economics (JCT → utility → payoff) run per evaluation;
+    * the per-job candidate memo and the Eq. (5) price memo share the
+      rest.
+
+    ``state_key`` lets callers that already computed ``state.key()`` (the
+    DP memo does) skip recomputing it.
     """
     stats = ctx.stats
     stats.find_alloc_calls += 1
+    job = rt.job
+    model = job.model.name
+    w = job.num_workers
+
+    rate_of = ctx.rates_for(model)
+    usable_desc = ctx.usable_desc(model)
+    if not usable_desc:
+        return None
     if state_key is None:
         state_key = state.key()
-    hit = ctx.result_get(rt.job_id, state_key)
-    if hit is not _MISS:
-        stats.result_hits += 1
-        return hit
-    stats.find_alloc_runs += 1
-    result = _search(ctx, rt, state, state_key)
-    ctx.result_put(rt.job_id, state_key, result)
-    return result
+    pairs, pickset = _generate_candidates(
+        ctx, model, w, usable_desc, state, state_key
+    )
+
+    # -- keep the current placement when it still fits (per-job) ---------------
+    current_picks: Optional[_Picks] = None
+    extra: tuple[tuple[_Picks, tuple[int, ...]], ...] = ()
+    if rt.allocation and state.can_fit(rt.allocation):
+        picks = tuple(
+            sorted(
+                (node_id, type_name, count)
+                for (node_id, type_name), count in rt.allocation.placements.items()
+            )
+        )
+        usable = True
+        for _, t, _ in picks:
+            r = rate_of.get(t)
+            if r is None:  # type outside the cluster inventory (defensive)
+                r = ctx.matrix.rate(model, t)
+            if r <= 0.0:
+                usable = False
+                break
+        if usable:
+            current_picks = picks
+            if picks not in pickset:
+                extra = (
+                    (picks, tuple([state.free(n, t) for n, t, _ in picks])),
+                )
+
+    if not pairs and not extra:
+        return None
+
+    # -- evaluate: shared physics, per-job economics ---------------------------
+    model_bytes = job.model.model_bytes
+    comm = ctx.cluster.comm
+    now = ctx.now
+    utility = ctx.utility
+    age = now - job.arrival_time
+    if age < 0.0:
+        age = 0.0
+    remaining = rt.remaining_iterations
+    memo = ctx.candidate_memo(rt.job_id)
+    phys_memo = ctx.physics_memo(model, w)
+    price = ctx.price
+    matrix_rate = ctx.matrix.rate
+
+    best_key: Optional[tuple] = None
+    best: Optional[tuple[_Picks, float, float, float, float, float]] = None
+    move_delay: Optional[float] = None  # same for every non-current candidate
+    for picks, frees in pairs + extra:
+        is_current = picks == current_picks
+        mkey = (picks, frees, is_current)
+        cached = memo.get(mkey, _MISS)
+        if cached is not _MISS:
+            stats.candidate_hits += 1
+            if cached is None:
+                continue
+            cost, u, payoff, rate, jct, multi_node = cached
+            key = (-payoff, cost, multi_node, picks)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = (picks, cost, u, payoff, rate, jct)
+            continue
+        stats.candidate_evals += 1
+        pkey = (picks, frees)
+        phys = phys_memo.get(pkey, _MISS)
+        if phys is _MISS:
+            stats.physics_evals += 1
+            bottleneck = min(
+                rate_of.get(t) or matrix_rate(model, t) for _, t, _ in picks
+            )
+            if bottleneck <= 0.0:
+                phys = None
+            else:
+                nodes = {n for n, _, _ in picks}
+                multi_node = len(nodes) > 1
+                penalty = comm.throughput_penalty_n(
+                    w, multi_node, model_bytes, 1.0 / bottleneck
+                )
+                base_rate = bottleneck * w * penalty
+                # Identical accumulation order to the reference's
+                # sum-over-picks with the same Eq. (5) price values.
+                base_cost = sum(
+                    price((n, t), f) * c for (n, t, c), f in zip(picks, frees)
+                )
+                phys = (base_cost / penalty, base_rate, multi_node)
+            phys_memo[pkey] = phys
+        else:
+            stats.physics_hits += 1
+        if phys is None:
+            memo[mkey] = None
+            continue
+        cost, rate, multi_node = phys
+        if is_current and rt.slowdown < 1.0:
+            # Keeping a straggling gang keeps its degradation; a fresh
+            # placement starts with healthy workers (straggler awareness).
+            rate = rate * rt.slowdown
+        if is_current:
+            delay = 0.0
+        else:
+            if move_delay is None:
+                move_delay = ctx.move_delay_for(rt, picks)
+            delay = move_delay
+        jct = age + delay + remaining / rate
+        u = utility.value_for(rt, jct, now)
+        payoff = u - cost
+        if payoff <= 0.0:
+            memo[mkey] = None
+            continue
+        memo[mkey] = (cost, u, payoff, rate, jct, multi_node)
+        key = (-payoff, cost, multi_node, picks)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (picks, cost, u, payoff, rate, jct)
+
+    if best is None:
+        return None
+    picks, cost, u, payoff, rate, jct = best
+    return AllocationCandidate(
+        allocation=Allocation.from_pairs(picks),
+        cost=cost,
+        utility=u,
+        payoff=payoff,
+        rate=rate,
+        estimated_jct=jct,
+    )
 
 
 def explain_alloc(
@@ -214,7 +349,7 @@ def explain_alloc(
     The decision tracer calls this once per job per traced round, at the
     post-decision state, never inside the DP recursion.  It reads the
     round's frozen tables and price memo through ``ctx`` (all
-    value-preserving) but touches neither the candidate/result memos nor,
+    value-preserving) but touches neither the generation/candidate memos nor,
     thanks to :meth:`~repro.core.round_context.RoundContext.suspend_stats`,
     the round's hot-path counters.
     """
@@ -372,7 +507,6 @@ def _generate_candidates(
     ctx: RoundContext,
     model: str,
     w: int,
-    rate_of: dict[str, float],
     usable_desc: tuple[str, ...],
     state: ClusterState,
     state_key: tuple[int, ...],
@@ -381,117 +515,83 @@ def _generate_candidates(
 
     Produces exactly the consolidated (line 24) and cross-server (line 25)
     pick sets of :func:`explain_alloc` — the current-placement
-    candidate is per-job and added by the caller.  Two transformations
-    relative to the reference, both value-preserving:
-
-    * the node structures (free/price dicts, per-node cheapest-first
-      orders) and the consolidated cheapest-first gangs are read through
-      the :class:`RoundContext` node-family caches, which are
-      model-independent and therefore shared more widely than this
-      function's own ``(model, W, state)`` result;
-    * the cross-server tiers are nested prefixes of ``usable_desc``, so
-      instead of one sort per tier the usable slots are sorted once per
-      key family and filtered per tier — the keys are total orders over
-      distinct slots and both sorts are stable over the same canonical
-      input order, so the filtered prefix subsequence equals the per-tier
-      sort it replaces.
+    candidate is per-job and added by the caller.  The result is memoized
+    in the round's generation cache per ``(usable_desc, rate-tie
+    signature, W, state_key)``: it reads the model's rates only through
+    the rate-tie ranks (:meth:`RoundContext.rate_rank`), which compare
+    exactly like ``-rate`` over usable types.  On a miss everything is
+    rebuilt from the state; one transformation relative to the
+    reference is value-preserving: the cross-server tiers are nested
+    prefixes of ``usable_desc``, so instead of one sort per tier the
+    usable slots are sorted once per key family and filtered per tier —
+    the keys are total orders over distinct slots and both sorts are
+    stable over the same canonical input order, so the filtered prefix
+    subsequence equals the per-tier sort it replaces.
 
     Returns ``(pairs, pickset)``: the candidates sorted (deterministic
     regardless of set iteration order), each paired with its picked
     slots' free counts, plus the membership set callers use to dedup the
     per-job current-placement candidate.
     """
-    usable = ctx.usable_set(model)
-    fam = ctx.node_family_get(usable, state_key)
-    if fam is _MISS:
-        free_slots: list[tuple[int, str, int]] = []
-        free_of: dict[tuple[int, str], int] = {}
-        price_of: dict[tuple[int, str], float] = {}
-        per_node_free: dict[int, int] = {}
-        per_node: dict[int, list[tuple[int, str, int]]] = {}
-        price = ctx.price
-        for slot, free in state.free_slots():
-            node_id, type_name = slot
-            free_slots.append((node_id, type_name, free))
-            free_of[slot] = free
-            price_of[slot] = price(slot, free)
-            if type_name in usable:
-                per_node_free[node_id] = per_node_free.get(node_id, 0) + free
-                per_node.setdefault(node_id, []).append(
-                    (node_id, type_name, free)
-                )
-        cheap_by_node = {
-            node_id: sorted(
-                slots, key=lambda s: (price_of[(s[0], s[1])], s[1])
-            )
-            for node_id, slots in per_node.items()
-        }
-        fam = (free_slots, free_of, price_of, per_node_free, cheap_by_node)
-        ctx.node_family_put(usable, state_key, fam)
-    free_slots, free_of, price_of, per_node_free, cheap_by_node = fam
+    stats = ctx.stats
+    rank, rank_sig = ctx.rate_rank(model)
+    shape = (usable_desc, rank_sig, w)
+    gen = ctx.generation_get(shape, state_key)
+    if gen is not _MISS:
+        stats.generation_hits += 1
+        return gen
+    stats.generation_runs += 1
+
+    # Only usable slots matter to either family; free counts are positive.
+    tier_of = {t: i for i, t in enumerate(usable_desc)}
+    usable_slots: list[tuple[int, str, int]] = []
+    free_of: dict[tuple[int, str], int] = {}
+    price_of: dict[tuple[int, str], float] = {}
+    per_node: dict[int, list[tuple[int, str, int]]] = {}
+    node_free: dict[int, int] = {}
+    free_by_tier = [0] * len(usable_desc)
+    price = ctx.price
+    for slot, free in state.free_slots():
+        tier = tier_of.get(slot[1])
+        if tier is None:
+            continue
+        node_id = slot[0]
+        entry = (node_id, slot[1], free)
+        usable_slots.append(entry)
+        free_of[slot] = free
+        price_of[slot] = price(slot, free)
+        per_node.setdefault(node_id, []).append(entry)
+        node_free[node_id] = node_free.get(node_id, 0) + free
+        free_by_tier[tier] += free
+
+    # Every take below fills: each walk is preceded by a capacity check
+    # on exactly the slots it may take from.  Filtering a sorted walk
+    # preserves its order, and ``_greedy_take`` stops at the gang size.
 
     # -- consolidated (line 24): whole gang on one server ----------------------
-    picksets = ctx.node_picks_get(usable, w, state_key)
-    if picksets is _MISS:
-        qual_nodes = tuple(
-            node_id for node_id, total in per_node_free.items() if total >= w
-        )
-        taken = []
-        for node_id in qual_nodes:
-            picks = _greedy_take(cheap_by_node[node_id], w)
-            if picks is not None:
-                taken.append(picks)
-        picksets = (qual_nodes, tuple(taken))
-        ctx.node_picks_put(usable, w, state_key, picksets)
-    qual_nodes, cheap_picks = picksets
-
-    # The fused walks below are filter-then-_greedy_take with an early
-    # exit: filtering preserves order, free counts are positive, and the
-    # capacity pre-checks guarantee the take fills, so stopping at
-    # ``need == 0`` yields the same picks without building the filtered
-    # list first.
-    candidates: set[_Picks] = set(cheap_picks)
+    candidates: set[_Picks] = set()
     fast_order = ctx.node_fast_order(model)
-    for node_id in qual_nodes:
-        need = w
-        picks = []
-        for t in fast_order[node_id]:
-            free = free_of.get((node_id, t), 0)
-            if free <= 0:
-                continue
-            take = free if free < need else need
-            picks.append((node_id, t, take))
-            need -= take
-            if need == 0:
-                candidates.add(
-                    (picks[0],) if len(picks) == 1 else tuple(sorted(picks))
-                )
-                break
+    for node_id, slots in per_node.items():
+        if node_free[node_id] < w:
+            continue
+        fast = (
+            (node_id, t, free_of[(node_id, t)])
+            for t in fast_order[node_id]
+            if (node_id, t) in free_of
+        )
+        candidates.add(_greedy_take(fast, w))
+        cheap = sorted(slots, key=lambda s: (price_of[(s[0], s[1])], s[1]))
+        candidates.add(_greedy_take(cheap, w))
 
     # -- cross-server (line 25): sort once per family, filter per tier ---------
     # The reference keys use ``-rate_of[t]``; ``rank[t]`` compares
-    # identically (rate-tie groups in fastest-first order), so the sorted
-    # lists are shared across models with the same type order and tie
-    # structure regardless of their actual rate values.
-    rank, rank_sig = ctx.rate_rank(model)
-    xkey = (usable_desc, rank_sig, state_key)
-    xs = ctx.xserver_get(xkey)
-    if xs is _MISS:
-        tier_of = {t: i for i, t in enumerate(usable_desc)}
-        usable_slots = [s for s in free_slots if s[1] in tier_of]
-        cheap_all = sorted(
-            usable_slots, key=lambda s: (price_of[(s[0], s[1])], rank[s[1]], s[0])
-        )
-        fast_all = sorted(
-            usable_slots, key=lambda s: (rank[s[1]], price_of[(s[0], s[1])], s[0])
-        )
-        free_by_tier = [0] * len(usable_desc)
-        for _, t, free in usable_slots:
-            free_by_tier[tier_of[t]] += free
-        xs = (tier_of, cheap_all, fast_all, free_by_tier)
-        ctx.xserver_put(xkey, xs)
-    else:
-        tier_of, cheap_all, fast_all, free_by_tier = xs
+    # identically (rate-tie groups in fastest-first order).
+    cheap_all = sorted(
+        usable_slots, key=lambda s: (price_of[(s[0], s[1])], rank[s[1]], s[0])
+    )
+    fast_all = sorted(
+        usable_slots, key=lambda s: (rank[s[1]], price_of[(s[0], s[1])], s[0])
+    )
     total_free = 0
     for i in range(len(usable_desc)):
         tier_free = free_by_tier[i]
@@ -503,19 +603,8 @@ def _generate_candidates(
             # walks — identical to the previous processed tier's.
             continue
         for ordered in (cheap_all, fast_all):
-            need = w
-            picks = []
-            for node_id, t, free in ordered:
-                if tier_of[t] > i:
-                    continue
-                take = free if free < need else need
-                picks.append((node_id, t, take))
-                need -= take
-                if need == 0:
-                    candidates.add(
-                        (picks[0],) if len(picks) == 1 else tuple(sorted(picks))
-                    )
-                    break
+            allowed = (s for s in ordered if tier_of[s[1]] <= i)
+            candidates.add(_greedy_take(allowed, w))
 
     # Pair every candidate with its picked slots' free counts: the free
     # vector is exactly what ``state_key`` canonicalizes, so the counts
@@ -524,171 +613,6 @@ def _generate_candidates(
     pairs = []
     for p in sorted(candidates):
         pairs.append((p, tuple([free_of[(n, t)] for n, t, _ in p])))
-    return tuple(pairs), frozenset(candidates)
-
-
-def _search(
-    ctx: RoundContext,
-    rt: JobRuntime,
-    state: ClusterState,
-    state_key: tuple[int, ...],
-) -> Optional[AllocationCandidate]:
-    """The candidate search through the round's shared caching layers.
-
-    Byte-identical to ``explain_alloc(ctx, rt, state).best`` (the
-    golden-parity and property suites pin this), reorganized so the
-    expensive work is shared:
-
-    * candidate **generation** is looked up per ``(model, W, state key)``
-      — every job of the same shape at the same free vector reuses it;
-    * gang **physics** (bottleneck rate, comm penalty, price cost) is
-      memoized per ``(model, W, picks, picked free counts)`` — only the
-      per-job economics (JCT → utility → payoff) run per evaluation;
-    * the per-job candidate memo and the Eq. (5) price memo behave as
-      before.
-    """
-    job = rt.job
-    model = job.model.name
-    w = job.num_workers
-
-    rate_of = ctx.rates_for(model)
-    usable_desc = ctx.usable_desc(model)
-    if not usable_desc:
-        return None
-
-    stats = ctx.stats
-    _, rank_sig = ctx.rate_rank(model)
-    shape = (usable_desc, rank_sig, w)
-    gen = ctx.generation_get(shape, state_key)
-    if gen is _MISS:
-        stats.generation_runs += 1
-        gen = _generate_candidates(
-            ctx, model, w, rate_of, usable_desc, state, state_key
-        )
-        ctx.generation_put(shape, state_key, gen)
-    else:
-        stats.generation_hits += 1
-    pairs, pickset = gen
-
-    # -- keep the current placement when it still fits (per-job) ---------------
-    current_picks: Optional[_Picks] = None
-    extra: tuple[tuple[_Picks, tuple[int, ...]], ...] = ()
-    if rt.allocation and state.can_fit(rt.allocation):
-        picks = tuple(
-            sorted(
-                (node_id, type_name, count)
-                for (node_id, type_name), count in rt.allocation.placements.items()
-            )
-        )
-        usable = True
-        for _, t, _ in picks:
-            r = rate_of.get(t)
-            if r is None:  # type outside the cluster inventory (defensive)
-                r = ctx.matrix.rate(model, t)
-            if r <= 0.0:
-                usable = False
-                break
-        if usable:
-            current_picks = picks
-            if picks not in pickset:
-                extra = (
-                    (picks, tuple([state.free(n, t) for n, t, _ in picks])),
-                )
-
-    if not pairs and not extra:
-        return None
-
-    # -- evaluate: shared physics, per-job economics ---------------------------
-    model_bytes = job.model.model_bytes
-    comm = ctx.cluster.comm
-    now = ctx.now
-    utility = ctx.utility
-    age = now - job.arrival_time
-    if age < 0.0:
-        age = 0.0
-    remaining = rt.remaining_iterations
-    memo = ctx.candidate_memo(rt.job_id)
-    phys_memo = ctx.physics_memo(model, w)
-    price = ctx.price
-    matrix_rate = ctx.matrix.rate
-
-    best_key: Optional[tuple] = None
-    best: Optional[tuple[_Picks, float, float, float, float, float]] = None
-    move_delay: Optional[float] = None  # same for every non-current candidate
-    for picks, frees in pairs + extra:
-        is_current = picks == current_picks
-        mkey = (picks, frees, is_current)
-        cached = memo.get(mkey, _MISS)
-        if cached is not _MISS:
-            stats.candidate_hits += 1
-            if cached is None:
-                continue
-            cost, u, payoff, rate, jct, multi_node = cached
-            key = (-payoff, cost, multi_node, picks)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (picks, cost, u, payoff, rate, jct)
-            continue
-        stats.candidate_evals += 1
-        pkey = (picks, frees)
-        phys = phys_memo.get(pkey, _MISS)
-        if phys is _MISS:
-            stats.physics_evals += 1
-            bottleneck = min(
-                rate_of.get(t) or matrix_rate(model, t) for _, t, _ in picks
-            )
-            if bottleneck <= 0.0:
-                phys = None
-            else:
-                nodes = {n for n, _, _ in picks}
-                multi_node = len(nodes) > 1
-                penalty = comm.throughput_penalty_n(
-                    w, multi_node, model_bytes, 1.0 / bottleneck
-                )
-                base_rate = bottleneck * w * penalty
-                # Identical accumulation order to the reference's
-                # sum-over-picks with the same Eq. (5) price values.
-                base_cost = sum(
-                    price((n, t), f) * c for (n, t, c), f in zip(picks, frees)
-                )
-                phys = (base_cost / penalty, base_rate, multi_node)
-            phys_memo[pkey] = phys
-        else:
-            stats.physics_hits += 1
-        if phys is None:
-            memo[mkey] = None
-            continue
-        cost, rate, multi_node = phys
-        if is_current and rt.slowdown < 1.0:
-            # Keeping a straggling gang keeps its degradation; a fresh
-            # placement starts with healthy workers (straggler awareness).
-            rate = rate * rt.slowdown
-        if is_current:
-            delay = 0.0
-        else:
-            if move_delay is None:
-                move_delay = ctx.move_delay_for(rt, picks)
-            delay = move_delay
-        jct = age + delay + remaining / rate
-        u = utility.value_for(rt, jct, now)
-        payoff = u - cost
-        if payoff <= 0.0:
-            memo[mkey] = None
-            continue
-        memo[mkey] = (cost, u, payoff, rate, jct, multi_node)
-        key = (-payoff, cost, multi_node, picks)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (picks, cost, u, payoff, rate, jct)
-
-    if best is None:
-        return None
-    picks, cost, u, payoff, rate, jct = best
-    return AllocationCandidate(
-        allocation=Allocation.from_pairs(picks),
-        cost=cost,
-        utility=u,
-        payoff=payoff,
-        rate=rate,
-        estimated_jct=jct,
-    )
+    gen = (tuple(pairs), frozenset(candidates))
+    ctx.generation_put(shape, state_key, gen)
+    return gen

@@ -10,20 +10,25 @@ every ``find_alloc`` call in that round.  It provides
 
 * frozen per-round lookup tables — per-model rate vectors
   (:meth:`rates_for`), the fastest-first usable-type order driving the
-  bottleneck tiers (:meth:`usable_desc`), and per-``(model, node)``
-  fastest-first slot orderings (:meth:`node_fast_order`);
-* **incremental pricing** — Eq. (5)'s price is a pure function of a
-  slot's committed fraction, so :meth:`price` memoizes it per
-  ``(slot, free count)``; an ``allocate()``/``release()`` on a branch
-  state implicitly "invalidates" only the touched slots because their
-  free counts (the cache key) change;
-* **candidate memoization** — a costed gang's payoff depends only on the
-  picks and the free counts of the picked slots, so evaluations are
-  shared across every ``find_alloc`` call in the round
-  (:meth:`candidate_memo`);
-* a **result cache** keyed on ``(job_id, state.key())`` used by
-  :func:`repro.core.find_alloc.cached_find_alloc`, so different DP branch
-  orders reaching the same free-capacity vector reuse the full search;
+  bottleneck tiers (:meth:`usable_desc`), per-``(model, node)``
+  fastest-first slot orderings (:meth:`node_fast_order`), the rate-tie
+  structure (:meth:`rate_rank`), and the per-job reallocation delay
+  (:meth:`move_delay_for`);
+* four memo layers, each kept because it measurably hits:
+
+  - **price** — Eq. (5)'s price is a pure function of a slot's committed
+    fraction, so :meth:`price` memoizes it per ``(slot, free count)``; an
+    ``allocate()``/``release()`` on a branch state implicitly
+    "invalidates" only the touched slots because their free counts (the
+    cache key) change;
+  - **generation** — the consolidated and cross-server candidate families
+    at one free-capacity vector, shared by every job whose model has the
+    same type order and gang size (:meth:`generation_get`);
+  - **physics** — a gang's bottleneck rate, comm penalty and price cost,
+    shared by every job of one ``(model, W)`` (:meth:`physics_memo`);
+  - **candidate** — a job's costed payoff per ``(picks, picked free
+    counts)`` (:meth:`candidate_memo`);
+
 * instrumentation counters (:class:`RoundStats`) consumed by
   ``benchmarks/record_bench.py`` and surfaced per simulation through
   :attr:`repro.sim.engine.SimulationResult.hotpath_stats`.
@@ -45,8 +50,8 @@ estimators depend only on the job and whether the gang moves, matching
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator, Optional
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Iterator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cluster import Cluster
@@ -67,22 +72,21 @@ _MISS = object()
 class RoundStats:
     """Hot-path instrumentation counters for one scheduling round.
 
-    ``find_alloc_calls`` counts logical requests; ``find_alloc_runs`` the
-    full candidate searches actually executed (calls minus result-cache
-    hits).  ``candidate_evals`` counts cold gang costings — the quantity
-    the ≥3× reduction target is measured on — and ``price_evals`` cold
-    Eq. (5) evaluations.  ``generation_runs``/``generation_hits`` track
-    the shared candidate-generation cache (one generation per
-    ``(model, gang size, free-capacity vector)``), ``physics_evals``/
-    ``physics_hits`` the job-independent gang-physics layer (bottleneck
-    rate, comm penalty, price cost), and ``calib_jobs``/``calib_dirty``
-    the incremental price calibration's dirty set (jobs seen vs. jobs
-    whose Eq. (8) record had to be recomputed).
+    ``find_alloc_calls`` counts logical ``FIND_ALLOC`` requests (every
+    call runs the search).  ``candidate_evals`` counts cold gang
+    costings — the quantity the ≥3× reduction target is measured on —
+    and ``price_evals`` cold Eq. (5) evaluations.
+    ``generation_runs``/``generation_hits`` track the shared
+    candidate-generation cache (one generation per ``(usable order,
+    rate-tie signature, gang size, free-capacity vector)``),
+    ``physics_evals``/``physics_hits`` the job-independent gang-physics
+    layer (bottleneck rate, comm penalty, price cost), and
+    ``calib_jobs``/``calib_dirty`` the incremental price calibration's
+    dirty set (jobs seen vs. jobs whose Eq. (8) record had to be
+    recomputed).
     """
 
     find_alloc_calls: int = 0
-    find_alloc_runs: int = 0
-    result_hits: int = 0
     candidate_evals: int = 0
     candidate_hits: int = 0
     price_evals: int = 0
@@ -98,38 +102,11 @@ class RoundStats:
     (each one fell back to the payoff-density greedy)."""
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "find_alloc_calls": self.find_alloc_calls,
-            "find_alloc_runs": self.find_alloc_runs,
-            "result_hits": self.result_hits,
-            "candidate_evals": self.candidate_evals,
-            "candidate_hits": self.candidate_hits,
-            "price_evals": self.price_evals,
-            "price_hits": self.price_hits,
-            "generation_runs": self.generation_runs,
-            "generation_hits": self.generation_hits,
-            "physics_evals": self.physics_evals,
-            "physics_hits": self.physics_hits,
-            "calib_jobs": self.calib_jobs,
-            "calib_dirty": self.calib_dirty,
-            "deadline_hits": self.deadline_hits,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def merge(self, other: "RoundStats") -> None:
-        self.find_alloc_calls += other.find_alloc_calls
-        self.find_alloc_runs += other.find_alloc_runs
-        self.result_hits += other.result_hits
-        self.candidate_evals += other.candidate_evals
-        self.candidate_hits += other.candidate_hits
-        self.price_evals += other.price_evals
-        self.price_hits += other.price_hits
-        self.generation_runs += other.generation_runs
-        self.generation_hits += other.generation_hits
-        self.physics_evals += other.physics_evals
-        self.physics_hits += other.physics_hits
-        self.calib_jobs += other.calib_jobs
-        self.calib_dirty += other.calib_dirty
-        self.deadline_hits += other.deadline_hits
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 class RoundContext:
@@ -150,16 +127,11 @@ class RoundContext:
         "_usable",
         "_node_types",
         "_node_fast",
+        "_rate_rank",
         "_move_delay",
-        "_results",
         "_cand_memo",
         "_gen_cache",
         "_phys_memo",
-        "_usable_set",
-        "_node_cache",
-        "_node_picks",
-        "_rate_rank",
-        "_xserver",
     )
 
     def __init__(
@@ -195,16 +167,11 @@ class RoundContext:
         self._rates: dict[str, dict[str, float]] = {}
         self._usable: dict[str, tuple[str, ...]] = {}
         self._node_fast: dict[str, dict[int, tuple[str, ...]]] = {}
+        self._rate_rank: dict[str, tuple[dict[str, int], tuple[int, ...]]] = {}
         self._move_delay: dict[int, float] = {}
-        self._results: dict[tuple[int, tuple[int, ...]], Any] = {}
         self._cand_memo: dict[int, dict] = {}
         self._gen_cache: dict[tuple, tuple] = {}
         self._phys_memo: dict[tuple[str, int], dict] = {}
-        self._usable_set: dict[str, frozenset[str]] = {}
-        self._node_cache: dict[tuple, tuple] = {}
-        self._node_picks: dict[tuple, tuple] = {}
-        self._rate_rank: dict[str, tuple[dict[str, int], tuple[int, ...]]] = {}
-        self._xserver: dict[tuple, tuple] = {}
 
     # -- instrumentation ------------------------------------------------------
     @contextmanager
@@ -285,7 +252,35 @@ class RoundContext:
             self._node_fast[model] = per_node
         return per_node
 
-    # -- move-delay sharing ---------------------------------------------------
+    def rate_rank(self, model: str) -> tuple[dict[str, int], tuple[int, ...]]:
+        """Rate-tie group index per usable type, plus its signature tuple.
+
+        Walking :meth:`usable_desc` (fastest-first), each strictly slower
+        rate opens a new group; exactly-equal rates share one.  For slots
+        of usable types, sorting by ``rank[t]`` therefore agrees with
+        sorting by ``-rate[t]`` comparison-for-comparison — the rank is a
+        model-free stand-in for the rate in cross-server sort keys, which
+        lets models with different rate *values* but the same type order
+        and tie structure share one candidate generation per state.
+        """
+        hit = self._rate_rank.get(model)
+        if hit is None:
+            rates = self.rates_for(model)
+            rank: dict[str, int] = {}
+            sig: list[int] = []
+            prev: Optional[float] = None
+            group = -1
+            for t in self.usable_desc(model):
+                r = rates[t]
+                if r != prev:
+                    group += 1
+                    prev = r
+                rank[t] = group
+                sig.append(group)
+            hit = (rank, tuple(sig))
+            self._rate_rank[model] = hit
+        return hit
+
     def move_delay_for(self, rt: "JobRuntime", picks) -> float:
         """The reallocation pause charged to non-current candidates.
 
@@ -301,7 +296,7 @@ class RoundContext:
             self._move_delay[rt.job_id] = delay
         return delay
 
-    # -- cache layers ---------------------------------------------------------
+    # -- memo layers ----------------------------------------------------------
     def generation_get(self, shape: tuple, state_key: tuple[int, ...]):
         """Cached shared candidate generation, or the sentinel on a miss.
 
@@ -337,98 +332,9 @@ class RoundContext:
             memo = self._phys_memo[key] = {}
         return memo
 
-    def usable_set(self, model: str) -> frozenset[str]:
-        """The *set* of usable types — the model-independent slice of
-        :meth:`usable_desc`, used to key node-family sharing across models."""
-        s = self._usable_set.get(model)
-        if s is None:
-            s = frozenset(self.usable_desc(model))
-            self._usable_set[model] = s
-        return s
-
-    def node_family_get(self, usable: frozenset, state_key: tuple[int, ...]):
-        """Cached per-state node structures, or the sentinel on a miss.
-
-        The free-slot list, free/price lookup dicts, per-node groupings,
-        and per-node cheapest-first slot orders read only the free vector,
-        the round-frozen prices, and *which* types are usable — not the
-        model's actual rates.  Models sharing a usable-type set therefore
-        share them at every reachable state, a strictly coarser key than
-        the ``(model, W, state)`` generation cache above.
-        """
-        return self._node_cache.get((usable, state_key), _MISS)
-
-    def node_family_put(
-        self, usable: frozenset, state_key: tuple[int, ...], value: tuple
-    ) -> None:
-        self._node_cache[(usable, state_key)] = value
-
-    def node_picks_get(
-        self, usable: frozenset, workers: int, state_key: tuple[int, ...]
-    ):
-        """Cached consolidated cheapest-first gangs (model-independent)."""
-        return self._node_picks.get((usable, workers, state_key), _MISS)
-
-    def node_picks_put(
-        self,
-        usable: frozenset,
-        workers: int,
-        state_key: tuple[int, ...],
-        value: tuple,
-    ) -> None:
-        self._node_picks[(usable, workers, state_key)] = value
-
-    def rate_rank(self, model: str) -> tuple[dict[str, int], tuple[int, ...]]:
-        """Rate-tie group index per usable type, plus its signature tuple.
-
-        Walking :meth:`usable_desc` (fastest-first), each strictly slower
-        rate opens a new group; exactly-equal rates share one.  For slots
-        of usable types, sorting by ``rank[t]`` therefore agrees with
-        sorting by ``-rate[t]`` comparison-for-comparison — the rank is a
-        model-free stand-in for the rate in cross-server sort keys, which
-        lets models with different rate *values* but the same type order
-        and tie structure share one sorted slot list per state.
-        """
-        hit = self._rate_rank.get(model)
-        if hit is None:
-            rates = self.rates_for(model)
-            rank: dict[str, int] = {}
-            sig: list[int] = []
-            prev: Optional[float] = None
-            group = -1
-            for t in self.usable_desc(model):
-                r = rates[t]
-                if r != prev:
-                    group += 1
-                    prev = r
-                rank[t] = group
-                sig.append(group)
-            hit = (rank, tuple(sig))
-            self._rate_rank[model] = hit
-        return hit
-
-    def xserver_get(self, key: tuple):
-        """Cached cross-server ordered slot lists, or the sentinel on a miss.
-
-        Keyed ``(usable_desc, rate-rank signature, state key)`` — the
-        exact inputs the cheapest-first/fastest-first whole-cluster orders
-        and the per-tier free totals depend on (see :meth:`rate_rank`).
-        """
-        return self._xserver.get(key, _MISS)
-
-    def xserver_put(self, key: tuple, value: tuple) -> None:
-        self._xserver[key] = value
-
     def candidate_memo(self, job_id: int) -> dict:
         """The job's candidate-evaluation memo (shared by every call)."""
         memo = self._cand_memo.get(job_id)
         if memo is None:
             memo = self._cand_memo[job_id] = {}
         return memo
-
-    def result_get(self, job_id: int, state_key: tuple[int, ...]):
-        """Cached full-search result, or the module sentinel on a miss."""
-        return self._results.get((job_id, state_key), _MISS)
-
-    def result_put(self, job_id: int, state_key: tuple[int, ...], value) -> None:
-        self._results[(job_id, state_key)] = value

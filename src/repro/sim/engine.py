@@ -535,10 +535,15 @@ class SimulationEngine:
 
         if completed < len(runtimes):
             truncated = True
-        end_time = max(
-            (rt.finish_time for rt in runtimes.values() if rt.finish_time),
-            default=self._now,
-        )
+        if truncated:
+            # The clock reached past the last finish (telemetry may already
+            # hold samples there); close the run where it stopped.
+            end_time = self._now
+        else:
+            end_time = max(
+                (rt.finish_time for rt in runtimes.values() if rt.finish_time),
+                default=self._now,
+            )
         self._telemetry.record_utilization(end_time, self._state)
         self._telemetry.record_queue_depth(end_time, runtimes)
         # The dispatch bucket is the loop residual: everything outside the
@@ -900,7 +905,11 @@ class SimulationEngine:
         completed: int,
         now: float,
     ) -> None:
-        """Schedule the next boundary, skipping idle gaps before far arrivals."""
+        """Schedule the next boundary, skipping idle gaps before far arrivals.
+
+        Sets ``_round_scheduled`` exactly when a boundary is pushed, so a
+        streamed submission re-seeds the chain only after it has died.
+        """
         if completed >= len(runtimes):
             return
         active = any(
@@ -909,6 +918,7 @@ class SimulationEngine:
         )
         if active:
             kernel.push_round_boundary(now + self.round_length)
+            self._round_scheduled = True
             return
         pending = [
             rt.job.arrival_time
@@ -920,6 +930,7 @@ class SimulationEngine:
             if nxt <= now:
                 nxt = now + self.round_length
             kernel.push_round_boundary(nxt)
+            self._round_scheduled = True
 
     # ------------------------------------------------------------ stragglers --
     def _schedule_straggler_onset(self, rt: JobRuntime, now: float) -> None:

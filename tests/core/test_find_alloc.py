@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cluster.allocation import Allocation
+from repro.cluster.cluster import Cluster
+from repro.cluster.node import Node
 from repro.core.find_alloc import find_alloc
 from repro.core.pricing import PriceBook
 from repro.core.utility import NormalizedThroughputUtility
@@ -178,3 +180,20 @@ class TestCommAwareness:
         )
         assert cand is not None
         assert cand.allocation.is_consolidated
+
+    def test_single_type_server_found_behind_scattered_walks(
+        self, matrix, utility
+    ):
+        """Both cross-server walks start on the two one-GPU servers, so
+        only the consolidated family offers the whole gang on server 2."""
+        cluster = Cluster(
+            [Node(0, {"V100": 1}), Node(1, {"V100": 1}), Node(2, {"V100": 4})]
+        )
+        rt = queued(make_job(0, "resnet18", workers=2))
+        prices = prices_for([rt], cluster, matrix, utility)
+        cand = find_alloc(
+            rt, cluster.fresh_state(), prices, matrix, cluster, utility,
+            0.0, NO_DELAY,
+        )
+        assert cand is not None
+        assert cand.allocation == Allocation({(2, "V100"): 2})

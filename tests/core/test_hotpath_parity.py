@@ -1,8 +1,8 @@
 """Golden-parity suite for the round-scoped allocation engine.
 
-The round caches (``RoundContext`` price/candidate/result layers plus the
-incremental ``ClusterState.key``) are pure performance work: every test
-here pins the cached search to **byte-identical** scheduling decisions
+The round caches (``RoundContext`` price/generation/physics/candidate
+memos plus the incremental ``ClusterState.key``) are pure performance
+work: every test here pins the cached search to **byte-identical** scheduling decisions
 against ``tests/core/golden_hotpath.json``, a fingerprint file captured
 from the pre-``RoundContext`` implementation, and against whole
 simulations driven by the straight-line reference
@@ -10,8 +10,7 @@ simulations driven by the straight-line reference
 
 Also covers the unit-level cache contracts: Eq. (5) price memoization
 keyed on free counts (so ``allocate``/``release`` "invalidate" exactly
-the touched slots), the O(delta) incremental state key, and the shared
-``FIND_ALLOC`` result cache tracking state mutation.
+the touched slots) and the O(delta) incremental state key.
 """
 
 from __future__ import annotations
@@ -25,14 +24,12 @@ import pytest
 import repro.core.dp as dp_module
 from repro.cluster.allocation import Allocation
 from repro.cluster.state import ClusterState
-from repro.core.find_alloc import cached_find_alloc, explain_alloc
+from repro.core.find_alloc import explain_alloc
 from repro.core.pricing import PriceBook
 from repro.core.round_context import RoundContext
 from repro.core.scheduler import HadarScheduler
 from repro.core.utility import NormalizedThroughputUtility
-from repro.sim.progress import JobRuntime, JobState
 
-from tests.conftest import make_job
 from tests.core._hotpath_fingerprint import (
     SCHEDULER_NAMES,
     SEEDS,
@@ -103,7 +100,7 @@ def test_cached_path_matches_golden(name: str, seed: int) -> None:
 @pytest.mark.parametrize("seed", SEEDS)
 def test_reference_mode_matches_golden(seed: int) -> None:
     """Every DP ``FIND_ALLOC`` call answered by ``explain_alloc`` — no
-    generation, physics, candidate or result cache — lands on the
+    generation, physics or candidate cache — lands on the
     identical schedule, through the same logical calls (only Hadar
     exercises the DP hot path)."""
     with mock.patch.object(dp_module, "cached_find_alloc", _reference_find_alloc):
@@ -140,13 +137,11 @@ def test_candidate_evals_reduced_at_least_3x(seed: int) -> None:
     assert cached["candidate_evals"] * 3 <= reference["candidate_evals"]
     # Logical FIND_ALLOC demand is identical; only the work done differs.
     assert cached["find_alloc_calls"] == reference["find_alloc_calls"]
-    assert cached["find_alloc_runs"] <= reference["find_alloc_calls"]
 
 
 def test_cache_layers_actually_engage() -> None:
     cached = _run("hadar", SEEDS[0]).hotpath_stats
     for counter in (
-        "result_hits",
         "candidate_hits",
         "price_hits",
         "generation_hits",
@@ -273,46 +268,3 @@ class TestIncrementalStateKey:
         state.allocate(Allocation.from_pairs([(0, "V100", 2)]))
         assert before == snapshot
         assert state.key() != before
-
-
-# -- unit: shared FIND_ALLOC result cache --------------------------------------
-
-
-def _runtime(job_id: int = 0, workers: int = 2) -> JobRuntime:
-    rt = JobRuntime(job=make_job(job_id, "resnet18", workers=workers))
-    rt.state = JobState.QUEUED
-    return rt
-
-
-class TestResultCache:
-    def test_repeat_call_is_a_hit_with_identical_result(
-        self, small_cluster, matrix
-    ):
-        state = ClusterState.from_cluster(small_cluster)
-        ctx = _make_ctx(state, matrix, small_cluster)
-        rt = _runtime()
-        first = cached_find_alloc(ctx, rt, state)
-        runs = ctx.stats.find_alloc_runs
-        second = cached_find_alloc(ctx, rt, state)
-        assert second is first  # served from the result cache, same object
-        assert ctx.stats.find_alloc_runs == runs
-        assert ctx.stats.result_hits == 1
-
-    def test_state_mutation_changes_the_key_and_reruns(
-        self, small_cluster, matrix
-    ):
-        """After allocate() the state key differs, so the cache cannot serve
-        the stale entry — and the fresh search agrees with the reference."""
-        state = ClusterState.from_cluster(small_cluster)
-        prices = _make_prices(state)
-        ctx = _make_ctx(state, matrix, small_cluster, prices=prices)
-        rt = _runtime()
-        before = cached_find_alloc(ctx, rt, state)
-        assert before is not None
-
-        state.allocate(Allocation.from_pairs([(0, "V100", 2), (1, "V100", 2)]))
-        runs = ctx.stats.find_alloc_runs
-        after = cached_find_alloc(ctx, rt, state)
-        assert ctx.stats.find_alloc_runs == runs + 1  # genuine rerun
-        fresh = _make_ctx(state, matrix, small_cluster, prices=prices)
-        assert after == explain_alloc(fresh, rt, state).best

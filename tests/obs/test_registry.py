@@ -108,12 +108,12 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.count_all(
             "repro_hotpath",
-            {"find_alloc_runs": 7, "cache_hits": 3},
+            {"find_alloc_calls": 7, "cache_hits": 3},
             labels={"scheduler": "hadar"},
         )
         metric = reg.get("repro_hotpath_total")
         assert metric.value(
-            labels={"counter": "find_alloc_runs", "scheduler": "hadar"}
+            labels={"counter": "find_alloc_calls", "scheduler": "hadar"}
         ) == 7
         assert metric.value(
             labels={"counter": "cache_hits", "scheduler": "hadar"}
@@ -155,12 +155,12 @@ class TestAdvanceTo:
         # The engine republishes the same hotpath stats every round;
         # count_all must converge, not accumulate.
         reg = MetricsRegistry()
-        stats = {"find_alloc_runs": 7, "cache_hits": 3}
+        stats = {"find_alloc_calls": 7, "cache_hits": 3}
         for _ in range(3):
             reg.count_all("repro_hotpath", stats, labels={"scheduler": "hadar"})
         metric = reg.get("repro_hotpath_total")
         assert metric.value(
-            labels={"counter": "find_alloc_runs", "scheduler": "hadar"}
+            labels={"counter": "find_alloc_calls", "scheduler": "hadar"}
         ) == 7
 
 

@@ -141,7 +141,7 @@ def test_search_matches_straight_line_reference(queue, data, now):
     One context serves the whole queue while the state moves under it
     (partial occupancy, jobs holding current gangs, some straggling,
     admitted gangs committed as the greedy walk does), so the shared
-    generation/physics/candidate/result layers are all exercised; the
+    generation/physics/candidate/price memos are all exercised; the
     reference gets a fresh context per call and recomputes everything.
     """
     state = COMM_CLUSTER.fresh_state()
@@ -169,6 +169,6 @@ def test_search_matches_straight_line_reference(queue, data, now):
     for rt in queue:
         reference = explain_alloc(_round_context(prices, state, now), rt, state).best
         assert cached_find_alloc(ctx, rt, state) == reference
-        assert cached_find_alloc(ctx, rt, state) == reference  # result-cache hit
+        assert cached_find_alloc(ctx, rt, state) == reference  # warm memos
         if reference is not None and data.draw(st.booleans()):
             state.allocate(reference.allocation)
