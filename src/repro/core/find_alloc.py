@@ -34,9 +34,12 @@ The module holds one search and one reference:
   generation per job shape and free vector, gang physics per
   ``(model, W)``, costings per job, and Eq. (5) prices per slot.  It
   sits inside Hadar's DP recursion and runs hundreds of thousands of
-  times per simulation.
+  times per simulation.  It costs only the candidates that can win:
+  :func:`_generate_candidates` drops the ones a cheaper candidate of
+  the same bottleneck group and span dominates for every job.
 
-Every float expression of the search mirrors one in the reference, so
+Every float expression of the search mirrors one in the reference, and
+pruning only drops candidates that cannot be the reference's best, so
 ``cached_find_alloc(ctx, rt, state)`` equals
 ``explain_alloc(ctx, rt, state).best`` bit for bit; the golden-parity and
 property suites pin this.
@@ -69,6 +72,10 @@ DelayEstimator = Callable[[JobRuntime, Allocation], float]
 
 _Picks = tuple[tuple[int, str, int], ...]
 """Raw candidate: sorted ((node_id, type, count), ...) triples."""
+
+_TIE_BAND = 2.0**-30
+"""Relative base-cost band within which two candidates may still tie after
+the division by the comm penalty (one rounding step is 2**-53)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,7 +191,9 @@ def cached_find_alloc(
 
     * candidate **generation** is looked up per ``(usable order, rate-tie
       signature, W, state key)`` — every job of the same shape at the
-      same free vector reuses it (:func:`_generate_candidates`);
+      same free vector reuses it (:func:`_generate_candidates`), already
+      pruned to the candidates that can win; the job's current placement
+      joins them here when pruning dropped it;
     * gang **physics** (bottleneck rate, comm penalty, price cost) is
       memoized per ``(model, W, picks, picked free counts)`` — only the
       per-job economics (JCT → utility → payoff) run per evaluation;
@@ -513,13 +522,14 @@ def _generate_candidates(
 ) -> tuple[tuple[tuple[_Picks, tuple[int, ...]], ...], frozenset]:
     """The job-independent candidate families at one free-capacity vector.
 
-    Produces exactly the consolidated (line 24) and cross-server (line 25)
-    pick sets of :func:`explain_alloc` — the current-placement
-    candidate is per-job and added by the caller.  The result is memoized
-    in the round's generation cache per ``(usable_desc, rate-tie
-    signature, W, state_key)``: it reads the model's rates only through
-    the rate-tie ranks (:meth:`RoundContext.rate_rank`), which compare
-    exactly like ``-rate`` over usable types.  On a miss everything is
+    Produces the consolidated (line 24) and cross-server (line 25) pick
+    sets of :func:`explain_alloc`, minus the dominated ones — the
+    current-placement candidate is per-job and added by the caller.  The
+    result is memoized in the round's generation cache per
+    ``(usable_desc, rate-tie signature, W, state_key)``: it reads the
+    model's rates only through the rate-tie ranks
+    (:meth:`RoundContext.rate_rank`), which compare exactly like
+    ``-rate`` over usable types.  On a miss everything is
     rebuilt from the state; one transformation relative to the
     reference is value-preserving: the cross-server tiers are nested
     prefixes of ``usable_desc``, so instead of one sort per tier the
@@ -528,10 +538,26 @@ def _generate_candidates(
     stable over the same canonical input order, so the filtered prefix
     subsequence equals the per-tier sort it replaces.
 
-    Returns ``(pairs, pickset)``: the candidates sorted (deterministic
-    regardless of set iteration order), each paired with its picked
-    slots' free counts, plus the membership set callers use to dedup the
-    per-job current-placement candidate.
+    **Dominance pruning.**  Candidates are grouped by (spans more than
+    one node, bottleneck rate-tie group — the largest ``rank`` picked).
+    For any job of this shape, two non-current members of one group have
+    the same bottleneck rate, comm penalty, move delay, JCT and utility,
+    so ``payoff = u - base / penalty`` and the search key ``(-payoff,
+    cost, multi_node, picks)`` order them by base price cost, then by
+    picks.  Each group keeps, in ``(base, picks)`` order, at most two
+    entries per exact base cost, and none whose base exceeds the group's
+    second entry by more than the relative band ``_TIE_BAND``: two are
+    needed because the job's current placement (costed delay-free and
+    with its straggler slowdown) may be the cheapest, and the band
+    covers base costs that become equal after the division by the
+    penalty.  The dropped candidates can never be the best, so the
+    search still equals :func:`explain_alloc`, which prunes nothing.
+
+    Returns ``(pairs, pickset)``: the kept candidates sorted
+    (deterministic regardless of set iteration order), each paired with
+    its picked slots' free counts, plus the kept set callers use to
+    decide whether the per-job current-placement candidate must be
+    added.
     """
     stats = ctx.stats
     rank, rank_sig = ctx.rate_rank(model)
@@ -606,13 +632,46 @@ def _generate_candidates(
             allowed = (s for s in ordered if tier_of[s[1]] <= i)
             candidates.add(_greedy_take(allowed, w))
 
-    # Pair every candidate with its picked slots' free counts: the free
+    # -- dominance pruning (see the docstring) ---------------------------------
+    # ``base`` is the physics layer's ``sum`` over the sorted picks; for
+    # the common one-slot candidate that is the product itself.  Set order
+    # never shows: groups are sorted before they are cut, and so is ``kept``.
+    groups: dict[tuple[bool, int], list[tuple[float, _Picks]]] = {}
+    for p in candidates:  # repro-lint: disable=REP004
+        if len(p) == 1:
+            n, t, c = p[0]
+            base = price_of[(n, t)] * c
+            group = (False, rank[t])
+        else:
+            base = sum(price_of[(n, t)] * c for n, t, c in p)
+            group = (p[0][0] != p[-1][0], max(rank[t] for _, t, _ in p))
+        groups.setdefault(group, []).append((base, p))
+    kept: list[_Picks] = []
+    for members in groups.values():
+        if len(members) <= 2:
+            kept.extend(p for _, p in members)
+            continue
+        members.sort()
+        limit = members[1][0]
+        limit += abs(limit) * _TIE_BAND
+        last = None
+        run = 0
+        for base, p in members:
+            if base > limit:
+                break
+            run = run + 1 if base == last else 1
+            last = base
+            if run <= 2:
+                kept.append(p)
+
+    # Pair every kept candidate with its picked slots' free counts: the free
     # vector is exactly what ``state_key`` canonicalizes, so the counts
     # are identical at every state this generation is reused for —
     # evaluators read them from the cache instead of re-querying state.
+    kept.sort()
     pairs = []
-    for p in sorted(candidates):
+    for p in kept:
         pairs.append((p, tuple([free_of[(n, t)] for n, t, _ in p])))
-    gen = (tuple(pairs), frozenset(candidates))
+    gen = (tuple(pairs), frozenset(kept))
     ctx.generation_put(shape, state_key, gen)
     return gen

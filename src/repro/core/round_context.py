@@ -22,8 +22,10 @@ every ``find_alloc`` call in that round.  It provides
     "invalidates" only the touched slots because their free counts (the
     cache key) change;
   - **generation** — the consolidated and cross-server candidate families
-    at one free-capacity vector, shared by every job whose model has the
-    same type order and gang size (:meth:`generation_get`);
+    at one free-capacity vector, already pruned to the candidates that
+    can win (``find_alloc._generate_candidates``), shared by every job
+    whose model has the same type order and gang size
+    (:meth:`generation_get`);
   - **physics** — a gang's bottleneck rate, comm penalty and price cost,
     shared by every job of one ``(model, W)`` (:meth:`physics_memo`);
   - **candidate** — a job's costed payoff per ``(picks, picked free
@@ -74,7 +76,7 @@ class RoundStats:
 
     ``find_alloc_calls`` counts logical ``FIND_ALLOC`` requests (every
     call runs the search).  ``candidate_evals`` counts cold gang
-    costings — the quantity the ≥3× reduction target is measured on —
+    costings — the quantity the ≥10× reduction target is measured on —
     and ``price_evals`` cold Eq. (5) evaluations.
     ``generation_runs``/``generation_hits`` track the shared
     candidate-generation cache (one generation per ``(usable order,
@@ -301,11 +303,11 @@ class RoundContext:
         """Cached shared candidate generation, or the sentinel on a miss.
 
         Candidate *generation* (the consolidated and cross-server gang
-        families of Algorithm 2, lines 24-25) reads the model's rates only
-        through order comparisons — the usable-type order and its rate-tie
-        structure (:meth:`rate_rank`) — plus the gang size, the free
-        vector, and the round-frozen prices; never the job's identity or
-        the rate *values*.  ``shape`` is ``(usable_desc, rank_sig, W)``,
+        families of Algorithm 2, lines 24-25, and their dominance pruning)
+        reads the model's rates only through order comparisons — the
+        usable-type order and its rate-tie structure (:meth:`rate_rank`)
+        — plus the gang size, the free vector, and the round-frozen
+        prices; never the job's identity or the rate *values*.  ``shape`` is ``(usable_desc, rank_sig, W)``,
         so even different models share one generation per reachable state
         when their type orders agree.
         """

@@ -1,14 +1,18 @@
 """Unit tests for FIND_ALLOC."""
 
+import math
+
 import pytest
 
 from repro.cluster.allocation import Allocation
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
-from repro.core.find_alloc import find_alloc
+from repro.core.find_alloc import cached_find_alloc, explain_alloc, find_alloc
 from repro.core.pricing import PriceBook
+from repro.core.round_context import RoundContext
 from repro.core.utility import NormalizedThroughputUtility
 from repro.sim.progress import JobRuntime, JobState
+from repro.workload.throughput import ThroughputMatrix
 
 from tests.conftest import make_job
 
@@ -197,3 +201,110 @@ class TestCommAwareness:
         )
         assert cand is not None
         assert cand.allocation == Allocation({(2, "V100"): 2})
+
+
+def search_and_reference(rt, state, prices, matrix, cluster, utility, delay):
+    """The pruned search on a cold context, its counters, and the unpruned
+    straight-line reference's best at the same state."""
+
+    def context():
+        return RoundContext(
+            prices=prices, matrix=matrix, cluster=cluster, utility=utility,
+            now=0.0, delay_estimator=delay, state=state,
+        )
+
+    ctx = context()
+    cand = cached_find_alloc(ctx, rt, state)
+    return cand, ctx.stats, explain_alloc(context(), rt, state).best
+
+
+class TestDominancePruning:
+    """Edge cases of the pruning in ``_generate_candidates``: within one
+    (spans-servers, bottleneck-group) group only the candidates that can
+    still win after the job's current placement is set aside get costed."""
+
+    def test_exact_cost_tie_goes_to_lowest_picks(self, matrix, utility):
+        """Five identical idle servers offer five equal-cost gangs: two are
+        costed and the lowest picks wins the tie."""
+        cluster = Cluster([Node(i, {"V100": 4}) for i in range(5)])
+        rt = queued(make_job(0, "resnet18", workers=2))
+        prices = prices_for([rt], cluster, matrix, utility)
+        cand, stats, reference = search_and_reference(
+            rt, cluster.fresh_state(), prices, matrix, cluster, utility,
+            NO_DELAY,
+        )
+        assert cand == reference
+        assert cand.allocation == Allocation({(0, "V100"): 2})
+        assert stats.candidate_evals == 2
+
+    @pytest.mark.parametrize("others_taken", [0, 1])
+    def test_straggling_current_keeps_runner_up(
+        self, others_taken, matrix, utility
+    ):
+        """The job's current gang is the cheapest of its group (tied, or
+        strictly with the other servers partly taken) but straggles, so
+        the next-cheapest non-current gang must still be costed."""
+        cluster = Cluster([Node(i, {"V100": 4}) for i in range(4)])
+        state = cluster.fresh_state()
+        if others_taken:
+            for node_id in (1, 2, 3):
+                state.allocate(Allocation({(node_id, "V100"): others_taken}))
+        rt = queued(make_job(0, "resnet18", workers=2))
+        rt.state = JobState.RUNNING
+        rt.allocation = Allocation({(0, "V100"): 2})
+        rt.slowdown = 0.5
+        prices = prices_for([rt], cluster, matrix, utility)
+        cand, _, reference = search_and_reference(
+            rt, state, prices, matrix, cluster, utility, NO_DELAY
+        )
+        assert reference.allocation == Allocation({(1, "V100"): 2})
+        assert cand == reference
+
+    def test_base_costs_within_rounding_band(self, utility):
+        """Two cross-server gangs whose base costs differ by one ulp tie
+        after the division by the comm penalty; the one with the higher
+        base cost but the lower picks wins, although a third, cheaper gang
+        (the straggling current placement) sorts ahead of both."""
+        rate = 4.0
+        matrix = ThroughputMatrix(
+            {"resnet50": {"K80": rate, "P100": rate, "V100": rate}}
+        )
+        cluster = Cluster(
+            [
+                Node(0, {"K80": 1}),
+                Node(1, {"K80": 1}),
+                Node(2, {"P100": 1}),
+                Node(3, {"V100": 1}),
+            ]
+        )
+        rt = queued(make_job(0, "resnet50", workers=2, epochs=1,
+                             iters_per_epoch=1000))
+        penalty = cluster.comm.throughput_penalty_n(
+            2, True, rt.job.model.model_bytes, 1.0 / rate
+        )
+        # Find a K80 price ``k`` and the next float below it, ``q``, for
+        # which ``k + q`` (K80+P100) and ``k + k`` (both K80s) are distinct
+        # yet equal once divided by the penalty: a sum just under 2**-8
+        # whose quotient crosses into the next binade.
+        k = 2.0**-8 * penalty / 2
+        for _ in range(400):
+            k = math.nextafter(k, 1.0)
+            q = math.nextafter(k, 0.0)
+            if k + q < k + k and (k + q) / penalty == (k + k) / penalty:
+                break
+        else:
+            pytest.fail("no rounding tie found near 2**-8")
+        prices = PriceBook(
+            u_min={"K80": k, "P100": q, "V100": q / 2},
+            u_max={"K80": 0.05, "P100": 0.05, "V100": 0.05},
+            eta=1.0,
+        )
+        rt.state = JobState.RUNNING
+        rt.allocation = Allocation({(2, "P100"): 1, (3, "V100"): 1})
+        rt.slowdown = 0.5
+        cand, _, reference = search_and_reference(
+            rt, cluster.fresh_state(), prices, matrix, cluster, utility,
+            NO_DELAY,
+        )
+        assert reference.allocation == Allocation({(0, "K80"): 1, (1, "K80"): 1})
+        assert cand == reference

@@ -29,6 +29,7 @@ from repro.core.pricing import PriceBook
 from repro.core.round_context import RoundContext
 from repro.core.scheduler import HadarScheduler
 from repro.core.utility import NormalizedThroughputUtility
+from repro.experiments.scalability import _context_for as fig7_context
 
 from tests.core._hotpath_fingerprint import (
     SCHEDULER_NAMES,
@@ -130,13 +131,26 @@ def test_reference_calibration_matches_golden(seed: int) -> None:
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_candidate_evals_reduced_at_least_3x(seed: int) -> None:
-    """>=3x fewer cold candidate costings than with every cache off."""
+def test_candidate_evals_reduced_at_least_10x(seed: int) -> None:
+    """>=10x fewer cold candidate costings than with every cache off."""
     cached = _run("hadar", seed).hotpath_stats
     reference = RETIRED_REFERENCE_COUNTERS[seed]
-    assert cached["candidate_evals"] * 3 <= reference["candidate_evals"]
+    assert cached["candidate_evals"] * 10 <= reference["candidate_evals"]
     # Logical FIND_ALLOC demand is identical; only the work done differs.
     assert cached["find_alloc_calls"] == reference["find_alloc_calls"]
+
+
+def test_cold_fig7_decision_costs_few_candidates_per_call() -> None:
+    """A cold 256-job decision on the Fig. 7 cluster for that size
+    (``simulated_cluster(scale=8)``: 480 GPUs in 120 single-type servers)
+    costs a handful of candidates per ``FIND_ALLOC`` call: dominance
+    pruning keeps about 4 of the ~60 gangs the consolidated family offers
+    (3.7 per call measured; about 60 without pruning).  Counters only, so
+    the bound is exact."""
+    scheduler = HadarScheduler()
+    scheduler.schedule(fig7_context(256, seed=1))
+    stats = scheduler.last_round_stats
+    assert stats["candidate_evals"] <= 8 * stats["find_alloc_calls"]
 
 
 def test_cache_layers_actually_engage() -> None:

@@ -1,7 +1,7 @@
 """Property-based tests: FIND_ALLOC and DP_allocation invariants."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.allocation import Allocation
@@ -35,6 +35,28 @@ MODELS = ("resnet18", "resnet50", "cyclegan", "transformer", "a3c")
 # pay the comm surcharge the search must cost identically.
 COMM_CLUSTER = Cluster([Node(n.node_id, dict(n.gpus)) for n in CLUSTER.nodes])
 MOVE_DELAY = lambda rt, alloc: 30.0  # noqa: E731
+GPU_TYPES = ("V100", "P100", "K80")
+
+
+@st.composite
+def clusters(draw):
+    """Comm-on clusters built from runs of identical servers.
+
+    Identical servers give equal-cost consolidated gangs in one
+    (spans-servers, bottleneck-group) group — the groups dominance
+    pruning thins out.
+    """
+    nodes = []
+    for _ in range(draw(st.integers(1, 3))):
+        gpus = draw(
+            st.dictionaries(
+                st.sampled_from(GPU_TYPES), st.integers(1, 4),
+                min_size=1, max_size=2,
+            )
+        )
+        for _ in range(draw(st.integers(1, 5))):
+            nodes.append(Node(len(nodes), dict(gpus)))
+    return Cluster(nodes)
 
 
 @st.composite
@@ -56,9 +78,9 @@ def queues(draw):
     return out
 
 
-def prices_for(queue):
+def prices_for(queue, cluster=CLUSTER):
     return PriceBook.calibrate(
-        queue, MATRIX, UTILITY, CLUSTER.fresh_state(), 0.0
+        queue, MATRIX, UTILITY, cluster.fresh_state(), 0.0
     )
 
 
@@ -122,29 +144,47 @@ def test_exact_dp_payoff_dominates_greedy(queue):
     assert exact >= greedy - 1e-9
 
 
-def _round_context(prices, state, now):
+def _round_context(cluster, prices, state, now):
     return RoundContext(
-        prices=prices, matrix=MATRIX, cluster=COMM_CLUSTER, utility=UTILITY,
+        prices=prices, matrix=MATRIX, cluster=cluster, utility=UTILITY,
         now=now, delay_estimator=MOVE_DELAY, state=state,
     )
 
 
+def _pruned(cluster, prices, state, now, rt):
+    """Whether a cold search costed fewer candidates than there are servers
+    able to host the whole gang — each such server contributes a distinct
+    consolidated candidate, so fewer costings means pruning fired."""
+    ctx = _round_context(cluster, prices, state, now)
+    cached_find_alloc(ctx, rt, state)
+    usable = set(ctx.usable_desc(rt.job.model.name))
+    free: dict[int, int] = {}
+    for (node_id, type_name), count in state.free_slots():
+        if type_name in usable:
+            free[node_id] = free.get(node_id, 0) + count
+    hosts = sum(1 for count in free.values() if count >= rt.job.num_workers)
+    return ctx.stats.candidate_evals < hosts
+
+
 @given(
+    cluster=st.one_of(st.just(COMM_CLUSTER), clusters()),
     queue=queues(),
     data=st.data(),
     now=st.floats(0.0, 7200.0),
 )
-@settings(max_examples=60, deadline=None)
-def test_search_matches_straight_line_reference(queue, data, now):
+@settings(max_examples=80, deadline=None)
+def test_search_matches_straight_line_reference(cluster, queue, data, now):
     """The cached search equals ``explain_alloc``'s best, bit for bit.
 
     One context serves the whole queue while the state moves under it
     (partial occupancy, jobs holding current gangs, some straggling,
     admitted gangs committed as the greedy walk does), so the shared
     generation/physics/candidate/price memos are all exercised; the
-    reference gets a fresh context per call and recomputes everything.
+    reference gets a fresh context per call, recomputes everything and
+    prunes nothing.  Clusters with runs of identical servers make the
+    search's dominance pruning fire (reported as a hypothesis event).
     """
-    state = COMM_CLUSTER.fresh_state()
+    state = cluster.fresh_state()
     for slot in sorted(state.slots):
         taken = data.draw(st.integers(0, state.capacity(*slot)))
         if taken:
@@ -164,10 +204,14 @@ def test_search_matches_straight_line_reference(queue, data, now):
                     break
             rt.allocation = Allocation(gang)
             rt.slowdown = data.draw(st.sampled_from([1.0, 0.6]))
-    prices = prices_for(queue)
-    ctx = _round_context(prices, state, now)
+    prices = prices_for(queue, cluster)
+    ctx = _round_context(cluster, prices, state, now)
     for rt in queue:
-        reference = explain_alloc(_round_context(prices, state, now), rt, state).best
+        reference = explain_alloc(
+            _round_context(cluster, prices, state, now), rt, state
+        ).best
+        if _pruned(cluster, prices, state, now, rt):
+            event("dominance pruning fired")
         assert cached_find_alloc(ctx, rt, state) == reference
         assert cached_find_alloc(ctx, rt, state) == reference  # warm memos
         if reference is not None and data.draw(st.booleans()):
