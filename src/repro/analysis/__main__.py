@@ -1,15 +1,13 @@
 """Consolidated analysis CLI: ``python -m repro.analysis <command>``.
 
 ``lint``
-    the per-line REP001–REP008 rules (tier 1),
-``flow``
-    the whole-program REP009–REP011 passes (tier 2),
+    the per-line REP001–REP008 rules,
 ``fix``
     apply mechanical lint repairs in place (``lint --fix``).
 
-Each subcommand delegates to its module's ``main`` with the remaining
-arguments, so ``python -m repro.analysis.lint`` and ``python -m
-repro.analysis.flow.runner`` stay usable directly.
+Each subcommand delegates to :func:`repro.analysis.lint.main` with the
+remaining arguments, so ``python -m repro.analysis.lint`` stays usable
+directly.
 """
 
 from __future__ import annotations
@@ -18,13 +16,11 @@ import sys
 from typing import Optional, Sequence
 
 from repro.analysis import lint as _lint
-from repro.analysis.flow import runner as _flow
 
-_USAGE = """usage: python -m repro.analysis {lint,flow,fix} [options] [paths]
+_USAGE = """usage: python -m repro.analysis {lint,fix} [options] [paths]
 
 commands:
   lint   per-line rules REP001-REP008 (see: lint --help)
-  flow   whole-program passes REP009-REP011 (see: flow --help)
   fix    apply mechanical lint repairs in place
 """
 
@@ -37,8 +33,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     command, rest = argv[0], argv[1:]
     if command == "lint":
         return _lint.main(rest)
-    if command == "flow":
-        return _flow.main(rest)
     if command == "fix":
         return _lint.main(["--fix", *rest])
     print(f"unknown command: {command}\n\n{_USAGE}", end="", file=sys.stderr)

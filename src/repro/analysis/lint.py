@@ -310,7 +310,10 @@ class NondeterminismRule(LintRule):
     Replayability (bit-identical reruns, the property Gavel-style systems
     audit regressions with) requires every random draw to flow from a
     seeded ``numpy.random.Generator`` and every timestamp from simulated
-    time or a monotonic measurement clock.
+    time or a monotonic measurement clock.  In the library's replay-
+    critical paths (not the tests) the process environment is an input
+    too: ``os.environ`` / ``os.getenv`` reads are flagged there, since a
+    decision that reads them changes with the shell it runs in.
     """
 
     rule_id = "REP002"
@@ -324,10 +327,23 @@ class NondeterminismRule(LintRule):
         }
     )
 
+    _ENVIRONMENT = frozenset({("os", "environ"), ("os", "getenv")})
+
     def begin_module(self, tree: ast.Module, ctx: _FileContext) -> None:
         self._aliases = _import_aliases(tree)
+        posix = ctx.path.replace("\\", "/")
+        self._env_scope = any(f in posix for f in _DETERMINISTIC_PATHS)
 
     def visit(self, node: ast.AST, ctx: _FileContext) -> None:
+        if self._env_scope and isinstance(node, (ast.Attribute, ast.Name)):
+            if _canonical(node, self._aliases) in self._ENVIRONMENT:
+                ctx.report(
+                    node,
+                    self,
+                    "process-environment read in a deterministic path; "
+                    "take the value from config",
+                )
+            return
         if not isinstance(node, ast.Call):
             return
         target = _canonical(node.func, self._aliases)

@@ -127,11 +127,11 @@ class DPAllocator:
                 state=state,
             )
         self.last_context = ctx
-        # Sanctioned timer-into-decision flow: the deadline fallback
+        # The one wall-clock input into a decision: the deadline fallback
         # trades determinism for bounded decision latency by design and
         # is off (None) in every reproducible configuration.
         deadline = (
-            perf_counter() + self.config.decision_deadline_s  # repro-lint: disable=REP009
+            perf_counter() + self.config.decision_deadline_s
             if self.config.decision_deadline_s is not None
             else None
         )

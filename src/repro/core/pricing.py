@@ -224,8 +224,9 @@ class PriceCalibrator:
 
         ``_model_rates`` is deliberately *not* captured: it is a pure
         deterministic cache over the immutable throughput matrix and
-        repopulates identically on demand after restore (waived in the
-        REP012 ``SnapshotSpec``).
+        repopulates identically on demand after restore
+        (``tests/core/test_chaos_snapshot.py`` checks that a restored run
+        reproduces every output of the uninterrupted one).
         """
         return {
             "types": None if self._types is None else list(self._types),

@@ -137,9 +137,10 @@ class HadarScheduler(Scheduler):
         decision trace, calibration seconds) are per-round transients —
         every consumer reads them inside the same round that wrote them,
         and the next :meth:`schedule` call overwrites them before any
-        other read — so they are waived from snapshots (see the REP012
-        ``SnapshotSpec``), as is ``trace_decisions``, which the engine
-        reconfigures from its tracer on restore.
+        other read — so they are left out of snapshots, as is
+        ``trace_decisions``, which the engine reconfigures from its tracer
+        on restore.  ``tests/core/test_chaos_snapshot.py`` checks that a
+        restored run reproduces every output of the uninterrupted one.
         """
         return {
             "last_alpha": self.last_alpha,
@@ -295,7 +296,8 @@ class HadarScheduler(Scheduler):
         everyone else's final placement, what did this job's
         alternatives pay?".  ``state`` itself is never written, so the
         audit block downstream reads the exact state it would have seen
-        with tracing off (REP011 enforces this).
+        with tracing off (``tests/core/test_golden_parity_obs.py`` fails
+        on any write to it, balanced or not).
         """
         from repro.obs.tracer import placements_list
 

@@ -51,7 +51,7 @@ def resolve_scale(override: str | None = None) -> ExperimentScale:
     # Sanctioned env read: $REPRO_SCALE selects which experiment runs,
     # and the chosen scale is named in the report header on purpose —
     # same-scale reruns stay byte-identical.
-    name = override or os.environ.get(_ENV_VAR, "default")  # repro-lint: disable=REP009
+    name = override or os.environ.get(_ENV_VAR, "default")
     try:
         return SCALES[name]
     except KeyError:

@@ -334,8 +334,9 @@ def generate_report(scale_name: Optional[str] = None) -> str:
 def main() -> None:  # pragma: no cover - CLI shim
     scale = sys.argv[1] if len(sys.argv) > 1 else None
     out = sys.argv[2] if len(sys.argv) > 2 else "EXPERIMENTS.md"
-    # Timing stays on stderr: the report itself is a reproducible
-    # artifact and must not embed wall-clock measurements (REP009).
+    # The report's one wall-clock content is Fig. 7: its table lists the
+    # measured decision seconds, so those cells vary between reruns and
+    # machines.  The generation time itself stays on stderr.
     started = time.monotonic()
     report = generate_report(scale)
     with open(out, "w") as fh:

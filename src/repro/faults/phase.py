@@ -205,9 +205,10 @@ class FaultPhase:
         0 is a pure function of ``(model, cluster, max_time)`` via
         per-node seeded streams and each reload epoch replays from its
         recorded ``[time, spec]`` pair, so a restored phase regenerates
-        the identical schedules at load (waived in the REP012
-        ``SnapshotSpec``), and the kernel snapshot already holds which
-        fault events are still outstanding.
+        the identical schedules at load, and the kernel snapshot already
+        holds which fault events are still outstanding.
+        ``tests/core/test_chaos_snapshot.py`` checks that a restored run
+        reproduces every output of the uninterrupted one.
         """
         return {
             "failed": [

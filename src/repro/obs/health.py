@@ -34,9 +34,12 @@ engine runs after every scheduling decision whenever a
 Everything is derived from state the round already produced — the
 cluster free vector, the runtimes table, and the
 :class:`~repro.sim.phases.SchedulerPhase`'s captured diff — so the phase
-holds **no mutable state of its own**: a restored engine republished
-from the snapshotted registry continues bit-identically, and the REP011
-flow pass proves the phase write-free on protected simulation state.
+holds no mutable state of its own beyond the metric handles it takes at
+construction; :meth:`MetricsRegistry.load_state_dict` restores those
+objects in place.  ``tests/core/test_chaos_snapshot.py`` checks that a
+restored run publishes the same families as the uninterrupted one, and
+``tests/core/test_golden_parity_obs.py`` fails if the phase writes the
+cluster state or moves a decision.
 """
 
 from __future__ import annotations

@@ -439,7 +439,11 @@ class MetricsRegistry:
         return out
 
     def load_state_dict(self, state: dict) -> None:
-        self._metrics = {}
+        """Restore in place: publishers (the health phase, the engine) hold
+        handles to the metric objects they registered at construction, so
+        the objects stay and only their series are replaced."""
+        for metric in self._metrics.values():
+            metric._series.clear()
         for name, entry in state.items():
             kind = entry["kind"]
             if kind == "histogram":

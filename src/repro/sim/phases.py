@@ -158,7 +158,9 @@ class SchedulerPhase:
         engine reattaches at restore; ``last_changes``/``last_queue_depth``
         and the validator's ``last_rejections`` are per-round transients
         overwritten by the next invocation before any cross-round read —
-        all waived in the REP012 ``SnapshotSpec``.
+        none is captured.  ``tests/core/test_chaos_snapshot.py`` checks
+        that a restored run reproduces every output of the uninterrupted
+        one.
         """
         from repro.sim.progress import _alloc_to_record
 

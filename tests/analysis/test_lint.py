@@ -87,6 +87,18 @@ class TestNondeterminism:
         src = "import time\nstart = time.time()\n"
         assert lint_source(src, "src/repro/experiments/fake.py") == []
 
+    def test_environment_reads_flagged_in_core(self):
+        src = (
+            "import os\nfrom os import environ as env\n"
+            "a = os.environ.get('X')\nb = os.getenv('Y')\nc = env['Z']\n"
+        )
+        assert rules_of(lint_source(src, CORE)) == ["REP002"] * 3
+
+    def test_environment_reads_allowed_outside_library_paths(self):
+        src = "import os\nscale = os.environ.get('REPRO_SCALE')\n"
+        assert lint_source(src, "src/repro/experiments/fake.py") == []
+        assert lint_source(src, "tests/fake.py") == []
+
 
 class TestMutableDefault:
     def test_list_default_flagged(self):

@@ -92,6 +92,40 @@ def fingerprint(result: "SimulationResult") -> dict:
     }
 
 
+WALL_CLOCK_FAMILIES = ("repro_engine_phase_seconds", "repro_decision_seconds")
+"""The metric families that measure wall-clock time, not the schedule."""
+
+
+def outputs(result: "SimulationResult") -> dict:
+    """Every output of a run except its wall-clock measurements.
+
+    Wider than :func:`fingerprint`: every runtime field, the telemetry
+    series, all metric families, fault totals, hot-path counters and
+    rejections.  Only ``decision_seconds``, ``phase_timings`` and
+    :data:`WALL_CLOCK_FAMILIES` are left out.  Two runs that must
+    continue each other exactly (a restore and the uninterrupted run)
+    compare equal here.
+    """
+    return {
+        "scheduler": result.scheduler_name,
+        "round_length": result.round_length,
+        "runtimes": [rt.state_dict() for rt in result.runtimes.values()],
+        "telemetry": result.telemetry.state_dict(),
+        "end_time": result.end_time,
+        "scheduling_invocations": result.scheduling_invocations,
+        "truncated": result.truncated,
+        "rounds_with_change": result.rounds_with_change,
+        "hotpath_stats": result.hotpath_stats,
+        "metrics": {
+            name: family
+            for name, family in result.metrics.items()
+            if name not in WALL_CLOCK_FAMILIES
+        },
+        "fault_stats": result.fault_stats,
+        "rejections": [r.as_record() for r in result.rejections],
+    }
+
+
 def digest(fp: dict) -> str:
     blob = json.dumps(fp, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -308,3 +308,41 @@ class TestDominancePruning:
         )
         assert reference.allocation == Allocation({(0, "K80"): 1, (1, "K80"): 1})
         assert cand == reference
+
+    def test_rate_ties_keep_generations_apart(self, utility):
+        """Two models rank the types in one order (K80, P100, V100), one
+        with every rate tied, one strictly.  For the tied model the pricey
+        K80 server shares a pruning group with three cheap V100 servers
+        and is dropped; for the strict model it is a group of its own and
+        the best.  Searched in that order through one context, the
+        strict model must not reuse the tied model's generation."""
+        matrix = ThroughputMatrix(
+            {
+                "resnet18": {"K80": 4.0, "P100": 4.0, "V100": 4.0},
+                "resnet50": {"K80": 4.0, "P100": 2.0, "V100": 1.0},
+            }
+        )
+        cluster = Cluster(
+            [Node(0, {"K80": 2})] + [Node(i, {"V100": 2}) for i in (1, 2, 3)]
+        )
+        prices = PriceBook(
+            u_min={"K80": 1e-3, "P100": 1e-5, "V100": 1e-5},
+            u_max={"K80": 0.05, "P100": 0.05, "V100": 0.05},
+            eta=1.0,
+        )
+        state = cluster.fresh_state()
+
+        def context():
+            return RoundContext(
+                prices=prices, matrix=matrix, cluster=cluster,
+                utility=utility, now=0.0, delay_estimator=NO_DELAY,
+                state=state,
+            )
+
+        tied = queued(make_job(0, "resnet18", workers=2))
+        strict = queued(make_job(1, "resnet50", workers=2))
+        shared = context()
+        for rt, best in ((tied, (1, "V100")), (strict, (0, "K80"))):
+            reference = explain_alloc(context(), rt, state).best
+            assert reference.allocation == Allocation({best: 2})
+            assert cached_find_alloc(shared, rt, state) == reference

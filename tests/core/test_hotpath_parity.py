@@ -31,6 +31,7 @@ from repro.core.scheduler import HadarScheduler
 from repro.core.utility import NormalizedThroughputUtility
 from repro.experiments.scalability import _context_for as fig7_context
 
+from tests._hostile_env import hostile_environment
 from tests.core._hotpath_fingerprint import (
     SCHEDULER_NAMES,
     SEEDS,
@@ -85,10 +86,13 @@ class _FullRescanHadar(HadarScheduler):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", SCHEDULER_NAMES)
-def test_cached_path_matches_golden(name: str, seed: int) -> None:
+def test_cached_path_matches_golden(name: str, seed: int, monkeypatch) -> None:
     """The shipped (caching) implementation reproduces the pre-RoundContext
-    schedules bit-for-bit, for Hadar and both baselines."""
-    result = _run(name, seed)
+    schedules bit-for-bit, for Hadar and both baselines — under jumping
+    clocks and reseeded global RNGs, so no decision reads either.  The
+    run is shared with the counter tests below."""
+    hostile_environment(monkeypatch, seed)
+    result = _RESULTS[(name, seed)] = run_scenario(name, seed)
     golden = GOLDEN[f"{name}/{seed}"]
     assert digest(fingerprint(result)) == golden["sha256"]
     assert repr(result.makespan()) == golden["makespan"]

@@ -1,5 +1,7 @@
 """Property-based tests: FIND_ALLOC and DP_allocation invariants."""
 
+import json
+
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from repro.core.utility import NormalizedThroughputUtility
 from repro.sim.progress import JobRuntime, JobState
 from repro.workload.models import model_spec
 from repro.workload.job import Job
-from repro.workload.throughput import default_throughput_matrix
+from repro.workload.throughput import ThroughputMatrix, default_throughput_matrix
 
 MATRIX = default_throughput_matrix()
 UTILITY = NormalizedThroughputUtility()
@@ -60,6 +62,29 @@ def clusters(draw):
 
 
 @st.composite
+def tied_matrices(draw):
+    """Every model ranks the GPU types in one drawn order, with drawn ties.
+
+    Rates fall strictly along the order except where two neighbours are
+    in name order and draw a tie (``usable_desc`` breaks rate ties by
+    name, so only those may tie without reordering).  Models then share
+    one usable-type order yet differ in their rate-tie structure — the
+    case where the generation memo must key on the tie signature.
+    """
+    order = draw(st.permutations(GPU_TYPES))
+    rates = {}
+    for model in MODELS:
+        rate = 4.0
+        row = {order[0]: rate}
+        for prev, t in zip(order, order[1:]):
+            if not (prev < t and draw(st.booleans())):
+                rate -= 1.0
+            row[t] = rate
+        rates[model] = row
+    return ThroughputMatrix(rates)
+
+
+@st.composite
 def queues(draw):
     n = draw(st.integers(1, 6))
     out = []
@@ -78,9 +103,9 @@ def queues(draw):
     return out
 
 
-def prices_for(queue, cluster=CLUSTER):
+def prices_for(queue, cluster=CLUSTER, matrix=MATRIX):
     return PriceBook.calibrate(
-        queue, MATRIX, UTILITY, cluster.fresh_state(), 0.0
+        queue, matrix, UTILITY, cluster.fresh_state(), 0.0
     )
 
 
@@ -144,18 +169,18 @@ def test_exact_dp_payoff_dominates_greedy(queue):
     assert exact >= greedy - 1e-9
 
 
-def _round_context(cluster, prices, state, now):
+def _round_context(cluster, prices, state, now, matrix=MATRIX):
     return RoundContext(
-        prices=prices, matrix=MATRIX, cluster=cluster, utility=UTILITY,
+        prices=prices, matrix=matrix, cluster=cluster, utility=UTILITY,
         now=now, delay_estimator=MOVE_DELAY, state=state,
     )
 
 
-def _pruned(cluster, prices, state, now, rt):
+def _pruned(cluster, prices, state, now, rt, matrix):
     """Whether a cold search costed fewer candidates than there are servers
     able to host the whole gang — each such server contributes a distinct
     consolidated candidate, so fewer costings means pruning fired."""
-    ctx = _round_context(cluster, prices, state, now)
+    ctx = _round_context(cluster, prices, state, now, matrix)
     cached_find_alloc(ctx, rt, state)
     usable = set(ctx.usable_desc(rt.job.model.name))
     free: dict[int, int] = {}
@@ -168,12 +193,13 @@ def _pruned(cluster, prices, state, now, rt):
 
 @given(
     cluster=st.one_of(st.just(COMM_CLUSTER), clusters()),
+    matrix=st.one_of(st.just(MATRIX), tied_matrices()),
     queue=queues(),
     data=st.data(),
     now=st.floats(0.0, 7200.0),
 )
 @settings(max_examples=80, deadline=None)
-def test_search_matches_straight_line_reference(cluster, queue, data, now):
+def test_search_matches_straight_line_reference(cluster, matrix, queue, data, now):
     """The cached search equals ``explain_alloc``'s best, bit for bit.
 
     One context serves the whole queue while the state moves under it
@@ -182,7 +208,11 @@ def test_search_matches_straight_line_reference(cluster, queue, data, now):
     generation/physics/candidate/price memos are all exercised; the
     reference gets a fresh context per call, recomputes everything and
     prunes nothing.  Clusters with runs of identical servers make the
-    search's dominance pruning fire (reported as a hypothesis event).
+    search's dominance pruning fire (reported as a hypothesis event);
+    tied matrices give jobs of one usable-type order different rate-tie
+    structures, which must not share a generation.  Neither search
+    writes the state it is shown: its serialized form, insertion order
+    included, is unchanged.
     """
     state = cluster.fresh_state()
     for slot in sorted(state.slots):
@@ -204,15 +234,17 @@ def test_search_matches_straight_line_reference(cluster, queue, data, now):
                     break
             rt.allocation = Allocation(gang)
             rt.slowdown = data.draw(st.sampled_from([1.0, 0.6]))
-    prices = prices_for(queue, cluster)
-    ctx = _round_context(cluster, prices, state, now)
+    prices = prices_for(queue, cluster, matrix)
+    ctx = _round_context(cluster, prices, state, now, matrix)
     for rt in queue:
+        before = json.dumps(state.state_dict())
         reference = explain_alloc(
-            _round_context(cluster, prices, state, now), rt, state
+            _round_context(cluster, prices, state, now, matrix), rt, state
         ).best
-        if _pruned(cluster, prices, state, now, rt):
+        if _pruned(cluster, prices, state, now, rt, matrix):
             event("dominance pruning fired")
         assert cached_find_alloc(ctx, rt, state) == reference
         assert cached_find_alloc(ctx, rt, state) == reference  # warm memos
+        assert json.dumps(state.state_dict()) == before
         if reference is not None and data.draw(st.booleans()):
             state.allocate(reference.allocation)

@@ -32,6 +32,8 @@ from repro.workload.arrivals import SubmissionSource
 from repro.workload.philly import PhillyTraceConfig, generate_philly_trace
 from repro.workload.trace import Trace
 
+from tests.core._hotpath_fingerprint import outputs
+
 
 def make_trace(seed: int = 1, num_jobs: int = 10) -> Trace:
     return generate_philly_trace(
@@ -407,23 +409,44 @@ class TestSubmissionSource:
         with pytest.raises(ValueError, match="collides"):
             engine.start()
 
-    def test_snapshot_mid_stream_restores_pending_submission(self):
-        source = SubmissionSource(60.0, seed=2, max_jobs=8, first_job_id=100)
-        engine = make_engine(source=source)
-        engine.start()
-        for _ in range(40):
-            engine.step()
-        assert engine._pending_submission is not None or source.exhausted
-        blob = SnapshotCodec().dumps(engine.snapshot())
-        restored = make_engine(
-            source=SubmissionSource(60.0, seed=2, max_jobs=8, first_job_id=100)
+    @staticmethod
+    def observed():
+        """Faults and a registry (with it the health phase) attached."""
+        return dict(
+            faults=FaultModel(
+                node_mtbf_h=12.0,
+                mttr_s=900.0,
+                degraded_mtbf_h=8.0,
+                degraded_factor=0.6,
+                degraded_duration_s=1800.0,
+                seed=2,
+            ),
+            metrics=MetricsRegistry(),
         )
-        restored.restore(SnapshotCodec().loads(blob))
-        assert SnapshotCodec().dumps(capture_engine_state(restored)) == blob
-        reference = make_engine(
-            source=SubmissionSource(60.0, seed=2, max_jobs=8, first_job_id=100)
-        ).run()
-        result = restored.run()
-        assert [rt.finish_time for rt in reference.runtimes.values()] == [
-            rt.finish_time for rt in result.runtimes.values()
-        ]
+
+    def test_snapshot_mid_stream_restores_pending_submission(self):
+        """Bare, and with faults and a registry attached, the restored
+        streamed run equals the uninterrupted one in every output —
+        runtimes, telemetry, metric families (the health gauges
+        included), fault totals, counters — wall-clock measurements
+        aside."""
+        for attach in (dict, self.observed):
+
+            def build():
+                return make_engine(
+                    source=SubmissionSource(
+                        60.0, seed=2, max_jobs=8, first_job_id=100
+                    ),
+                    **attach(),
+                )
+
+            engine = build()
+            engine.start()
+            for _ in range(40):
+                engine.step()
+            assert engine._pending_submission is not None or engine.source.exhausted
+            blob = SnapshotCodec().dumps(engine.snapshot())
+            restored = build()
+            restored.restore(SnapshotCodec().loads(blob))
+            assert SnapshotCodec().dumps(capture_engine_state(restored)) == blob
+            assert outputs(restored.run()) == outputs(build().run())
