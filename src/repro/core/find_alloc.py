@@ -34,9 +34,13 @@ The module holds one search and one reference:
   generation per job shape and free vector, gang physics per
   ``(model, W)``, costings per job, and Eq. (5) prices per slot.  It
   sits inside Hadar's DP recursion and runs hundreds of thousands of
-  times per simulation.  It costs only the candidates that can win:
-  :func:`_generate_candidates` drops the ones a cheaper candidate of
-  the same bottleneck group and span dominates for every job.
+  times per simulation.  :func:`_generate_candidates` walks the round's
+  :class:`~repro.core.round_context.SlotBook` — free slots kept sorted
+  by price per type, servers grouped into classes of identical ones —
+  so a generation reads a few slots per walk instead of the cluster.
+  It costs only the candidates that can win: it drops the ones a
+  cheaper candidate of the same bottleneck group and span dominates for
+  every job.
 
 Every float expression of the search mirrors one in the reference, and
 pruning only drops candidates that cannot be the reference's best, so
@@ -48,6 +52,7 @@ property suites pin this.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from repro.cluster.allocation import Allocation
@@ -72,6 +77,9 @@ DelayEstimator = Callable[[JobRuntime, Allocation], float]
 
 _Picks = tuple[tuple[int, str, int], ...]
 """Raw candidate: sorted ((node_id, type, count), ...) triples."""
+
+_FAST = itemgetter(1, 0, 2, 3)
+"""Cross-server fastest-first key over ``(price, rank, node, type, free)``."""
 
 _TIE_BAND = 2.0**-30
 """Relative base-cost band within which two candidates may still tie after
@@ -149,31 +157,25 @@ def find_alloc(
     utility: Utility,
     now: float,
     delay_estimator: DelayEstimator,
-    ctx: Optional[RoundContext] = None,
 ) -> Optional[AllocationCandidate]:
     """The best positive-payoff gang for one job, or ``None`` (line 33).
 
     ``delay_estimator`` charges the reallocation pause for any candidate
     that differs from the job's current placement; the current placement
     itself (when it still fits ``state``) is evaluated delay-free, making
-    stable allocations naturally preferred.
-
-    ``ctx`` is the round-scoped context sharing lookups and caches across
-    calls; when omitted, a throwaway context serves this one call.  A
-    provided context's frozen fields (prices, matrix, cluster, utility,
-    now, delay estimator) take precedence and must match the other
-    arguments.
+    stable allocations naturally preferred.  A throwaway round context
+    serves the one call; rounds share theirs through
+    :func:`cached_find_alloc`.
     """
-    if ctx is None:
-        ctx = RoundContext(
-            prices=prices,
-            matrix=matrix,
-            cluster=cluster,
-            utility=utility,
-            now=now,
-            delay_estimator=delay_estimator,
-            state=state,
-        )
+    ctx = RoundContext(
+        prices=prices,
+        matrix=matrix,
+        cluster=cluster,
+        utility=utility,
+        now=now,
+        delay_estimator=delay_estimator,
+        state=state,
+    )
     return cached_find_alloc(ctx, rt, state)
 
 
@@ -223,21 +225,10 @@ def cached_find_alloc(
     current_picks: Optional[_Picks] = None
     extra: tuple[tuple[_Picks, tuple[int, ...]], ...] = ()
     if rt.allocation and state.can_fit(rt.allocation):
-        picks = tuple(
-            sorted(
-                (node_id, type_name, count)
-                for (node_id, type_name), count in rt.allocation.placements.items()
-            )
-        )
-        usable = True
-        for _, t, _ in picks:
-            r = rate_of.get(t)
-            if r is None:  # type outside the cluster inventory (defensive)
-                r = ctx.matrix.rate(model, t)
-            if r <= 0.0:
-                usable = False
-                break
-        if usable:
+        picks = tuple(sorted((n, t, c) for (n, t), c in rt.allocation.placements.items()))
+        if all(
+            (rate_of.get(t) or ctx.matrix.rate(model, t)) > 0.0 for _, t, _ in picks
+        ):
             current_picks = picks
             if picks not in pickset:
                 extra = (
@@ -256,85 +247,78 @@ def cached_find_alloc(
     if age < 0.0:
         age = 0.0
     remaining = rt.remaining_iterations
-    memo = ctx.candidate_memo(rt.job_id)
-    phys_memo = ctx.physics_memo(model, w)
+    memo = ctx.candidate_memo[rt.job_id]
+    phys_memo = ctx.physics_memo[model, w]
     price = ctx.price
     matrix_rate = ctx.matrix.rate
 
     best_key: Optional[tuple] = None
-    best: Optional[tuple[_Picks, float, float, float, float, float]] = None
+    best: Optional[tuple] = None
     move_delay: Optional[float] = None  # same for every non-current candidate
     for picks, frees in pairs + extra:
         is_current = picks == current_picks
         mkey = (picks, frees, is_current)
         cached = memo.get(mkey, _MISS)
-        if cached is not _MISS:
-            stats.candidate_hits += 1
-            if cached is None:
-                continue
-            cost, u, payoff, rate, jct, multi_node = cached
-            key = (-payoff, cost, multi_node, picks)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (picks, cost, u, payoff, rate, jct)
-            continue
-        stats.candidate_evals += 1
-        pkey = (picks, frees)
-        phys = phys_memo.get(pkey, _MISS)
-        if phys is _MISS:
-            stats.physics_evals += 1
-            bottleneck = min(
-                rate_of.get(t) or matrix_rate(model, t) for _, t, _ in picks
-            )
-            if bottleneck <= 0.0:
-                phys = None
+        if cached is _MISS:
+            stats.candidate_evals += 1
+            pkey = (picks, frees)
+            phys = phys_memo.get(pkey, _MISS)
+            if phys is _MISS:
+                stats.physics_evals += 1
+                bottleneck = min(
+                    rate_of.get(t) or matrix_rate(model, t) for _, t, _ in picks
+                )
+                if bottleneck <= 0.0:
+                    phys = None
+                else:
+                    nodes = {n for n, _, _ in picks}
+                    multi_node = len(nodes) > 1
+                    penalty = comm.throughput_penalty_n(
+                        w, multi_node, model_bytes, 1.0 / bottleneck
+                    )
+                    base_rate = bottleneck * w * penalty
+                    # Identical accumulation order to the reference's
+                    # sum-over-picks with the same Eq. (5) price values.
+                    base_cost = sum(
+                        price((n, t), f) * c for (n, t, c), f in zip(picks, frees)
+                    )
+                    phys = (base_cost / penalty, base_rate, multi_node)
+                phys_memo[pkey] = phys
             else:
-                nodes = {n for n, _, _ in picks}
-                multi_node = len(nodes) > 1
-                penalty = comm.throughput_penalty_n(
-                    w, multi_node, model_bytes, 1.0 / bottleneck
-                )
-                base_rate = bottleneck * w * penalty
-                # Identical accumulation order to the reference's
-                # sum-over-picks with the same Eq. (5) price values.
-                base_cost = sum(
-                    price((n, t), f) * c for (n, t, c), f in zip(picks, frees)
-                )
-                phys = (base_cost / penalty, base_rate, multi_node)
-            phys_memo[pkey] = phys
+                stats.physics_hits += 1
+            cached = None
+            if phys is not None:
+                cost, rate, multi_node = phys
+                if is_current and rt.slowdown < 1.0:
+                    # Keeping a straggling gang keeps its degradation; a fresh
+                    # placement starts with healthy workers (straggler awareness).
+                    rate = rate * rt.slowdown
+                if is_current:
+                    delay = 0.0
+                else:
+                    if move_delay is None:
+                        move_delay = ctx.move_delay_for(rt, picks)
+                    delay = move_delay
+                jct = age + delay + remaining / rate
+                u = utility.value_for(rt, jct, now)
+                payoff = u - cost
+                if payoff > 0.0:
+                    cached = (cost, u, payoff, rate, jct, multi_node)
+            memo[mkey] = cached
         else:
-            stats.physics_hits += 1
-        if phys is None:
-            memo[mkey] = None
+            stats.candidate_hits += 1
+        if cached is None:
             continue
-        cost, rate, multi_node = phys
-        if is_current and rt.slowdown < 1.0:
-            # Keeping a straggling gang keeps its degradation; a fresh
-            # placement starts with healthy workers (straggler awareness).
-            rate = rate * rt.slowdown
-        if is_current:
-            delay = 0.0
-        else:
-            if move_delay is None:
-                move_delay = ctx.move_delay_for(rt, picks)
-            delay = move_delay
-        jct = age + delay + remaining / rate
-        u = utility.value_for(rt, jct, now)
-        payoff = u - cost
-        if payoff <= 0.0:
-            memo[mkey] = None
-            continue
-        memo[mkey] = (cost, u, payoff, rate, jct, multi_node)
-        key = (-payoff, cost, multi_node, picks)
+        key = (-cached[2], cached[0], cached[5], picks)
         if best_key is None or key < best_key:
             best_key = key
-            best = (picks, cost, u, payoff, rate, jct)
+            best = cached
 
     if best is None:
         return None
-    picks, cost, u, payoff, rate, jct = best
+    cost, u, payoff, rate, jct, _ = best
     return AllocationCandidate(
-        allocation=Allocation.from_pairs(picks),
+        allocation=Allocation.from_pairs(best_key[3]),
         cost=cost,
         utility=u,
         payoff=payoff,
@@ -371,69 +355,44 @@ def explain_alloc(
         if not usable_desc:
             return AllocationExplanation(None, "no_usable_type")
 
-        free_slots: list[tuple[int, str, int]] = [
-            (node_id, type_name, free)
-            for (node_id, type_name), free in state.free_slots()
-        ]
-        free_of = {
-            (node_id, type_name): free for node_id, type_name, free in free_slots
-        }
+        free_of = dict(state.free_slots())
         price_of = {slot: ctx.price(slot, free) for slot, free in free_of.items()}
-
+        usable = [(n, t, f) for (n, t), f in free_of.items() if rate_of[t] > 0.0]
+        # Each walk below follows a capacity check on exactly the slots it
+        # may take from, so every take fills the gang.
         candidates: set[_Picks] = set()
 
         # Consolidated family (line 24): whole gang on one server.
-        fast_order = ctx.node_fast_order(model)
-        per_node_free: dict[int, int] = {}
         per_node: dict[int, list[tuple[int, str, int]]] = {}
-        for node_id, type_name, free in free_slots:
-            if rate_of[type_name] > 0.0:
-                per_node_free[node_id] = per_node_free.get(node_id, 0) + free
-                per_node.setdefault(node_id, []).append((node_id, type_name, free))
-        for node_id, slots in per_node.items():
-            if per_node_free[node_id] < w:
+        for slot in usable:
+            per_node.setdefault(slot[0], []).append(slot)
+        for slots in per_node.values():
+            if sum(free for *_, free in slots) < w:
                 continue
-            fast = [
-                (node_id, t, free_of[(node_id, t)])
-                for t in fast_order[node_id]
-                if free_of.get((node_id, t), 0) > 0
-            ]
-            picks = _greedy_take(fast, w)
-            if picks is not None:
-                candidates.add(picks)
+            fast = sorted(slots, key=lambda s: (-rate_of[s[1]], s[1]))
+            candidates.add(_greedy_take(fast, w))
             cheap = sorted(slots, key=lambda s: (price_of[(s[0], s[1])], s[1]))
-            picks = _greedy_take(cheap, w)
-            if picks is not None:
-                candidates.add(picks)
+            candidates.add(_greedy_take(cheap, w))
 
         # Cross-server family (line 25): one candidate pair per bottleneck tier.
         for i in range(len(usable_desc)):
             allowed = set(usable_desc[: i + 1])
-            slots = [s for s in free_slots if s[1] in allowed]
+            slots = [s for s in usable if s[1] in allowed]
             if sum(free for *_, free in slots) < w:
                 continue
             cheap = sorted(
                 slots, key=lambda s: (price_of[(s[0], s[1])], -rate_of[s[1]], s[0])
             )
-            picks = _greedy_take(cheap, w)
-            if picks is not None:
-                candidates.add(picks)
+            candidates.add(_greedy_take(cheap, w))
             fast = sorted(
                 slots, key=lambda s: (-rate_of[s[1]], price_of[(s[0], s[1])], s[0])
             )
-            picks = _greedy_take(fast, w)
-            if picks is not None:
-                candidates.add(picks)
+            candidates.add(_greedy_take(fast, w))
 
         # The current placement, when it still fits and runs.
         current_picks: Optional[_Picks] = None
         if rt.allocation and state.can_fit(rt.allocation):
-            picks = tuple(
-                sorted(
-                    (node_id, type_name, count)
-                    for (node_id, type_name), count in rt.allocation.placements.items()
-                )
-            )
+            picks = tuple(sorted((n, t, c) for (n, t), c in rt.allocation.placements.items()))
             if all(
                 (rate_of.get(t) or ctx.matrix.rate(model, t)) > 0.0
                 for _, t, _ in picks
@@ -525,18 +484,25 @@ def _generate_candidates(
     Produces the consolidated (line 24) and cross-server (line 25) pick
     sets of :func:`explain_alloc`, minus the dominated ones — the
     current-placement candidate is per-job and added by the caller.  The
-    result is memoized in the round's generation cache per
-    ``(usable_desc, rate-tie signature, W, state_key)``: it reads the
-    model's rates only through the rate-tie ranks
-    (:meth:`RoundContext.rate_rank`), which compare exactly like
-    ``-rate`` over usable types.  On a miss everything is
-    rebuilt from the state; one transformation relative to the
-    reference is value-preserving: the cross-server tiers are nested
-    prefixes of ``usable_desc``, so instead of one sort per tier the
-    usable slots are sorted once per key family and filtered per tier —
-    the keys are total orders over distinct slots and both sorts are
-    stable over the same canonical input order, so the filtered prefix
-    subsequence equals the per-tier sort it replaces.
+    result is memoized per ``(usable_desc, rate-tie signature, W,
+    state_key)``: rates enter only through the rate-tie ranks
+    (:meth:`RoundContext.rate_rank`), which compare exactly like ``-rate``
+    over usable types.  A miss moves the round's
+    :class:`~repro.core.round_context.SlotBook` to the state and walks it;
+    two transformations relative to the reference are value-preserving:
+
+    * the consolidated walks depend on a server only through its
+      inventory and free vector, so each class of such servers is walked
+      once and the picks relabelled for its two lowest node ids — the
+      pruning below keeps at most two candidates of one exact base cost,
+      lowest picks first, so the other servers' copies are never kept;
+    * a cross-server walk over the tiers ``<= i`` takes at most ``W``
+      slots, and restricted to one type its key order is the book's
+      ``(price, node)`` order, so it never reaches past any type's first
+      ``W`` free slots.  Sorting those prefixes by the reference keys
+      (total orders: ties fall to the node, then the type name, as the
+      reference's stable sort over canonical slot order does) gives the
+      walk's every step.
 
     **Dominance pruning.**  Candidates are grouped by (spans more than
     one node, bottleneck rate-tie group — the largest ``rank`` picked).
@@ -553,11 +519,9 @@ def _generate_candidates(
     penalty.  The dropped candidates can never be the best, so the
     search still equals :func:`explain_alloc`, which prunes nothing.
 
-    Returns ``(pairs, pickset)``: the kept candidates sorted
-    (deterministic regardless of set iteration order), each paired with
-    its picked slots' free counts, plus the kept set callers use to
-    decide whether the per-job current-placement candidate must be
-    added.
+    Returns ``(pairs, pickset)``: the kept candidates sorted, each paired
+    with its picked slots' free counts, and the kept set, which tells the
+    caller whether the job's current placement must be added.
     """
     stats = ctx.stats
     rank, rank_sig = ctx.rate_rank(model)
@@ -567,70 +531,48 @@ def _generate_candidates(
         stats.generation_hits += 1
         return gen
     stats.generation_runs += 1
+    book = ctx.slot_book(state_key)
+    price_of = book.price_of
+    reads = 0
 
-    # Only usable slots matter to either family; free counts are positive.
-    tier_of = {t: i for i, t in enumerate(usable_desc)}
-    usable_slots: list[tuple[int, str, int]] = []
-    free_of: dict[tuple[int, str], int] = {}
-    price_of: dict[tuple[int, str], float] = {}
-    per_node: dict[int, list[tuple[int, str, int]]] = {}
-    node_free: dict[int, int] = {}
-    free_by_tier = [0] * len(usable_desc)
-    price = ctx.price
-    for slot, free in state.free_slots():
-        tier = tier_of.get(slot[1])
-        if tier is None:
-            continue
-        node_id = slot[0]
-        entry = (node_id, slot[1], free)
-        usable_slots.append(entry)
-        free_of[slot] = free
-        price_of[slot] = price(slot, free)
-        per_node.setdefault(node_id, []).append(entry)
-        node_free[node_id] = node_free.get(node_id, 0) + free
-        free_by_tier[tier] += free
-
-    # Every take below fills: each walk is preceded by a capacity check
-    # on exactly the slots it may take from.  Filtering a sorted walk
-    # preserves its order, and ``_greedy_take`` stops at the gang size.
-
-    # -- consolidated (line 24): whole gang on one server ----------------------
+    # As in the reference, every take fills the gang.
+    # -- consolidated (line 24): one walk pair per server class ----------------
     candidates: set[_Picks] = set()
-    fast_order = ctx.node_fast_order(model)
-    for node_id, slots in per_node.items():
-        if node_free[node_id] < w:
+    for (inventory, frees), nodes in book.classes.items():
+        reads += len(frees)
+        slots = [(t, f) for (t, _), f in zip(inventory, frees) if f and t in rank]
+        if sum(f for _, f in slots) < w:
             continue
-        fast = (
-            (node_id, t, free_of[(node_id, t)])
-            for t in fast_order[node_id]
-            if (node_id, t) in free_of
-        )
-        candidates.add(_greedy_take(fast, w))
-        cheap = sorted(slots, key=lambda s: (price_of[(s[0], s[1])], s[1]))
-        candidates.add(_greedy_take(cheap, w))
+        node_id = nodes[0]
+        fast = sorted(slots, key=lambda s: rank[s[0]])  # name order breaks ties
+        cheap = sorted(slots, key=lambda s: (price_of[(node_id, s[0])], s[0]))
+        for walk in (fast, cheap):
+            picks = _greedy_take([(node_id, t, f) for t, f in walk], w)
+            candidates.add(picks)
+            for other in nodes[1:2]:
+                candidates.add(tuple([(other, t, c) for _, t, c in picks]))
 
-    # -- cross-server (line 25): sort once per family, filter per tier ---------
+    # -- cross-server (line 25): each type's first W slots, per tier ------------
     # The reference keys use ``-rate_of[t]``; ``rank[t]`` compares
     # identically (rate-tie groups in fastest-first order).
-    cheap_all = sorted(
-        usable_slots, key=lambda s: (price_of[(s[0], s[1])], rank[s[1]], s[0])
-    )
-    fast_all = sorted(
-        usable_slots, key=lambda s: (rank[s[1]], price_of[(s[0], s[1])], s[0])
-    )
+    entries: list[tuple[float, int, int, str, int]] = []
     total_free = 0
-    for i in range(len(usable_desc)):
-        tier_free = free_by_tier[i]
+    for i, t in enumerate(usable_desc):
+        tier_free = book.type_free[t]
         total_free += tier_free
-        if total_free < w:
-            continue
-        if i and not tier_free:
+        if tier_free:
+            r = rank[t]
+            entries += [(p, r, n, t, f) for p, n, f in book.order[t][:w]]
+        elif i:
             # An empty tier leaves the allowed prefix — and hence both
             # walks — identical to the previous processed tier's.
             continue
-        for ordered in (cheap_all, fast_all):
-            allowed = (s for s in ordered if tier_of[s[1]] <= i)
-            candidates.add(_greedy_take(allowed, w))
+        if total_free < w:
+            continue
+        reads += len(entries)
+        for walk in (sorted(entries), sorted(entries, key=_FAST)):
+            candidates.add(_greedy_take([e[2:] for e in walk], w))
+    stats.slot_reads += reads
 
     # -- dominance pruning (see the docstring) ---------------------------------
     # ``base`` is the physics layer's ``sum`` over the sorted picks; for
@@ -669,9 +611,8 @@ def _generate_candidates(
     # are identical at every state this generation is reused for —
     # evaluators read them from the cache instead of re-querying state.
     kept.sort()
-    pairs = []
-    for p in kept:
-        pairs.append((p, tuple([free_of[(n, t)] for n, t, _ in p])))
+    free = state.free
+    pairs = [(p, tuple([free(n, t) for n, t, _ in p])) for p in kept]
     gen = (tuple(pairs), frozenset(kept))
     ctx.generation_put(shape, state_key, gen)
     return gen

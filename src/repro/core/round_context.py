@@ -10,10 +10,16 @@ every ``find_alloc`` call in that round.  It provides
 
 * frozen per-round lookup tables — per-model rate vectors
   (:meth:`rates_for`), the fastest-first usable-type order driving the
-  bottleneck tiers (:meth:`usable_desc`), per-``(model, node)``
-  fastest-first slot orderings (:meth:`node_fast_order`), the rate-tie
-  structure (:meth:`rate_rank`), and the per-job reallocation delay
+  bottleneck tiers (:meth:`usable_desc`), the rate-tie structure
+  (:meth:`rate_rank`), and the per-job reallocation delay
   (:meth:`move_delay_for`);
+* the **slot book** (:class:`SlotBook`, :meth:`slot_book`) — the free
+  slots in the orders candidate generation walks: per type by Eq. (5)
+  price (line 25), and servers grouped into classes of identical
+  inventory and free vector (line 24).  It is built once per round and
+  follows every state a search is handed by re-filing only the slots
+  whose free count changed, so the greedy's commits and the exact DP's
+  depth-first moves each cost a gang's slots, not the cluster's;
 * four memo layers, each kept because it measurably hits:
 
   - **price** — Eq. (5)'s price is a pure function of a slot's committed
@@ -27,9 +33,9 @@ every ``find_alloc`` call in that round.  It provides
     whose model has the same type order and gang size
     (:meth:`generation_get`);
   - **physics** — a gang's bottleneck rate, comm penalty and price cost,
-    shared by every job of one ``(model, W)`` (:meth:`physics_memo`);
+    shared by every job of one ``(model, W)`` (:attr:`physics_memo`);
   - **candidate** — a job's costed payoff per ``(picks, picked free
-    counts)`` (:meth:`candidate_memo`);
+    counts)`` (:attr:`candidate_memo`);
 
 * instrumentation counters (:class:`RoundStats`) consumed by
   ``benchmarks/record_bench.py`` and surfaced per simulation through
@@ -51,6 +57,8 @@ estimators depend only on the job and whether the gang moves, matching
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Iterator, Optional
@@ -64,7 +72,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.progress import JobRuntime
     from repro.workload.throughput import ThroughputMatrix
 
-__all__ = ["RoundContext", "RoundStats"]
+__all__ = ["RoundContext", "RoundStats", "SlotBook"]
 
 _MISS = object()
 """Sentinel distinguishing 'not cached' from a cached ``None`` result."""
@@ -81,6 +89,7 @@ class RoundStats:
     ``generation_runs``/``generation_hits`` track the shared
     candidate-generation cache (one generation per ``(usable order,
     rate-tie signature, gang size, free-capacity vector)``),
+    ``slot_reads`` the slots the runs read from the slot book,
     ``physics_evals``/``physics_hits`` the job-independent gang-physics
     layer (bottleneck rate, comm penalty, price cost), and
     ``calib_jobs``/``calib_dirty`` the incremental price calibration's
@@ -99,6 +108,8 @@ class RoundStats:
     physics_hits: int = 0
     calib_jobs: int = 0
     calib_dirty: int = 0
+    slot_reads: int = 0
+    """Slot-book moves plus the slots the generation walks read."""
     deadline_hits: int = 0
     """Exact DP searches abandoned at ``DPConfig.decision_deadline_s``
     (each one fell back to the payoff-density greedy)."""
@@ -106,9 +117,88 @@ class RoundStats:
     def as_dict(self) -> dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def merge(self, other: "RoundStats") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
+class SlotBook:
+    """The round's free slots, kept in the orders candidate generation walks.
+
+    One book serves a round.  It starts empty (every slot at zero free)
+    and :meth:`sync` moves it to whatever free vector it is handed by
+    re-filing only the slots whose free count differs — all of them the
+    first time, at most a gang's slots after a commit or release:
+
+    * ``order[t]`` — type ``t``'s free slots as ``(price, node, free)``,
+      ascending.  A slot's Eq. (5) price moves with its free count, so a
+      moved slot leaves and re-enters its list by bisection;
+    * ``type_free[t]`` — the free devices of type ``t``;
+    * ``price_of`` — each free slot's current price;
+    * ``classes`` — ``(inventory, free vector)`` → the node ids in that
+      class, ascending.  Nodes of one class offer the same consolidated
+      gangs at the same prices.
+    """
+
+    __slots__ = ("key", "order", "type_free", "price_of", "classes",
+                 "_slots", "_span", "_class_of")
+
+    def __init__(self, caps: dict[tuple[int, str], int], types: tuple[str, ...]):
+        self._slots = tuple(caps)  # canonical (sorted) slot order
+        self.key = (0,) * len(self._slots)
+        self.order: dict[str, list[tuple[float, int, int]]] = {t: [] for t in types}
+        self.type_free = dict.fromkeys(types, 0)
+        self.price_of: dict[tuple[int, str], float] = {}
+        self.classes: dict[tuple, list[int]] = {}
+        self._span: dict[int, tuple[tuple, int, int]] = {}
+        self._class_of: dict[int, tuple] = {}
+        # Canonical slot order is by node, so each node's slots are a run.
+        runs: dict[int, list[int]] = {}
+        for i, (node_id, _) in enumerate(self._slots):
+            runs.setdefault(node_id, [i, i])[1] = i + 1
+        for node_id, (lo, hi) in runs.items():
+            inventory = tuple((s[1], caps[s]) for s in self._slots[lo:hi])
+            self._span[node_id] = (inventory, lo, hi)
+            ck = self._class_of[node_id] = (inventory, self.key[lo:hi])
+            self.classes.setdefault(ck, []).append(node_id)
+
+    def sync(self, key: tuple[int, ...], price) -> int:
+        """Move the book to free vector ``key``; returns the slots moved.
+
+        Moved slots are priced with ``price(slot, free)``, passed in so
+        the book holds no reference back to its context.
+        """
+        old = self.key
+        if key is old:
+            return 0
+        order, price_of, nodes = self.order, self.price_of, {}
+        # Blocks of 32 compare in C; only a differing block is read by entry.
+        diff = [
+            i
+            for lo in range(0, len(key), 32)
+            if key[lo : lo + 32] != old[lo : lo + 32]
+            for i in range(lo, min(lo + 32, len(key)))
+            if key[i] != old[i]
+        ]
+        for i in diff:
+            slot = self._slots[i]
+            node_id, t = slot
+            was, now = old[i], key[i]
+            if was:
+                entries = order[t]
+                del entries[bisect_left(entries, (price_of.pop(slot), node_id))]
+            if now:
+                p = price_of[slot] = price(slot, now)
+                insort(order[t], (p, node_id, now))
+            self.type_free[t] += now - was
+            nodes[node_id] = None
+        self.key = key
+        classes = self.classes
+        for node_id in nodes:
+            inventory, lo, hi = self._span[node_id]
+            members = classes[self._class_of[node_id]]
+            del members[bisect_left(members, node_id)]
+            if not members:
+                del classes[self._class_of[node_id]]
+            ck = self._class_of[node_id] = (inventory, key[lo:hi])
+            insort(classes.setdefault(ck, []), node_id)
+        return len(diff)
 
 
 class RoundContext:
@@ -127,13 +217,12 @@ class RoundContext:
         "_price_cache",
         "_rates",
         "_usable",
-        "_node_types",
-        "_node_fast",
         "_rate_rank",
         "_move_delay",
-        "_cand_memo",
+        "candidate_memo",
+        "physics_memo",
         "_gen_cache",
-        "_phys_memo",
+        "_book",
     )
 
     def __init__(
@@ -162,18 +251,18 @@ class RoundContext:
         self._types: tuple[str, ...] = tuple(
             sorted({t for (_, t) in self._caps})
         )
-        self._node_types: dict[int, list[str]] = {}
-        for node_id, type_name in self._caps:
-            self._node_types.setdefault(node_id, []).append(type_name)
         self._price_cache: dict[tuple[tuple[int, str], int], float] = {}
         self._rates: dict[str, dict[str, float]] = {}
         self._usable: dict[str, tuple[str, ...]] = {}
-        self._node_fast: dict[str, dict[int, tuple[str, ...]]] = {}
         self._rate_rank: dict[str, tuple[dict[str, int], tuple[int, ...]]] = {}
         self._move_delay: dict[int, float] = {}
-        self._cand_memo: dict[int, dict] = {}
+        # Job id → (picks, picked free counts, is_current) → costing.
+        self.candidate_memo: defaultdict[int, dict] = defaultdict(dict)
+        # (model, W) → (picks, picked free counts) → (cost, rate,
+        # multi_node), or None for an unusable gang: no job economics.
+        self.physics_memo: defaultdict[tuple[str, int], dict] = defaultdict(dict)
         self._gen_cache: dict[tuple, tuple] = {}
-        self._phys_memo: dict[tuple[str, int], dict] = {}
+        self._book: Optional[SlotBook] = None
 
     # -- instrumentation ------------------------------------------------------
     @contextmanager
@@ -234,26 +323,6 @@ class RoundContext:
             self._usable[model] = order
         return order
 
-    def node_fast_order(self, model: str) -> dict[int, tuple[str, ...]]:
-        """Per-node usable types fastest-first (consolidated candidates).
-
-        Filtering this frozen order down to a branch state's free slots
-        yields exactly what sorting those free slots per call would —
-        type names break rate ties, so the key is a total order.
-        """
-        per_node = self._node_fast.get(model)
-        if per_node is None:
-            rates = self.rates_for(model)
-            per_node = {
-                node_id: tuple(
-                    sorted((t for t in types if rates[t] > 0.0),
-                           key=lambda t: (-rates[t], t))
-                )
-                for node_id, types in self._node_types.items()
-            }
-            self._node_fast[model] = per_node
-        return per_node
-
     def rate_rank(self, model: str) -> tuple[dict[str, int], tuple[int, ...]]:
         """Rate-tie group index per usable type, plus its signature tuple.
 
@@ -298,6 +367,14 @@ class RoundContext:
             self._move_delay[rt.job_id] = delay
         return delay
 
+    def slot_book(self, state_key: tuple[int, ...]) -> SlotBook:
+        """The round's :class:`SlotBook`, moved to free vector ``state_key``."""
+        book = self._book
+        if book is None:
+            book = self._book = SlotBook(self._caps, self._types)
+        self.stats.slot_reads += book.sync(state_key, self.price)
+        return book
+
     # -- memo layers ----------------------------------------------------------
     def generation_get(self, shape: tuple, state_key: tuple[int, ...]):
         """Cached shared candidate generation, or the sentinel on a miss.
@@ -317,26 +394,3 @@ class RoundContext:
         self, shape: tuple, state_key: tuple[int, ...], value: tuple
     ) -> None:
         self._gen_cache[(shape, state_key)] = value
-
-    def physics_memo(self, model: str, workers: int) -> dict:
-        """Job-independent gang physics memo for one ``(model, W)`` pair.
-
-        Keyed ``(picks, picked slots' free counts)`` → ``(cost, rate,
-        multi_node)`` or ``None`` for an unusable gang: the bottleneck
-        rate, the ring-allreduce penalty, and the price cost of a
-        candidate depend on the model and gang size but not on which job
-        of that shape is asking.  The per-*job* quantities (JCT, utility,
-        payoff) stay in :meth:`candidate_memo`.
-        """
-        key = (model, workers)
-        memo = self._phys_memo.get(key)
-        if memo is None:
-            memo = self._phys_memo[key] = {}
-        return memo
-
-    def candidate_memo(self, job_id: int) -> dict:
-        """The job's candidate-evaluation memo (shared by every call)."""
-        memo = self._cand_memo.get(job_id)
-        if memo is None:
-            memo = self._cand_memo[job_id] = {}
-        return memo

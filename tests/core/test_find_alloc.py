@@ -346,3 +346,64 @@ class TestDominancePruning:
             reference = explain_alloc(context(), rt, state).best
             assert reference.allocation == Allocation({best: 2})
             assert cached_find_alloc(shared, rt, state) == reference
+
+
+class TestSlotBookClasses:
+    """Identical servers fall into classes by free vector; the consolidated
+    family walks each class once, for its two lowest node ids, while one
+    context's slot book follows the state through commits and releases."""
+
+    def test_identical_servers_split_by_free_count(self, matrix, utility):
+        cluster = Cluster([Node(i, {"V100": 4}) for i in range(9)])
+        state = cluster.fresh_state()
+        for node_id, used in ((0, 1), (1, 1), (2, 1), (3, 3), (4, 3), (5, 3)):
+            state.allocate(Allocation({(node_id, "V100"): used}))
+        packed = queued(make_job(0, "resnet18", workers=2))
+        spread = queued(make_job(1, "resnet18", workers=6))
+        prices = prices_for([packed, spread], cluster, matrix, utility)
+
+        def context():
+            return RoundContext(
+                prices=prices, matrix=matrix, cluster=cluster, utility=utility,
+                now=0.0, delay_estimator=NO_DELAY, state=state,
+            )
+
+        shared = context()
+
+        def search(rt):
+            cand = cached_find_alloc(shared, rt, state)
+            assert cand == explain_alloc(context(), rt, state).best
+            return cand.allocation
+
+        # Free counts 3,3,3 | 1,1,1 | 4,4,4: the idle servers are cheapest,
+        # the lowest id wins their tie, and a spread gang takes two whole.
+        idle = Allocation({(6, "V100"): 2})
+        assert search(packed) == idle
+        assert search(spread) == Allocation({(6, "V100"): 4, (7, "V100"): 2})
+        state.allocate(idle)  # server 6 leaves the idle class
+        assert search(packed) == Allocation({(7, "V100"): 2})
+        assert search(spread) == Allocation({(7, "V100"): 4, (8, "V100"): 2})
+        state.allocate(Allocation({(7, "V100"): 2}))
+        assert search(packed) == Allocation({(8, "V100"): 2})
+        state.release(idle)  # and rejoins it
+        assert search(packed) == idle
+        assert search(spread) == Allocation({(6, "V100"): 4, (8, "V100"): 2})
+
+    def test_mixed_gang_comes_only_from_its_class(self, utility):
+        """Six identical two-type servers in three classes by free vector.
+        The cheapest gang packs both types on an idle server, a gang no
+        cross-server walk builds, so only that class's walk finds it."""
+        matrix = ThroughputMatrix({"resnet50": {"K80": 4.0, "V100": 4.0}})
+        cluster = Cluster([Node(i, {"K80": 2, "V100": 2}) for i in range(6)])
+        state = cluster.fresh_state()
+        for node_id in (0, 1):
+            state.allocate(Allocation({(node_id, "V100"): 1}))
+        for node_id in (4, 5):
+            state.allocate(Allocation({(node_id, "K80"): 2}))
+        rt = queued(make_job(0, "resnet50", workers=3))
+        prices = prices_for([rt], cluster, matrix, utility)
+        cand, _, reference = search_and_reference(
+            rt, state, prices, matrix, cluster, utility, NO_DELAY
+        )
+        assert reference.allocation == Allocation({(2, "K80"): 2, (2, "V100"): 1})
+        assert cand == reference

@@ -157,6 +157,22 @@ def test_cold_fig7_decision_costs_few_candidates_per_call() -> None:
     assert stats["candidate_evals"] <= 8 * stats["find_alloc_calls"]
 
 
+def test_cold_fig7_generation_reads_flat_per_call() -> None:
+    """Candidate generation reads about as many slots per ``FIND_ALLOC``
+    call in a cold 1024-job decision on 1,920 GPUs as in a 256-job one on
+    480: the slot book re-files only the slots a commit changed, and its
+    walks stop after W GPUs.  Rebuilding the families on every generation
+    miss read every usable slot, about 4x as many per call at 1024 jobs.
+    Counters only, so the bound is exact."""
+    per_call = {}
+    for jobs in (256, 1024):
+        scheduler = HadarScheduler()
+        scheduler.schedule(fig7_context(jobs, seed=1))
+        stats = scheduler.last_round_stats
+        per_call[jobs] = stats["slot_reads"] / stats["find_alloc_calls"]
+    assert per_call[1024] <= 1.5 * per_call[256]
+
+
 def test_cache_layers_actually_engage() -> None:
     cached = _run("hadar", SEEDS[0]).hotpath_stats
     for counter in (

@@ -1,6 +1,7 @@
 """Property-based tests: FIND_ALLOC and DP_allocation invariants."""
 
 import json
+from itertools import product
 
 import pytest
 from hypothesis import event, given, settings
@@ -202,23 +203,27 @@ def _pruned(cluster, prices, state, now, rt, matrix):
 def test_search_matches_straight_line_reference(cluster, matrix, queue, data, now):
     """The cached search equals ``explain_alloc``'s best, bit for bit.
 
-    One context serves the whole queue while the state moves under it
-    (partial occupancy, jobs holding current gangs, some straggling,
-    admitted gangs committed as the greedy walk does), so the shared
-    generation/physics/candidate/price memos are all exercised; the
-    reference gets a fresh context per call, recomputes everything and
-    prunes nothing.  Clusters with runs of identical servers make the
-    search's dominance pruning fire (reported as a hypothesis event);
-    tied matrices give jobs of one usable-type order different rate-tie
+    One context serves a chain of searches while the state moves under
+    it both ways, as the exact DP's backtracking moves it: after each
+    search the reference's gang may be committed, or an earlier commit
+    (or a gang of the initial occupancy) released.  The shared slot book,
+    generation, physics, candidate and price memos are all exercised;
+    the reference gets a fresh context per call, recomputes everything
+    and prunes nothing.  Jobs may hold current gangs, some straggling.
+    Clusters with runs of identical servers make the search's class walk
+    and dominance pruning fire (reported as a hypothesis event); tied
+    matrices give jobs of one usable-type order different rate-tie
     structures, which must not share a generation.  Neither search
     writes the state it is shown: its serialized form, insertion order
     included, is unchanged.
     """
     state = cluster.fresh_state()
+    held: list[Allocation] = []
     for slot in sorted(state.slots):
         taken = data.draw(st.integers(0, state.capacity(*slot)))
         if taken:
-            state.allocate(Allocation({slot: taken}))
+            held.append(Allocation({slot: taken}))
+            state.allocate(held[-1])
     for rt in queue:
         if data.draw(st.booleans()):
             # A current gang drawn over the whole inventory: it may or may
@@ -236,7 +241,8 @@ def test_search_matches_straight_line_reference(cluster, matrix, queue, data, no
             rt.slowdown = data.draw(st.sampled_from([1.0, 0.6]))
     prices = prices_for(queue, cluster, matrix)
     ctx = _round_context(cluster, prices, state, now, matrix)
-    for rt in queue:
+    for _ in range(data.draw(st.integers(len(queue), 4 * len(queue)))):
+        rt = data.draw(st.sampled_from(queue))
         before = json.dumps(state.state_dict())
         reference = explain_alloc(
             _round_context(cluster, prices, state, now, matrix), rt, state
@@ -246,5 +252,94 @@ def test_search_matches_straight_line_reference(cluster, matrix, queue, data, no
         assert cached_find_alloc(ctx, rt, state) == reference
         assert cached_find_alloc(ctx, rt, state) == reference  # warm memos
         assert json.dumps(state.state_dict()) == before
-        if reference is not None and data.draw(st.booleans()):
+        move = data.draw(st.sampled_from(["commit", "release", "stay"]))
+        if move == "commit" and reference is not None:
+            held.append(reference.allocation)
             state.allocate(reference.allocation)
+        elif move == "release" and held:
+            state.release(held.pop(data.draw(st.integers(0, len(held) - 1))))
+
+
+@st.composite
+def tiny_clusters(draw):
+    """At most 3 comm-on servers over at most 2 GPU types."""
+    types = draw(
+        st.lists(st.sampled_from(GPU_TYPES), min_size=1, max_size=2, unique=True)
+    )
+    nodes = []
+    for node_id in range(draw(st.integers(1, 3))):
+        gpus = draw(
+            st.dictionaries(st.sampled_from(types), st.integers(1, 3), min_size=1)
+        )
+        nodes.append(Node(node_id, gpus))
+    return Cluster(nodes)
+
+
+@given(
+    cluster=tiny_clusters(),
+    queue=queues(),
+    objective=st.sampled_from(["payoff", "cost"]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_exact_dp_matches_brute_force_oracle(cluster, queue, objective, data):
+    """``_solve_exact`` finds the best of every include/exclude vector.
+
+    The oracle enumerates all 2^n vectors in queue order.  An included
+    job takes ``explain_alloc(...).best`` at the walk's current state and
+    commits it; the vector is infeasible when that is ``None``.  As in
+    the recursion, a full cluster ends the walk.  A vector's total
+    accumulates from the back as the recursion's branch values do: the
+    payoff of each admitted job, or under ``branch_objective="cost"`` the
+    cost of each admitted job plus the forgone utility of each skipped
+    one.  The DP's plan must be a vector with the best total (largest
+    payoff, smallest cost) and place every job as that vector's walk does.
+    """
+    state = cluster.fresh_state()
+    for slot in sorted(state.slots):
+        taken = data.draw(st.integers(0, state.capacity(*slot)))
+        if taken:
+            state.allocate(Allocation({slot: taken}))
+    prices = prices_for(queue, cluster)
+    allocator = DPAllocator(
+        prices=prices, matrix=MATRIX, cluster=cluster, utility=UTILITY,
+        now=0.0, delay_estimator=MOVE_DELAY,
+        config=DPConfig(queue_limit=6, branch_objective=objective),
+    )
+    plan = allocator._solve_exact(
+        queue, state, _round_context(cluster, prices, state, 0.0)
+    )
+
+    def total(steps):
+        value = 0.0
+        for rt, cand in reversed(steps):
+            if objective == "payoff":
+                value = value if cand is None else cand.payoff + value
+            elif cand is None:
+                value = value + allocator._forgone_utility(rt)
+            else:
+                value = cand.cost + value
+        return value
+
+    reference = _round_context(cluster, prices, state, 0.0)
+    walks = {}
+    for vector in product((False, True), repeat=len(queue)):
+        walk, steps = state.copy(), []
+        for rt, include in zip(queue, vector):
+            if walk.is_full():
+                break
+            cand = explain_alloc(reference, rt, walk).best if include else None
+            if include and cand is None:
+                steps = None
+                break
+            steps.append((rt, cand))
+            if cand is not None:
+                walk.allocate(cand.allocation)
+        if steps is not None:
+            walks[vector] = (total(steps), {rt.job_id: c for rt, c in steps if c})
+
+    pick = max if objective == "payoff" else min
+    best = pick(total for total, _ in walks.values())
+    chosen = tuple(rt.job_id in plan for rt in queue)
+    assert walks[chosen][0] == best
+    assert walks[chosen][1] == plan
