@@ -15,6 +15,34 @@ notes):
   accumulated cost, counting an unallocated job's forgone utility as
   cost.  Retained for the ablation benchmark.
 
+The recursion explores the *allocate* branch first.  Under the payoff
+objective it then explores *skip* only when the skip branch could still
+win: ``ub[i] = u_max[i] + ub[i + 1]`` (``ub[n] = 0.0``) bounds what jobs
+``i..`` can earn, where ``u_max[i]`` is job ``i``'s utility at the
+smallest JCT any gang can reach — ``W`` workers at the model's fastest
+rate, no move delay, no comm or straggler loss.  When
+``ub[idx + 1] < take_value`` the skip branch is left unexplored.  The
+bound holds *as floats*, so no schedule moves by a bit: ``+``, ``*``
+and ``/`` round monotonically, so every candidate's JCT
+``age + delay + remaining / (bottleneck · W · penalty [· slowdown])``
+is at least ``age + 0.0 + remaining / (r_max · W)`` (``delay ≥ 0``;
+``bottleneck ≤ r_max``; ``penalty, slowdown ≤ 1``); every utility is
+non-negative and non-increasing in JCT (``Utility.value_for``), and every
+cost is non-negative, so each payoff is at most ``u_max``.  By induction
+each node's value — a right fold ``payoff + sub_value`` in the same
+association as ``ub`` — is at most ``ub[idx]``, and a strictly smaller
+skip bound means skip would have lost the strict ``>`` comparison
+anyway.  Skip still wins exact ties, every memo entry that is computed
+holds the unbounded recursion's ``(value, plan)``, and
+``RoundStats.dp_prunes`` counts the cuts.  The cost objective takes the
+same take-first order without the bound.
+
+Pruned branches add no memo entries, so the ``state_limit`` overflow
+below can only come later than it did.  At the default
+``queue_limit=10`` the memo never nears it (at most 2,047 entries
+against 8,000); with ``queue_limit >= 12`` a round that used to overflow
+into the greedy may now finish exactly.
+
 Beyond ``queue_limit`` jobs (or ``state_limit`` memo entries) the exact
 recursion is replaced by a **payoff-density greedy**: jobs are ranked by
 payoff per requested worker on the round-initial prices, then allocated
@@ -137,7 +165,7 @@ class DPAllocator:
         )
         if len(queue) <= self.config.queue_limit:
             try:
-                chosen = self._solve_exact(queue, state, ctx, deadline)
+                _, chosen = self._solve_exact(queue, state, ctx, deadline)
             except _DeadlineExpired:
                 ctx.stats.deadline_hits += 1
                 chosen = self._solve_greedy(queue, state.copy(), ctx)
@@ -167,17 +195,25 @@ class DPAllocator:
         state: ClusterState,
         ctx: RoundContext,
         deadline: Optional[float] = None,
-    ) -> dict[int, AllocationCandidate]:
+    ) -> tuple[float, dict[int, AllocationCandidate]]:
+        """The optimum over the queue as ``(branch value, plan)``."""
         memo: dict[
             tuple[int, tuple[int, ...]],
             tuple[float, dict[int, AllocationCandidate]],
         ] = {}
         maximize = self.config.branch_objective == "payoff"
+        n = len(queue)
+        # ub[i] bounds the payoff jobs i.. can still earn, folded from the
+        # right with the recursion's own association.
+        ub = [0.0] * (n + 1)
+        if maximize:
+            for i in range(n - 1, -1, -1):
+                ub[i] = self._utility_bound(ctx, queue[i]) + ub[i + 1]
 
         def recurse(
             idx: int, branch_state: ClusterState
         ) -> tuple[float, dict[int, AllocationCandidate]]:
-            if idx >= len(queue) or branch_state.is_full():
+            if idx >= n or branch_state.is_full():
                 return 0.0, {}
             if deadline is not None and perf_counter() > deadline:
                 raise _DeadlineExpired
@@ -190,14 +226,8 @@ class DPAllocator:
                 raise _MemoOverflow
 
             rt = queue[idx]
-            # Branch 1: skip this job.
-            skip_value, skip_plan = recurse(idx + 1, branch_state)
-            if not maximize:
-                # Literal cost objective: an unserved job forfeits its utility.
-                skip_value = skip_value + self._forgone_utility(rt)
-            best = (skip_value, skip_plan)
-
-            # Branch 2: allocate via FIND_ALLOC (through the round caches;
+            best = None
+            # Branch 1: allocate via FIND_ALLOC (through the round caches;
             # the DP memo key already carries the free-capacity vector).
             cand = cached_find_alloc(ctx, rt, branch_state, state_key=state_key)
             if cand is not None:
@@ -207,17 +237,48 @@ class DPAllocator:
                 take_value = (
                     cand.payoff + sub_value if maximize else cand.cost + sub_value
                 )
-                better = take_value > best[0] if maximize else take_value < best[0]
-                if better:
-                    plan = dict(sub_plan)
-                    plan[rt.job_id] = cand
-                    best = (take_value, plan)
+                if maximize and ub[idx + 1] < take_value:
+                    # Branch 2 is worth at most ub[idx + 1]: it cannot win.
+                    ctx.stats.dp_prunes += 1
+                    best = (take_value, {**sub_plan, rt.job_id: cand})
+
+            if best is None:
+                # Branch 2: skip this job (it keeps exact ties).
+                skip_value, skip_plan = recurse(idx + 1, branch_state)
+                if not maximize:
+                    # Literal cost objective: an unserved job forfeits its utility.
+                    skip_value = skip_value + self._forgone_utility(rt)
+                best = (skip_value, skip_plan)
+                if cand is not None and (
+                    take_value > skip_value if maximize else take_value < skip_value
+                ):
+                    best = (take_value, {**sub_plan, rt.job_id: cand})
 
             memo[key] = best
             return best
 
-        _, plan = recurse(0, state)
-        return plan
+        return recurse(0, state)
+
+    def _utility_bound(self, ctx: RoundContext, rt: JobRuntime) -> float:
+        """An upper bound on every payoff ``FIND_ALLOC`` can return for ``rt``.
+
+        The utility at the JCT of a gang of ``W`` workers at the fastest
+        usable rate, with no move delay and no comm or straggler loss: a
+        real candidate's JCT is at least this one as floats, its utility
+        therefore at most this value, and its cost non-negative.
+        """
+        job = rt.job
+        r_max = max(
+            (r for r in ctx.rates_for(job.model.name).values() if r > 0.0),
+            default=0.0,
+        )
+        if r_max <= 0.0:
+            return 0.0  # no usable type: FIND_ALLOC returns None
+        age = ctx.now - job.arrival_time
+        if age < 0.0:
+            age = 0.0
+        jct = age + 0.0 + rt.remaining_iterations / (r_max * job.num_workers)
+        return ctx.utility.value_for(rt, jct, ctx.now)
 
     def _forgone_utility(self, rt: JobRuntime) -> float:
         """Cost-objective surrogate for leaving a job unserved this round."""

@@ -90,6 +90,7 @@ class RoundStats:
     candidate-generation cache (one generation per ``(usable order,
     rate-tie signature, gang size, free-capacity vector)``),
     ``slot_reads`` the slots the runs read from the slot book,
+    ``dp_prunes`` the skip branches the exact DP's utility bound cut,
     ``physics_evals``/``physics_hits`` the job-independent gang-physics
     layer (bottleneck rate, comm penalty, price cost), and
     ``calib_jobs``/``calib_dirty`` the incremental price calibration's
@@ -110,6 +111,9 @@ class RoundStats:
     calib_dirty: int = 0
     slot_reads: int = 0
     """Slot-book moves plus the slots the generation walks read."""
+    dp_prunes: int = 0
+    """Skip branches the exact DP left unexplored because its suffix
+    utility bound was below the allocate branch's value."""
     deadline_hits: int = 0
     """Exact DP searches abandoned at ``DPConfig.decision_deadline_s``
     (each one fell back to the payoff-density greedy)."""

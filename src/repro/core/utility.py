@@ -52,7 +52,15 @@ class Utility(ABC):
         """``U_j(jct)``; non-negative, non-increasing in ``jct`` per job."""
 
     def value_for(self, rt: "JobRuntime", jct: float, now: float) -> float:
-        """Online form with runtime state; defaults to :meth:`value`."""
+        """Online form with runtime state; defaults to :meth:`value`.
+
+        For fixed ``rt`` and ``now`` it must be non-negative and
+        non-increasing in ``jct`` *as computed in floats*: the exact DP
+        bounds each job's payoff by its value at the smallest JCT any
+        gang can reach, and that bound is only safe under this property
+        (``tests/core/test_utility.py`` checks it for every shipped
+        utility).
+        """
         return self.value(rt.job, jct)
 
     def __call__(self, job: Job, jct: float) -> float:

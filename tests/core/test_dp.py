@@ -70,6 +70,34 @@ class TestExactDP:
             probe.allocate(cand.allocation)  # raises on overlap
 
 
+class TestUtilityBound:
+    def test_uncontended_queue_counters(self, no_comm_cluster, matrix):
+        """Eight one-GPU jobs on nine GPUs: every job fits, so the allocate
+        branch wins everywhere and the bound cuts most skip branches.  The
+        counters are deterministic, so they are pinned exactly: 20 exact-DP
+        ``FIND_ALLOC`` calls (36 with every skip branch explored) plus 16
+        from the payoff-density greedy's ranking and allocation walks."""
+        models = ("resnet18", "resnet50", "cyclegan", "transformer", "a3c")
+        jobs = [
+            queued(make_job(i, models[i % len(models)], workers=1))
+            for i in range(8)
+        ]
+        alloc = allocator_for(jobs, no_comm_cluster, matrix)
+        chosen = alloc.allocate(jobs, no_comm_cluster.fresh_state())
+        assert set(chosen) == set(range(8))
+        stats = alloc.last_context.stats
+        assert stats.find_alloc_calls == 20 + 16
+        assert stats.dp_prunes == 12
+
+    def test_cost_objective_never_prunes(self, no_comm_cluster, matrix):
+        jobs = [queued(make_job(i, "resnet18", workers=1)) for i in range(8)]
+        alloc = allocator_for(
+            jobs, no_comm_cluster, matrix, DPConfig(branch_objective="cost")
+        )
+        alloc.allocate(jobs, no_comm_cluster.fresh_state())
+        assert alloc.last_context.stats.dp_prunes == 0
+
+
 class TestGreedyFallback:
     def test_large_queue_uses_greedy(self, no_comm_cluster, matrix):
         config = DPConfig(queue_limit=2)

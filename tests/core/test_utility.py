@@ -1,6 +1,8 @@
 """Unit tests for the utility functions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.utility import (
     EffectiveThroughputUtility,
@@ -9,6 +11,7 @@ from repro.core.utility import (
     NormalizedThroughputUtility,
 )
 from repro.sim.progress import JobRuntime
+from repro.workload.models import MODEL_ZOO
 from repro.workload.throughput import default_throughput_matrix
 
 from tests.conftest import make_job
@@ -103,3 +106,37 @@ class TestFinishTimeFairness:
         early = utility.value_for(rt, 7200.0, now=0.0)
         late = utility.value_for(rt, 7200.0, now=36000.0)
         assert late > early
+
+
+MATRIX = default_throughput_matrix()
+SHIPPED = (
+    EffectiveThroughputUtility(),
+    NormalizedThroughputUtility(),
+    MakespanUtility(matrix=MATRIX),
+    FinishTimeFairnessUtility(matrix=MATRIX),
+)
+JCTS = st.floats(1e-6, 1e9, allow_nan=False)
+
+
+@pytest.mark.parametrize("utility", SHIPPED, ids=lambda u: type(u).__name__)
+@given(
+    model=st.sampled_from(sorted(MODEL_ZOO)),
+    workers=st.sampled_from([1, 2, 4, 8]),
+    epochs=st.integers(1, 50),
+    done=st.floats(0.0, 1.0),
+    arrival=st.floats(0.0, 1e6),
+    now=st.floats(0.0, 2e6),
+    jcts=st.tuples(JCTS, JCTS).map(sorted),
+)
+@settings(max_examples=100, deadline=None)
+def test_value_for_non_negative_and_non_increasing_in_jct(
+    utility, model, workers, epochs, done, arrival, now, jcts
+):
+    """The exact DP's utility bound relies on this, as floats: for one job
+    at one time, a shorter JCT is worth at least as much, and nothing is
+    worth less than zero."""
+    job = make_job(0, model, arrival=arrival, workers=workers, epochs=epochs)
+    rt = JobRuntime(job=job)
+    rt.iterations_done = job.total_iterations * done
+    short, long = jcts
+    assert utility.value_for(rt, short, now) >= utility.value_for(rt, long, now) >= 0.0

@@ -15,7 +15,12 @@ from repro.core.dp import DPAllocator, DPConfig
 from repro.core.find_alloc import cached_find_alloc, explain_alloc, find_alloc
 from repro.core.pricing import PriceBook
 from repro.core.round_context import RoundContext
-from repro.core.utility import NormalizedThroughputUtility
+from repro.core.utility import (
+    EffectiveThroughputUtility,
+    FinishTimeFairnessUtility,
+    MakespanUtility,
+    NormalizedThroughputUtility,
+)
 from repro.sim.progress import JobRuntime, JobState
 from repro.workload.models import model_spec
 from repro.workload.job import Job
@@ -306,7 +311,7 @@ def test_exact_dp_matches_brute_force_oracle(cluster, queue, objective, data):
         now=0.0, delay_estimator=MOVE_DELAY,
         config=DPConfig(queue_limit=6, branch_objective=objective),
     )
-    plan = allocator._solve_exact(
+    _, plan = allocator._solve_exact(
         queue, state, _round_context(cluster, prices, state, 0.0)
     )
 
@@ -343,3 +348,125 @@ def test_exact_dp_matches_brute_force_oracle(cluster, queue, objective, data):
     chosen = tuple(rt.job_id in plan for rt in queue)
     assert walks[chosen][0] == best
     assert walks[chosen][1] == plan
+
+
+UTILITIES = (
+    NormalizedThroughputUtility(),
+    EffectiveThroughputUtility(),
+    MakespanUtility(matrix=MATRIX),
+    FinishTimeFairnessUtility(matrix=MATRIX),
+)
+
+
+def _unbounded_exact(allocator, queue, state, ctx):
+    """The specification of ``DPAllocator._solve_exact``: Algorithm 2's
+    memoized recursion with the skip branch first and every branch
+    explored — no utility bound."""
+    memo = {}
+    maximize = allocator.config.branch_objective == "payoff"
+
+    def recurse(idx, branch_state):
+        if idx >= len(queue) or branch_state.is_full():
+            return 0.0, {}
+        key = (idx, branch_state.key())
+        if key in memo:
+            return memo[key]
+        rt = queue[idx]
+        skip_value, skip_plan = recurse(idx + 1, branch_state)
+        if not maximize:
+            skip_value = skip_value + allocator._forgone_utility(rt)
+        best = (skip_value, skip_plan)
+        cand = cached_find_alloc(ctx, rt, branch_state)
+        if cand is not None:
+            sub_state = branch_state.copy()
+            sub_state.allocate(cand.allocation)
+            sub_value, sub_plan = recurse(idx + 1, sub_state)
+            take_value = (
+                cand.payoff + sub_value if maximize else cand.cost + sub_value
+            )
+            if take_value > best[0] if maximize else take_value < best[0]:
+                plan = dict(sub_plan)
+                plan[rt.job_id] = cand
+                best = (take_value, plan)
+        memo[key] = best
+        return best
+
+    return recurse(0, state)
+
+
+@st.composite
+def live_queues(draw, cluster):
+    """Up to 8 jobs that arrived at different times, some running on a
+    current gang drawn over the inventory (it may no longer fit), part
+    done and straggling."""
+    slots = sorted(cluster.fresh_state().slots)
+    out = []
+    for i in range(draw(st.integers(1, 8))):
+        job = Job(
+            job_id=i,
+            model=model_spec(draw(st.sampled_from(MODELS))),
+            arrival_time=draw(st.floats(0.0, 3600.0)),
+            num_workers=draw(st.sampled_from([1, 2, 4])),
+            epochs=draw(st.integers(1, 5)),
+            iters_per_epoch=draw(st.integers(100, 3000)),
+        )
+        rt = JobRuntime(job=job)
+        rt.state = JobState.QUEUED
+        if draw(st.booleans()):
+            rt.state = JobState.RUNNING
+            rt.iterations_done = job.total_iterations * draw(st.floats(0.0, 0.9))
+            need, gang = job.num_workers, {}
+            for node_id, type_name in draw(st.permutations(slots)):
+                take = min(need, cluster.node(node_id).gpus[type_name])
+                gang[node_id, type_name] = take
+                need -= take
+                if not need:
+                    break
+            rt.allocation = Allocation(gang)
+            rt.slowdown = draw(st.sampled_from([1.0, 0.6]))
+        out.append(rt)
+    return out
+
+
+@given(
+    cluster=clusters(),
+    utility=st.sampled_from(UTILITIES),
+    objective=st.sampled_from(["payoff", "cost"]),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_bounded_dp_matches_unbounded_recursion(cluster, utility, objective, data):
+    """The utility bound changes which branches the exact DP explores,
+    never what it returns: ``_solve_exact`` gives the unbounded
+    recursion's plan (same jobs, same candidates, same order) and its
+    value bit for bit, for every shipped utility and both objectives, on
+    comm-on clusters with a move delay and jobs that have waited."""
+    queue = data.draw(live_queues(cluster))
+    now = max(rt.job.arrival_time for rt in queue) + data.draw(
+        st.floats(1.0, 7200.0)
+    )
+    state = cluster.fresh_state()
+    for slot in sorted(state.slots):
+        taken = data.draw(st.integers(0, state.capacity(*slot)))
+        if taken:
+            state.allocate(Allocation({slot: taken}))
+    prices = PriceBook.calibrate(queue, MATRIX, utility, cluster.fresh_state(), now)
+
+    def context():
+        return RoundContext(
+            prices=prices, matrix=MATRIX, cluster=cluster, utility=utility,
+            now=now, delay_estimator=MOVE_DELAY, state=state,
+        )
+
+    allocator = DPAllocator(
+        prices=prices, matrix=MATRIX, cluster=cluster, utility=utility,
+        now=now, delay_estimator=MOVE_DELAY,
+        config=DPConfig(branch_objective=objective),
+    )
+    ctx = context()
+    value, plan = allocator._solve_exact(queue, state, ctx)
+    ref_value, ref_plan = _unbounded_exact(allocator, queue, state, context())
+    if ctx.stats.dp_prunes:
+        event("the bound cut a skip branch")
+    assert value.hex() == ref_value.hex()
+    assert list(plan.items()) == list(ref_plan.items())
