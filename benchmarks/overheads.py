@@ -1,0 +1,174 @@
+"""The four overhead gates: what the off paths and live observers cost.
+
+``benchmarks/e2e`` measures the simulator's speed and tier-1 guards its
+counters; this script measures only what attaching something to a run
+costs, on the 14-job Hadar scenario of the golden-parity suite (seeds
+cycling 1-3):
+
+* ``tracing_disabled`` — a ``DecisionTracer(enabled=False)`` attached;
+* ``faults_disabled`` — an all-rates-zero ``FaultModel`` (repair-mode
+  validator, fault phase, empty schedule);
+* ``metrics_live`` — a ``MetricsRegistry`` attached (the per-round engine
+  families and the health observer, published under the registry lock);
+* ``snapshot_overhead`` — the step lifecycle with a full engine snapshot
+  serialized every 25 rounds (the ``--snapshot-every`` CLI default).
+
+The first three run as ``PAIRS`` interleaved pairs against a bare run (no
+tracer, no faults, no registry), alternating which side runs first; one
+pair's overhead is ``100 * (with / bare - 1)``.  The snapshot gate is
+timed directly, per run: the seconds inside ``snapshot()`` + ``dumps()``
+over the rest of the run.  Every run is timed in process CPU time after
+a ``gc.collect()``, which keeps other tenants' load and one run's garbage
+out of the next run's figure.
+
+Each gate reports n, the median and quartiles of its overhead %, and a
+verdict against ``LIMIT_PCT``: ``unresolved`` when q3 - q1 >= the limit
+(the runs are too noisy to say), otherwise ``fail`` when the median is
+>= the limit, otherwise ``pass``.  The exit status is 1 only when some
+gate fails.
+
+Usage::
+
+    PYTHONPATH=src python benchmarks/overheads.py [--output overheads.json]
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+from typing import Callable, Optional, Sequence
+
+from repro.cluster.cluster import simulated_cluster
+from repro.core.scheduler import HadarScheduler
+from repro.faults import FaultModel
+from repro.obs import DecisionTracer, MetricsRegistry
+from repro.sim.engine import SimulationEngine, SimulationResult, simulate
+from repro.sim.snapshot import SnapshotCodec
+from repro.workload.philly import PhillyTraceConfig, generate_philly_trace
+
+SEEDS = (1, 2, 3)
+NUM_JOBS = 14
+PAIRS = 10
+LIMIT_PCT = 3.0
+SNAPSHOT_EVERY = 25
+
+ATTACHED: dict[str, Callable[[int], dict]] = {
+    "tracing_disabled": lambda seed: {"tracer": DecisionTracer(sink=[], enabled=False)},
+    "faults_disabled": lambda seed: {"faults": FaultModel(seed=seed)},
+    "metrics_live": lambda seed: {"metrics": MetricsRegistry()},
+}
+"""The run-vs-run gates: what each attaches to the bare run."""
+
+
+def verdict(samples: Sequence[float]) -> dict:
+    """n, median, quartiles and the verdict of one gate's overhead %s."""
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    if q3 - q1 >= LIMIT_PCT:
+        outcome = "unresolved"
+    elif median >= LIMIT_PCT:
+        outcome = "fail"
+    else:
+        outcome = "pass"
+    return {"n": len(samples), "median_pct": round(median, 2),
+            "q1_pct": round(q1, 2), "q3_pct": round(q3, 2), "verdict": outcome,
+            "samples_pct": [round(x, 2) for x in samples]}
+
+
+def _scenario(seed: int) -> dict:
+    trace = generate_philly_trace(PhillyTraceConfig(num_jobs=NUM_JOBS, seed=seed))
+    return {"cluster": simulated_cluster(), "trace": trace,
+            "scheduler": HadarScheduler()}
+
+
+def _timed_run(seed: int, **attached) -> tuple[float, SimulationResult]:
+    scenario = _scenario(seed)
+    gc.collect()
+    start = time.process_time()
+    result = simulate(**scenario, **attached)
+    return time.process_time() - start, result
+
+
+def _pair(
+    seed: int, attach: Callable[[int], dict], bare_first: bool
+) -> tuple[float, SimulationResult]:
+    """One pair's overhead % and the bare run's result."""
+    if bare_first:
+        bare_s, bare = _timed_run(seed)
+        with_s, _ = _timed_run(seed, **attach(seed))
+    else:
+        with_s, _ = _timed_run(seed, **attach(seed))
+        bare_s, bare = _timed_run(seed)
+    return 100.0 * (with_s / bare_s - 1.0), bare
+
+
+def _snapshot_run(seed: int) -> tuple[float, SimulationResult]:
+    """The snapshot tax of one step-driven run and its result."""
+    engine = SimulationEngine(**_scenario(seed), metrics=MetricsRegistry())
+    codec = SnapshotCodec()
+    snapshot_s = 0.0
+    gc.collect()
+    start = time.process_time()
+    engine.start()
+    last = engine.scheduling_invocations
+    while engine.step():
+        if engine.scheduling_invocations - last >= SNAPSHOT_EVERY:
+            snap_start = time.process_time()
+            codec.dumps(engine.snapshot())
+            snapshot_s += time.process_time() - snap_start
+            last = engine.scheduling_invocations
+    result = engine.stop()
+    total_s = time.process_time() - start
+    return 100.0 * snapshot_s / (total_s - snapshot_s), result
+
+
+def measure() -> dict:
+    """Run every gate; returns the report."""
+    samples: dict[str, list[float]] = {
+        name: [] for name in (*ATTACHED, "snapshot_overhead")
+    }
+    for i in range(PAIRS):
+        seed = SEEDS[i % len(SEEDS)]
+        for name, attach in ATTACHED.items():
+            pct, bare = _pair(seed, attach, bare_first=i % 2 == 0)
+            samples[name].append(pct)
+        pct, snapshotted = _snapshot_run(seed)
+        if repr(snapshotted.end_time) != repr(bare.end_time):
+            raise AssertionError(
+                f"snapshotting run diverged from the batch run at seed {seed}: "
+                f"end_time {snapshotted.end_time!r} != {bare.end_time!r}"
+            )
+        samples["snapshot_overhead"].append(pct)
+    return {
+        "meta": {"num_jobs": NUM_JOBS, "seeds": list(SEEDS), "pairs": PAIRS,
+                 "limit_pct": LIMIT_PCT, "snapshot_every": SNAPSHOT_EVERY,
+                 "clock": "time.process_time"},
+        "gates": {name: verdict(values) for name, values in samples.items()},
+    }
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python benchmarks/overheads.py",
+        description="Paired median/IQR gates on the off-path and observer overheads.",
+    )
+    parser.add_argument("--output", type=Path, default=None,
+                        help="write the JSON report here")
+    args = parser.parse_args(argv)
+    report = measure()
+    for name, gate in report["gates"].items():
+        print(f"{name:18s} n={gate['n']:2d}  median {gate['median_pct']:+6.2f}%  "
+              f"q1-q3 [{gate['q1_pct']:+6.2f}, {gate['q3_pct']:+6.2f}]%  "
+              f"{gate['verdict']}")
+    if args.output is not None:
+        args.output.write_text(json.dumps(report, indent=2) + "\n")
+        print(f"wrote {args.output}")
+    return 1 if any(g["verdict"] == "fail" for g in report["gates"].values()) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -60,7 +60,6 @@ costings from the round's memos.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Optional, Sequence
 
 from repro.cluster.cluster import Cluster
@@ -86,23 +85,18 @@ class DPConfig:
     queue_limit: int = 10
     """Largest queue solved with the exact memoized recursion."""
     state_limit: int = 8_000
-    """Memo-size cap; overflow falls back to the greedy mid-flight."""
+    """Memo-size cap, the decision's deterministic search budget: once the
+    exact recursion holds more solved sub-problems than this (pruned
+    branches add none), it is abandoned for the payoff-density greedy.
+    Each fallback counts into ``RoundStats.state_limit_hits``."""
     branch_objective: str = "payoff"
     """``"payoff"`` (primal-dual reading) or ``"cost"`` (literal line 18)."""
-    decision_deadline_s: Optional[float] = None
-    """Wall-clock budget for one ``allocate()``'s exact DP search.  When
-    the recursion runs past it, the search is abandoned and the
-    payoff-density greedy answers instead (graceful degradation: a
-    feasible decision on time beats an optimal one late).  ``None``
-    (default) never expires — the historical behaviour."""
 
     def __post_init__(self) -> None:
         if self.queue_limit < 0:
             raise ValueError("queue_limit must be non-negative")
         if self.state_limit < 1:
             raise ValueError("state_limit must be positive")
-        if self.decision_deadline_s is not None and self.decision_deadline_s <= 0:
-            raise ValueError("decision_deadline_s must be positive when set")
         if self.branch_objective not in {"payoff", "cost"}:
             raise ValueError(
                 f"branch_objective must be 'payoff' or 'cost', "
@@ -112,10 +106,6 @@ class DPConfig:
 
 class _MemoOverflow(Exception):
     """Raised internally when the exact DP exceeds its state budget."""
-
-
-class _DeadlineExpired(Exception):
-    """Raised internally when the exact DP runs past its wall-clock budget."""
 
 
 @dataclass
@@ -155,21 +145,11 @@ class DPAllocator:
                 state=state,
             )
         self.last_context = ctx
-        # The one wall-clock input into a decision: the deadline fallback
-        # trades determinism for bounded decision latency by design and
-        # is off (None) in every reproducible configuration.
-        deadline = (
-            perf_counter() + self.config.decision_deadline_s
-            if self.config.decision_deadline_s is not None
-            else None
-        )
         if len(queue) <= self.config.queue_limit:
             try:
-                _, chosen = self._solve_exact(queue, state, ctx, deadline)
-            except _DeadlineExpired:
-                ctx.stats.deadline_hits += 1
-                chosen = self._solve_greedy(queue, state.copy(), ctx)
+                _, chosen = self._solve_exact(queue, state, ctx)
             except _MemoOverflow:
+                ctx.stats.state_limit_hits += 1
                 chosen = self._solve_greedy(queue, state.copy(), ctx)
             else:
                 if self.config.branch_objective == "payoff":
@@ -194,7 +174,6 @@ class DPAllocator:
         queue: list[JobRuntime],
         state: ClusterState,
         ctx: RoundContext,
-        deadline: Optional[float] = None,
     ) -> tuple[float, dict[int, AllocationCandidate]]:
         """The optimum over the queue as ``(branch value, plan)``."""
         memo: dict[
@@ -215,8 +194,6 @@ class DPAllocator:
         ) -> tuple[float, dict[int, AllocationCandidate]]:
             if idx >= n or branch_state.is_full():
                 return 0.0, {}
-            if deadline is not None and perf_counter() > deadline:
-                raise _DeadlineExpired
             state_key = branch_state.key()
             key = (idx, state_key)
             hit = memo.get(key)

@@ -37,9 +37,10 @@ every ``find_alloc`` call in that round.  It provides
   - **candidate** — a job's costed payoff per ``(picks, picked free
     counts)`` (:attr:`candidate_memo`);
 
-* instrumentation counters (:class:`RoundStats`) consumed by
-  ``benchmarks/record_bench.py`` and surfaced per simulation through
-  :attr:`repro.sim.engine.SimulationResult.hotpath_stats`.
+* instrumentation counters (:class:`RoundStats`) surfaced per
+  simulation through
+  :attr:`repro.sim.engine.SimulationResult.hotpath_stats` and the
+  ``repro_hotpath_total`` metric family.
 
 The caches have no off switch.  The uncached specification is
 :func:`repro.core.find_alloc.explain_alloc`, which recomputes every
@@ -114,9 +115,9 @@ class RoundStats:
     dp_prunes: int = 0
     """Skip branches the exact DP left unexplored because its suffix
     utility bound was below the allocate branch's value."""
-    deadline_hits: int = 0
-    """Exact DP searches abandoned at ``DPConfig.decision_deadline_s``
-    (each one fell back to the payoff-density greedy)."""
+    state_limit_hits: int = 0
+    """Exact DP searches abandoned at ``DPConfig.state_limit`` memo
+    entries (each one fell back to the payoff-density greedy)."""
 
     def as_dict(self) -> dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -111,14 +111,13 @@ class SimulationResult:
     schedulers that publish ``last_round_stats``: Hadar's round-context
     allocation-engine counters (FIND_ALLOC calls, cache hits,
     candidate/price evaluations, calibration dirty set), Gavel's matrix
-    solves, Tiresias's demotions.  Consumed by
-    ``benchmarks/record_bench.py`` and the metrics registry."""
+    solves, Tiresias's demotions.  Published as the metrics registry's
+    ``repro_hotpath_total`` family."""
     phase_timings: dict[str, float] = field(default_factory=dict)
     """Wall-clock seconds per engine phase (event dispatch, progress
     integration, completion re-prediction, price calibration, scheduler
-    decision) — see :class:`~repro.sim.phases.PhaseTimings`.  Consumed by
-    ``benchmarks/record_bench.py`` so the next engine bottleneck is
-    measured, not guessed."""
+    decision) — see :class:`~repro.sim.phases.PhaseTimings` — so the
+    next engine bottleneck is measured, not guessed."""
     metrics: dict = field(default_factory=dict)
     """Snapshot of the run's :class:`~repro.obs.registry.MetricsRegistry`
     (phase seconds, round/completion counters, the decision-latency
@@ -791,12 +790,6 @@ class SimulationEngine:
                 labels=labels,
                 help="Allocation-engine and calibration hot-path counters",
             )
-            if "deadline_hits" in phase.hotpath_stats:
-                registry.counter(
-                    "repro_decision_deadline_hits_total",
-                    "DP searches abandoned at the decision deadline "
-                    "(greedy fallback)",
-                ).advance_to(phase.hotpath_stats["deadline_hits"], labels=labels)
         fault_phase = self._fault_phase
         if fault_phase is not None:
             faults = registry.counter(

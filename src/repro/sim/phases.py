@@ -15,9 +15,9 @@
    being inlined in the event loop.
 
 :class:`PhaseTimings` is the wall-clock breakdown across those layers,
-surfaced as :attr:`SimulationResult.phase_timings` and recorded by
-``benchmarks/record_bench.py`` so the next engine bottleneck is measured
-rather than guessed.
+surfaced as :attr:`SimulationResult.phase_timings` and on the
+``repro_engine_phase_seconds`` gauge so the next engine bottleneck is
+measured rather than guessed.
 """
 
 from __future__ import annotations
@@ -155,12 +155,14 @@ class SchedulerPhase:
         """Per-run accumulators, including the validator's rejection log.
 
         ``capture_changes``/``on_place``/``fault_phase`` are wiring the
-        engine reattaches at restore; ``last_changes``/``last_queue_depth``
-        and the validator's ``last_rejections`` are per-round transients
-        overwritten by the next invocation before any cross-round read —
-        none is captured.  ``tests/core/test_chaos_snapshot.py`` checks
-        that a restored run reproduces every output of the uninterrupted
-        one.
+        engine reattaches at restore.  ``last_changes`` and
+        ``last_queue_depth`` are captured: ``status()`` and the
+        end-of-run queue-depth gauge read the latest decision's depth
+        before the next invocation overwrites it.  The validator's
+        ``last_rejections`` is a per-round transient the next invocation
+        overwrites before any read, so it is not captured.
+        ``tests/core/test_chaos_snapshot.py`` checks that a restored run
+        reproduces every output of the uninterrupted one.
         """
         from repro.sim.progress import _alloc_to_record
 

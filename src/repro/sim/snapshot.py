@@ -283,15 +283,18 @@ class SnapshotCodec:
     VERSION = SNAPSHOT_VERSION
 
     def dumps(self, state: EngineState) -> str:
-        payload = state.to_payload()
-        body = _canonical(payload)
-        envelope = {
-            "format": self.FORMAT,
-            "version": self.VERSION,
-            "checksum": hashlib.sha256(body.encode("utf-8")).hexdigest(),
-            "state": payload,
-        }
-        return _canonical(envelope)
+        """The canonical envelope, serializing the state payload once.
+
+        The envelope's keys sort as ``checksum < format < state <
+        version``, so the canonical rendering of the whole envelope is
+        the hashed body spliced between its neighbours.
+        """
+        body = _canonical(state.to_payload())
+        checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        return (
+            f'{{"checksum":"{checksum}","format":{json.dumps(self.FORMAT)},'
+            f'"state":{body},"version":{json.dumps(self.VERSION)}}}'
+        )
 
     def loads(self, text: str) -> EngineState:
         try:

@@ -369,7 +369,7 @@ class TestPrintInLibrary:
 
     def test_print_outside_repro_tree_ignored(self):
         src = "print('hello')\n"
-        assert lint_source(src, "benchmarks/record_bench.py") == []
+        assert lint_source(src, "benchmarks/overheads.py") == []
 
     def test_cli_module_exempt(self):
         src = "print('scheduler : hadar')\n"

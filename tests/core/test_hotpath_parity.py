@@ -47,7 +47,7 @@ GOLDEN = json.loads(GOLDEN_PATH.read_text())
 # The last counters of the retired ``DPConfig(round_caching=False)`` mode
 # (every cache off), per seed of the Hadar parity scenario.  They are
 # deterministic, so they stay the yardstick for the cache layers' work
-# reduction; ``benchmarks/BENCH_dp_hotpath.json`` carries the same row.
+# reduction.  This is the only copy of the row.
 RETIRED_REFERENCE_COUNTERS = {
     1: {"find_alloc_calls": 68915, "candidate_evals": 1032984},
     2: {"find_alloc_calls": 22432, "candidate_evals": 284632},

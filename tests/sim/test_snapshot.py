@@ -215,6 +215,26 @@ class TestRoundTrip:
         assert reference.end_time == result.end_time
 
 
+class TestCodecEnvelope:
+    def test_dumps_matches_two_pass_canonical_envelope(self):
+        """The one-pass envelope is byte-identical to serializing the
+        payload for the checksum and again inside the envelope."""
+        import hashlib
+
+        engine = loaded_engine(steps=300, metrics=MetricsRegistry())
+        state = engine.snapshot()
+        payload = state.to_payload()
+        canonical = dict(sort_keys=True, separators=(",", ":"))
+        body = json.dumps(payload, **canonical)
+        envelope = {
+            "format": SnapshotCodec.FORMAT,
+            "version": SnapshotCodec.VERSION,
+            "checksum": hashlib.sha256(body.encode("utf-8")).hexdigest(),
+            "state": payload,
+        }
+        assert SnapshotCodec().dumps(state) == json.dumps(envelope, **canonical)
+
+
 class TestCodecRejection:
     def blob(self):
         return SnapshotCodec().dumps(loaded_engine().snapshot())
