@@ -22,7 +22,7 @@ from repro.workload.throughput import default_throughput_matrix
 CLUSTER = simulated_cluster()
 MATRIX = default_throughput_matrix()
 UTILITY = NormalizedThroughputUtility()
-NO_DELAY = lambda rt, alloc: 0.0  # noqa: E731
+NO_DELAY = lambda rt: 0.0  # noqa: E731
 
 
 def _queued_jobs(n: int):

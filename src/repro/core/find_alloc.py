@@ -40,7 +40,10 @@ The module holds one search and one reference:
   so a generation reads a few slots per walk instead of the cluster.
   It costs only the candidates that can win: it drops the ones a
   cheaper candidate of the same bottleneck group and span dominates for
-  every job.
+  every job.  Before any of that, a running job's current placement is
+  returned outright when a per-tier payoff bound proves that no other
+  gang can beat it — the common case, since moves pay the checkpoint
+  pause and the current gang does not.
 
 Every float expression of the search mirrors one in the reference, and
 pruning only drops candidates that cannot be the reference's best, so
@@ -72,14 +75,23 @@ __all__ = [
     "explain_alloc",
 ]
 
-DelayEstimator = Callable[[JobRuntime, Allocation], float]
-"""Estimated pause (checkpoint save+load) if the job moves to a new gang."""
+DelayEstimator = Callable[[JobRuntime], float]
+"""Estimated pause (checkpoint save+load) if the job moves to any new gang."""
 
 _Picks = tuple[tuple[int, str, int], ...]
 """Raw candidate: sorted ((node_id, type, count), ...) triples."""
 
 _FAST = itemgetter(1, 0, 2, 3)
 """Cross-server fastest-first key over ``(price, rank, node, type, free)``."""
+
+_COST_FLOOR = 1.0 - 2.0**-40
+"""Shaves ``W * pmin`` below every float sum of ``W`` slot prices at least
+``pmin`` each: such a sum of ``m`` products loses at most about
+``2m * 2**-53`` of its value to rounding, under ``2**-40`` while ``m <=
+W`` stays below :data:`_CERTIFIED_W`."""
+
+_CERTIFIED_W = 4096
+"""Gangs at least this large skip the certificate (see ``_COST_FLOOR``)."""
 
 _TIE_BAND = 2.0**-30
 """Relative base-cost band within which two candidates may still tie after
@@ -189,13 +201,26 @@ def cached_find_alloc(
 
     Byte-identical to ``explain_alloc(ctx, rt, state).best`` (the
     golden-parity and property suites pin this), reorganized so the
-    expensive work is shared:
+    expensive work is shared or skipped:
 
+    * the job's **current placement**, when it still fits and runs, is
+      costed first (delay-free), and returned at once when a
+      certificate proves no other gang can beat it — no candidate is
+      generated.  A gang whose slowest usable type is ``t_k`` runs at
+      most ``rate(t_k) * W`` (the comm penalty is at most 1), pays the
+      job's one move delay ``d``, and costs at least ``W * pmin_k`` (the
+      cheapest free slot of ``t_1..t_k``, :meth:`RoundContext.tier_floors`;
+      dividing by the penalty only raises it), so its payoff is at most
+      ``B_k = value_for(age + d + remaining / (rate(t_k) * W)) - W *
+      pmin_k * (1 - 2**-40)`` — in floats too, because every step rounds
+      monotonically and ``value_for`` does not increase with the JCT.
+      The current gang is certified when its payoff ``P > 0`` and ``P >
+      B_k`` for every tier with ``W`` free devices; exact ties and
+      near-ties fall through to the search, which breaks them;
     * candidate **generation** is looked up per ``(usable order, rate-tie
       signature, W, state key)`` — every job of the same shape at the
       same free vector reuses it (:func:`_generate_candidates`), already
-      pruned to the candidates that can win; the job's current placement
-      joins them here when pruning dropped it;
+      pruned to the candidates that can win;
     * gang **physics** (bottleneck rate, comm penalty, price cost) is
       memoized per ``(model, W, picks, picked free counts)`` — only the
       per-job economics (JCT → utility → payoff) run per evaluation;
@@ -217,28 +242,7 @@ def cached_find_alloc(
         return None
     if state_key is None:
         state_key = state.key()
-    pairs, pickset = _generate_candidates(
-        ctx, model, w, usable_desc, state, state_key
-    )
 
-    # -- keep the current placement when it still fits (per-job) ---------------
-    current_picks: Optional[_Picks] = None
-    extra: tuple[tuple[_Picks, tuple[int, ...]], ...] = ()
-    if rt.allocation and state.can_fit(rt.allocation):
-        picks = tuple(sorted((n, t, c) for (n, t), c in rt.allocation.placements.items()))
-        if all(
-            (rate_of.get(t) or ctx.matrix.rate(model, t)) > 0.0 for _, t, _ in picks
-        ):
-            current_picks = picks
-            if picks not in pickset:
-                extra = (
-                    (picks, tuple([state.free(n, t) for n, t, _ in picks])),
-                )
-
-    if not pairs and not extra:
-        return None
-
-    # -- evaluate: shared physics, per-job economics ---------------------------
     model_bytes = job.model.model_bytes
     comm = ctx.cluster.comm
     now = ctx.now
@@ -249,62 +253,88 @@ def cached_find_alloc(
     remaining = rt.remaining_iterations
     memo = ctx.candidate_memo[rt.job_id]
     phys_memo = ctx.physics_memo[model, w]
-    price = ctx.price
-    matrix_rate = ctx.matrix.rate
+
+    def evaluate(picks: _Picks, frees: tuple[int, ...], is_current: bool):
+        """Cost one candidate cold: shared physics, per-job economics."""
+        stats.candidate_evals += 1
+        pkey = (picks, frees)
+        phys = phys_memo.get(pkey, _MISS)
+        if phys is _MISS:
+            stats.physics_evals += 1
+            bottleneck = min(
+                rate_of.get(t) or ctx.matrix.rate(model, t) for _, t, _ in picks
+            )
+            if bottleneck <= 0.0:
+                phys = None
+            else:
+                multi_node = len({n for n, _, _ in picks}) > 1
+                penalty = comm.throughput_penalty_n(
+                    w, multi_node, model_bytes, 1.0 / bottleneck
+                )
+                base_rate = bottleneck * w * penalty
+                # Identical accumulation order to the reference's
+                # sum-over-picks with the same Eq. (5) price values.
+                price = ctx.price
+                base_cost = sum(
+                    price((n, t), f) * c for (n, t, c), f in zip(picks, frees)
+                )
+                phys = (base_cost / penalty, base_rate, multi_node)
+            phys_memo[pkey] = phys
+        else:
+            stats.physics_hits += 1
+        cached = None
+        if phys is not None:
+            cost, rate, multi_node = phys
+            if is_current:
+                # Keeping a straggling gang keeps its degradation; a fresh
+                # placement starts with healthy workers (straggler awareness).
+                if rt.slowdown < 1.0:
+                    rate = rate * rt.slowdown
+                delay = 0.0
+            else:
+                delay = ctx.move_delay_for(rt)
+            jct = age + delay + remaining / rate
+            u = utility.value_for(rt, jct, now)
+            payoff = u - cost
+            if payoff > 0.0:
+                cached = (cost, u, payoff, rate, jct, multi_node)
+        memo[picks, frees, is_current] = cached
+        return cached
 
     best_key: Optional[tuple] = None
     best: Optional[tuple] = None
-    move_delay: Optional[float] = None  # same for every non-current candidate
-    for picks, frees in pairs + extra:
-        is_current = picks == current_picks
-        mkey = (picks, frees, is_current)
-        cached = memo.get(mkey, _MISS)
-        if cached is _MISS:
-            stats.candidate_evals += 1
-            pkey = (picks, frees)
-            phys = phys_memo.get(pkey, _MISS)
-            if phys is _MISS:
-                stats.physics_evals += 1
-                bottleneck = min(
-                    rate_of.get(t) or matrix_rate(model, t) for _, t, _ in picks
-                )
-                if bottleneck <= 0.0:
-                    phys = None
-                else:
-                    nodes = {n for n, _, _ in picks}
-                    multi_node = len(nodes) > 1
-                    penalty = comm.throughput_penalty_n(
-                        w, multi_node, model_bytes, 1.0 / bottleneck
-                    )
-                    base_rate = bottleneck * w * penalty
-                    # Identical accumulation order to the reference's
-                    # sum-over-picks with the same Eq. (5) price values.
-                    base_cost = sum(
-                        price((n, t), f) * c for (n, t, c), f in zip(picks, frees)
-                    )
-                    phys = (base_cost / penalty, base_rate, multi_node)
-                phys_memo[pkey] = phys
+
+    # -- the current placement, when it still fits and runs (per-job) ----------
+    current_picks: Optional[_Picks] = None
+    if rt.allocation and state.can_fit(rt.allocation):
+        picks = tuple(sorted((n, t, c) for (n, t), c in rt.allocation.placements.items()))
+        if all(
+            (rate_of.get(t) or ctx.matrix.rate(model, t)) > 0.0 for _, t, _ in picks
+        ):
+            current_picks = picks
+            frees = tuple([state.free(n, t) for n, t, _ in picks])
+            best = memo.get((picks, frees, True), _MISS)
+            if best is _MISS:
+                best = evaluate(picks, frees, True)
             else:
-                stats.physics_hits += 1
-            cached = None
-            if phys is not None:
-                cost, rate, multi_node = phys
-                if is_current and rt.slowdown < 1.0:
-                    # Keeping a straggling gang keeps its degradation; a fresh
-                    # placement starts with healthy workers (straggler awareness).
-                    rate = rate * rt.slowdown
-                if is_current:
-                    delay = 0.0
-                else:
-                    if move_delay is None:
-                        move_delay = ctx.move_delay_for(rt, picks)
-                    delay = move_delay
-                jct = age + delay + remaining / rate
-                u = utility.value_for(rt, jct, now)
-                payoff = u - cost
-                if payoff > 0.0:
-                    cached = (cost, u, payoff, rate, jct, multi_node)
-            memo[mkey] = cached
+                stats.candidate_hits += 1
+            if best is not None:
+                best_key = (-best[2], best[0], best[5], picks)
+                if w < _CERTIFIED_W and _current_wins(
+                    ctx, rt, best[2], age + ctx.move_delay_for(rt), rate_of,
+                    ctx.tier_floors(usable_desc, state_key),
+                ):
+                    stats.current_certified += 1
+                    return _candidate(picks, best)
+
+    # -- everything else: generated, pruned, costed through the memos ----------
+    pairs = _generate_candidates(ctx, model, w, usable_desc, state, state_key)
+    for picks, frees in pairs:
+        if picks == current_picks:
+            continue  # costed above, delay-free
+        cached = memo.get((picks, frees, False), _MISS)
+        if cached is _MISS:
+            cached = evaluate(picks, frees, False)
         else:
             stats.candidate_hits += 1
         if cached is None:
@@ -316,9 +346,42 @@ def cached_find_alloc(
 
     if best is None:
         return None
-    cost, u, payoff, rate, jct, _ = best
+    return _candidate(best_key[3], best)
+
+
+def _current_wins(
+    ctx: RoundContext,
+    rt: JobRuntime,
+    payoff: float,
+    head: float,
+    rate_of: dict[str, float],
+    tiers: tuple[tuple[str, float, int], ...],
+) -> bool:
+    """The current-placement certificate (see :func:`cached_find_alloc`).
+
+    True when ``payoff`` beats, at every tier ``(t_k, pmin_k, free_k)``
+    with ``W`` free devices, the bound on a gang whose slowest type is
+    ``t_k``: the utility at JCT ``head + remaining / (rate(t_k) * W)``,
+    minus ``W * pmin_k`` shaved by :data:`_COST_FLOOR`.  ``head`` is the
+    age plus the move delay, so the JCT is summed in the search's own
+    order, ``(age + delay) + remaining / rate``.
+    """
+    w = rt.job.num_workers
+    remaining = rt.remaining_iterations
+    value_for = ctx.utility.value_for
+    now = ctx.now
+    for t, pmin, free in tiers:
+        if free >= w and not payoff > value_for(
+            rt, head + remaining / (rate_of[t] * w), now
+        ) - w * pmin * _COST_FLOOR:
+            return False
+    return True
+
+
+def _candidate(picks: _Picks, costed: tuple) -> AllocationCandidate:
+    cost, u, payoff, rate, jct, _ = costed
     return AllocationCandidate(
-        allocation=Allocation.from_pairs(best_key[3]),
+        allocation=Allocation.from_pairs(picks),
         cost=cost,
         utility=u,
         payoff=payoff,
@@ -416,7 +479,6 @@ def explain_alloc(
         current_payoff: Optional[float] = None
         best_key: Optional[tuple] = None
         best: Optional[AllocationCandidate] = None
-        move_delay: Optional[float] = None
         for picks in candidates:  # repro-lint: disable=REP004
             bottleneck = min(
                 rate_of.get(t) or ctx.matrix.rate(model, t) for _, t, _ in picks
@@ -435,9 +497,7 @@ def explain_alloc(
             if is_current:
                 delay = 0.0
             else:
-                if move_delay is None:
-                    move_delay = ctx.move_delay_for(rt, picks)
-                delay = move_delay
+                delay = ctx.move_delay_for(rt)
             jct = age + delay + remaining / rate
             u = utility.value_for(rt, jct, now)
             payoff = u - cost
@@ -478,7 +538,7 @@ def _generate_candidates(
     usable_desc: tuple[str, ...],
     state: ClusterState,
     state_key: tuple[int, ...],
-) -> tuple[tuple[tuple[_Picks, tuple[int, ...]], ...], frozenset]:
+) -> tuple[tuple[_Picks, tuple[int, ...]], ...]:
     """The job-independent candidate families at one free-capacity vector.
 
     Produces the consolidated (line 24) and cross-server (line 25) pick
@@ -519,9 +579,8 @@ def _generate_candidates(
     penalty.  The dropped candidates can never be the best, so the
     search still equals :func:`explain_alloc`, which prunes nothing.
 
-    Returns ``(pairs, pickset)``: the kept candidates sorted, each paired
-    with its picked slots' free counts, and the kept set, which tells the
-    caller whether the job's current placement must be added.
+    Returns the kept candidates sorted, each paired with its picked
+    slots' free counts.
     """
     stats = ctx.stats
     rank, rank_sig = ctx.rate_rank(model)
@@ -612,7 +671,6 @@ def _generate_candidates(
     # evaluators read them from the cache instead of re-querying state.
     kept.sort()
     free = state.free
-    pairs = [(p, tuple([free(n, t) for n, t, _ in p])) for p in kept]
-    gen = (tuple(pairs), frozenset(kept))
+    gen = tuple([(p, tuple([free(n, t) for n, t, _ in p])) for p in kept])
     ctx.generation_put(shape, state_key, gen)
     return gen

@@ -13,6 +13,11 @@ every ``find_alloc`` call in that round.  It provides
   bottleneck tiers (:meth:`usable_desc`), the rate-tie structure
   (:meth:`rate_rank`), and the per-job reallocation delay
   (:meth:`move_delay_for`);
+* per-tier **price floors** (:meth:`tier_floors`) — for each
+  bottleneck tier of a type order, the cheapest free slot at or above
+  it and the free devices there, per free-capacity vector; the
+  current-placement certificate of ``find_alloc.cached_find_alloc``
+  bounds every other gang's payoff with them;
 * the **slot book** (:class:`SlotBook`, :meth:`slot_book`) — the free
   slots in the orders candidate generation walks: per type by Eq. (5)
   price (line 25), and servers grouped into classes of identical
@@ -51,9 +56,9 @@ and proves the cached search emits byte-identical schedules.
 The caches assume what the rest of the round machinery already assumes:
 ``prices``, ``now``, every job's runtime snapshot, and the
 ``delay_estimator``'s output for a given job are frozen while the context
-lives.  All shipped :class:`~repro.sim.checkpoint.CheckpointModel`
-estimators depend only on the job and whether the gang moves, matching
-``find_alloc``'s long-standing "one move delay per call" shortcut.
+lives.  The estimator takes only the job: a move's pause does not depend
+on the gang moved to (:meth:`~repro.sim.checkpoint.CheckpointModel.move_delay`),
+so one value serves every non-current candidate of the round.
 """
 
 from __future__ import annotations
@@ -92,6 +97,8 @@ class RoundStats:
     rate-tie signature, gang size, free-capacity vector)``),
     ``slot_reads`` the slots the runs read from the slot book,
     ``dp_prunes`` the skip branches the exact DP's utility bound cut,
+    ``current_certified`` the calls answered by the current-placement
+    certificate without a candidate generation,
     ``physics_evals``/``physics_hits`` the job-independent gang-physics
     layer (bottleneck rate, comm penalty, price cost), and
     ``calib_jobs``/``calib_dirty`` the incremental price calibration's
@@ -118,6 +125,9 @@ class RoundStats:
     state_limit_hits: int = 0
     """Exact DP searches abandoned at ``DPConfig.state_limit`` memo
     entries (each one fell back to the payoff-density greedy)."""
+    current_certified: int = 0
+    """``FIND_ALLOC`` calls that returned the job's current placement
+    because a bound proved no other gang could beat it."""
 
     def as_dict(self) -> dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -227,6 +237,7 @@ class RoundContext:
         "candidate_memo",
         "physics_memo",
         "_gen_cache",
+        "_tiers",
         "_book",
     )
 
@@ -267,6 +278,7 @@ class RoundContext:
         # multi_node), or None for an unusable gang: no job economics.
         self.physics_memo: defaultdict[tuple[str, int], dict] = defaultdict(dict)
         self._gen_cache: dict[tuple, tuple] = {}
+        self._tiers: dict[tuple, tuple] = {}
         self._book: Optional[SlotBook] = None
 
     # -- instrumentation ------------------------------------------------------
@@ -357,19 +369,17 @@ class RoundContext:
             self._rate_rank[model] = hit
         return hit
 
-    def move_delay_for(self, rt: "JobRuntime", picks) -> float:
-        """The reallocation pause charged to non-current candidates.
+    def move_delay_for(self, rt: "JobRuntime") -> float:
+        """The reallocation pause charged to every non-current candidate.
 
-        ``find_alloc`` has always charged one delay per call (estimators
-        are constant across target gangs for a fixed job); caching per
-        job extends the same value to every call in the round.
+        A move's pause depends on the job, not on the gang it moves to,
+        so one value per job serves every call in the round — including
+        the current-placement certificate, which needs it before any
+        other gang exists.
         """
-        from repro.cluster.allocation import Allocation
-
         delay = self._move_delay.get(rt.job_id)
         if delay is None:
-            delay = self.delay_estimator(rt, Allocation.from_pairs(picks))
-            self._move_delay[rt.job_id] = delay
+            delay = self._move_delay[rt.job_id] = self.delay_estimator(rt)
         return delay
 
     def slot_book(self, state_key: tuple[int, ...]) -> SlotBook:
@@ -379,6 +389,36 @@ class RoundContext:
             book = self._book = SlotBook(self._caps, self._types)
         self.stats.slot_reads += book.sync(state_key, self.price)
         return book
+
+    def tier_floors(
+        self, usable_desc: tuple[str, ...], state_key: tuple[int, ...]
+    ) -> tuple[tuple[str, float, int], ...]:
+        """``(t_k, pmin_k, free_k)`` per bottleneck tier at ``state_key``.
+
+        Walking ``usable_desc`` fastest-first, a tier ``t_k`` with free
+        devices yields the cheapest Eq. (5) price over the free slots of
+        ``t_1..t_k`` and the free devices of ``t_1..t_k``.  A tier whose
+        own type has nothing free is left out: no gang can have it as its
+        slowest type.  Memoized per ``(usable_desc, state_key)``, so every
+        job of one type order shares it at each state.
+        """
+        key = (usable_desc, state_key)
+        tiers = self._tiers.get(key)
+        if tiers is None:
+            book = self.slot_book(state_key)
+            out = []
+            pmin = float("inf")
+            total = 0
+            for t in usable_desc:
+                free = book.type_free[t]
+                if free:
+                    total += free
+                    p = book.order[t][0][0]
+                    if p < pmin:
+                        pmin = p
+                    out.append((t, pmin, total))
+            tiers = self._tiers[key] = tuple(out)
+        return tiers
 
     # -- memo layers ----------------------------------------------------------
     def generation_get(self, shape: tuple, state_key: tuple[int, ...]):

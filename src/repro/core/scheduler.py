@@ -20,7 +20,6 @@ average job's allocation).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -98,9 +97,6 @@ class HadarScheduler(Scheduler):
         them into :attr:`SimulationResult.hotpath_stats`."""
         self.audit: list[RoundAudit] = []
         """Per-round primal/dual records (populated when record_audit)."""
-        self.last_calibration_s: float = 0.0
-        """Wall-clock seconds the most recent round spent in Eqs. (6)-(8)
-        (read by the engine's per-phase timing breakdown)."""
         self.trace_decisions: bool = False
         """Build :attr:`last_decision_trace` each round.  Set by the engine
         when a decision tracer is attached; off by default because the
@@ -125,7 +121,6 @@ class HadarScheduler(Scheduler):
         self.last_chosen = {}
         self.last_round_stats = {}
         self.audit.clear()
-        self.last_calibration_s = 0.0
         self.last_decision_trace = None
         self._calibrator = None
 
@@ -134,10 +129,10 @@ class HadarScheduler(Scheduler):
         """Cross-round state: the persistent calibrator and the audit log.
 
         The ``last_*`` views (prices, chosen candidates, round stats,
-        decision trace, calibration seconds) are per-round transients —
-        every consumer reads them inside the same round that wrote them,
-        and the next :meth:`schedule` call overwrites them before any
-        other read — so they are left out of snapshots, as is
+        decision trace) are per-round transients — every consumer reads
+        them inside the same round that wrote them, and the next
+        :meth:`schedule` call overwrites them before any other read — so
+        they are left out of snapshots, as is
         ``trace_decisions``, which the engine reconfigures from its tracer
         on restore.  ``tests/core/test_chaos_snapshot.py`` checks that a
         restored run reproduces every output of the uninterrupted one.
@@ -198,7 +193,6 @@ class HadarScheduler(Scheduler):
             self.last_chosen = {}
             return pinned
 
-        calib_start = time.perf_counter()
         calibrator = self._calibrator
         if calibrator is None:
             calibrator = self._calibrator = PriceCalibrator(cfg.pricing)
@@ -209,7 +203,6 @@ class HadarScheduler(Scheduler):
             state=ctx.fresh_state(),
             now=ctx.now,
         )
-        self.last_calibration_s = time.perf_counter() - calib_start
         self.last_prices = prices
         self.last_alpha = prices.alpha()
 
@@ -273,8 +266,8 @@ class HadarScheduler(Scheduler):
         return target
 
     # ---------------------------------------------------------------- internal --
-    def _estimate_delay(self, rt: JobRuntime, new: Allocation) -> float:
-        return self.config.checkpoint.reallocation_delay(rt.job, rt.allocation, new)
+    def _estimate_delay(self, rt: JobRuntime) -> float:
+        return self.config.checkpoint.move_delay(rt.job, rt.allocation)
 
     def _build_decision_trace(
         self,

@@ -29,8 +29,8 @@ from repro.workload.trace import Trace
 
 __all__ = ["RoundLengthAdvice", "recommended_round_length"]
 
-_PROBE_A = Allocation.single(0, "V100", 1)
-_PROBE_B = Allocation.single(1, "V100", 1)
+_RUNNING = Allocation.single(0, "V100", 1)
+"""A non-empty gang to move from: a running job's move also pays the save."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,9 +73,7 @@ def recommended_round_length(
     checkpoint = checkpoint or ModelAwareCheckpoint()
     matrix = matrix or default_throughput_matrix()
 
-    worst_move = max(
-        checkpoint.reallocation_delay(job, _PROBE_A, _PROBE_B) for job in trace
-    )
+    worst_move = max(checkpoint.move_delay(job, _RUNNING) for job in trace)
     # (a) overhead bound: worst_move / L ≤ max_overhead_fraction.
     overhead_floor = worst_move / max_overhead_fraction
 

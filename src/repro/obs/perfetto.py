@@ -15,8 +15,8 @@ summary record carries) into the Trace Event JSON format that
   Eq. (5) price trajectory;
 * **per-phase spans** — a separate wall-clock process laying each
   round's scheduler decision end-to-end, plus one slice per engine phase
-  total (event dispatch, integration, re-prediction, calibration,
-  decision) from the summary record.
+  total (event dispatch, integration, re-prediction, decision) from the
+  summary record.
 
 Simulated time maps 1 s → 1 ms of trace time (``displayTimeUnit: ms``),
 so a 6-minute round renders as a 360 ms frame; the wall-clock process

@@ -38,17 +38,30 @@ __all__ = [
 
 
 class CheckpointModel(ABC):
-    """Strategy interface for reallocation overhead."""
+    """Strategy interface for reallocation overhead.
 
-    @abstractmethod
+    A move's pause depends on the job and the gang it leaves, never on
+    the gang it moves to: :meth:`move_delay` is that pause, and
+    Hadar's allocation search charges it to every gang but the current
+    one before it has built any.
+    """
+
     def reallocation_delay(
         self, job: Job, old: Allocation, new: Allocation
     ) -> float:
         """Seconds the job is paused when moving from ``old`` to ``new``.
 
         Called only when ``new`` is non-empty.  ``old`` may be empty (a
-        fresh start from the queue).
+        fresh start from the queue).  Keeping ``old`` costs the periodic
+        save; any other ``new`` costs :meth:`move_delay`.
         """
+        if new == old:
+            return self.steady_state_overhead(job)
+        return self.move_delay(job, old)
+
+    @abstractmethod
+    def move_delay(self, job: Job, old: Allocation) -> float:
+        """Seconds the job is paused when it leaves ``old`` for any new gang."""
 
     @abstractmethod
     def steady_state_overhead(self, job: Job) -> float:
@@ -59,7 +72,7 @@ class CheckpointModel(ABC):
 class NoOverheadCheckpoint(CheckpointModel):
     """Free preemption; isolates scheduling quality in ablations."""
 
-    def reallocation_delay(self, job: Job, old: Allocation, new: Allocation) -> float:
+    def move_delay(self, job: Job, old: Allocation) -> float:
         return 0.0
 
     def steady_state_overhead(self, job: Job) -> float:
@@ -80,8 +93,8 @@ class FixedDelayCheckpoint(CheckpointModel):
         if self.delay_s < 0:
             raise ValueError("delay must be non-negative")
 
-    def reallocation_delay(self, job: Job, old: Allocation, new: Allocation) -> float:
-        return self.delay_s if new != old else 0.0
+    def move_delay(self, job: Job, old: Allocation) -> float:
+        return self.delay_s
 
     def steady_state_overhead(self, job: Job) -> float:
         return 0.0
@@ -112,9 +125,7 @@ class ModelAwareCheckpoint(CheckpointModel):
     def _load_seconds(self, job: Job) -> float:
         return job.model.checkpoint_bytes / (self.read_mib_s * 1024**2)
 
-    def reallocation_delay(self, job: Job, old: Allocation, new: Allocation) -> float:
-        if new == old:
-            return self.steady_state_overhead(job)
+    def move_delay(self, job: Job, old: Allocation) -> float:
         save = self._save_seconds(job) if old else 0.0
         return save + self._load_seconds(job) + job.model.restart_warmup_s
 

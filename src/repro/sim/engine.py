@@ -103,6 +103,9 @@ class SimulationResult:
     end_time: float
     scheduling_invocations: int
     decision_seconds: list[float]
+    """Wall-clock latency of each decision this engine object made.  A
+    restored engine starts the list empty: it covers only the rounds
+    since the restore, while ``scheduling_invocations`` counts them all."""
     truncated: bool = False
     rounds_with_change: int = 0
     """Rounds in which at least one job's allocation changed (Sec. IV-A-5)."""
@@ -115,9 +118,9 @@ class SimulationResult:
     ``repro_hotpath_total`` family."""
     phase_timings: dict[str, float] = field(default_factory=dict)
     """Wall-clock seconds per engine phase (event dispatch, progress
-    integration, completion re-prediction, price calibration, scheduler
-    decision) — see :class:`~repro.sim.phases.PhaseTimings` — so the
-    next engine bottleneck is measured, not guessed."""
+    integration, completion re-prediction, scheduler decision) — see
+    :class:`~repro.sim.phases.PhaseTimings` — so the next engine
+    bottleneck is measured, not guessed."""
     metrics: dict = field(default_factory=dict)
     """Snapshot of the run's :class:`~repro.obs.registry.MetricsRegistry`
     (phase seconds, round/completion counters, the decision-latency
@@ -708,7 +711,9 @@ class SimulationEngine:
         state the engine already owns, which makes the batch idempotent:
         the end-of-run publication in :meth:`stop` re-runs it harmlessly,
         and a restored engine (whose registry travels in the snapshot)
-        continues bit-identically.
+        continues bit-identically.  The one exception is the decision
+        latency histogram, observed here once per decision: latencies are
+        wall-clock measurements, not engine state, so nothing replays them.
         """
         registry = self.metrics
         assert registry is not None
@@ -721,6 +726,12 @@ class SimulationEngine:
                     scheduler_phase=self._scheduler_phase,
                 )
             self._publish_engine_families(now)
+            registry.histogram(
+                "repro_decision_seconds", "Per-round scheduler decision latency"
+            ).observe(
+                self._scheduler_phase.decision_seconds[-1],
+                labels={"scheduler": self.scheduler.name},
+            )
 
     def _publish_engine_families(self, now: float) -> None:
         """The engine-owned families (caller holds the registry lock).
@@ -776,13 +787,6 @@ class SimulationEngine:
         )
         for bucket, seconds in self._timings.as_dict().items():
             phase_gauge.set(seconds, labels={**labels, "phase": bucket})
-        # The latency histogram has no advance_to; the series' own count
-        # marks how many entries are already in, so restores line up.
-        latency = registry.histogram(
-            "repro_decision_seconds", "Per-round scheduler decision latency"
-        )
-        for seconds in phase.decision_seconds[latency.count(labels=labels):]:
-            latency.observe(seconds, labels=labels)
         if phase.hotpath_stats:
             registry.count_all(
                 "repro_hotpath",

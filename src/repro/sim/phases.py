@@ -64,14 +64,11 @@ class PhaseTimings:
     ``event_dispatch_s`` is the loop residual — popping/filtering events,
     kind dispatch, applying validated decisions, and telemetry — i.e.
     total loop time minus the three explicitly-timed phases below it.
-    ``calibration_s`` is the slice of ``decision_s`` the scheduler spent
-    in price calibration (Eqs. 6-8), for schedulers that report it.
     """
 
     event_dispatch_s: float = 0.0
     integration_s: float = 0.0
     repredict_s: float = 0.0
-    calibration_s: float = 0.0
     decision_s: float = 0.0
 
     def as_dict(self) -> dict[str, float]:
@@ -79,7 +76,6 @@ class PhaseTimings:
             "event_dispatch_s": self.event_dispatch_s,
             "integration_s": self.integration_s,
             "repredict_s": self.repredict_s,
-            "calibration_s": self.calibration_s,
             "decision_s": self.decision_s,
         }
 
@@ -91,7 +87,6 @@ class PhaseTimings:
         self.event_dispatch_s = float(state["event_dispatch_s"])
         self.integration_s = float(state["integration_s"])
         self.repredict_s = float(state["repredict_s"])
-        self.calibration_s = float(state["calibration_s"])
         self.decision_s = float(state["decision_s"])
 
 
@@ -99,7 +94,8 @@ class SchedulerPhase:
     """Layer 3: one scheduling decision — invoke, validate, apply, flush.
 
     Owns the per-run accumulators the old monolithic engine kept as
-    locals: ``decision_seconds`` (one entry per invocation) and the
+    locals: the ``invocations`` count, ``decision_seconds`` (one entry
+    per invocation since the phase was built or restored) and the
     aggregated ``hotpath_stats`` of schedulers that publish
     ``last_round_stats``.
     """
@@ -134,7 +130,10 @@ class SchedulerPhase:
         self._nominal = {
             slot: nominal_state.capacity(*slot) for slot in nominal_state.slots
         }
+        self.invocations = 0
         self.decision_seconds: list[float] = []
+        """Wall-clock latency of each decision this process made: a
+        measurement, not run state, so snapshots leave it out."""
         self.hotpath_stats: dict[str, int] = {}
         self.capture_changes = False
         """Keep the applied diff of each invocation in :attr:`last_changes`
@@ -146,14 +145,13 @@ class SchedulerPhase:
         self.last_queue_depth: tuple[int, int] = (0, 0)
         """``(queued, running)`` jobs presented to the latest invocation."""
 
-    @property
-    def invocations(self) -> int:
-        return len(self.decision_seconds)
-
     # -- engine snapshot support ----------------------------------------------
     def state_dict(self) -> dict:
         """Per-run accumulators, including the validator's rejection log.
 
+        ``decision_seconds`` is left out: it measures this process's wall
+        clock, no decision reads it, and one float per round would make
+        every snapshot larger than the last.
         ``capture_changes``/``on_place``/``fault_phase`` are wiring the
         engine reattaches at restore.  ``last_changes`` and
         ``last_queue_depth`` are captured: ``status()`` and the
@@ -167,7 +165,7 @@ class SchedulerPhase:
         from repro.sim.progress import _alloc_to_record
 
         return {
-            "decision_seconds": list(self.decision_seconds),
+            "invocations": self.invocations,
             "hotpath_stats": dict(self.hotpath_stats),
             "last_changes": [
                 [job_id, _alloc_to_record(old), _alloc_to_record(new)]
@@ -181,7 +179,8 @@ class SchedulerPhase:
         from repro.faults.validator import DecisionRejected
         from repro.sim.progress import _alloc_from_record
 
-        self.decision_seconds = [float(s) for s in state["decision_seconds"]]
+        self.invocations = int(state["invocations"])
+        self.decision_seconds = []
         self.hotpath_stats = {
             str(k): int(v) for k, v in state["hotpath_stats"].items()
         }
@@ -247,9 +246,9 @@ class SchedulerPhase:
         t0 = _time.perf_counter()
         target = dict(self.scheduler.schedule(ctx))
         elapsed = _time.perf_counter() - t0
+        self.invocations += 1
         self.decision_seconds.append(elapsed)
         timings.decision_s += elapsed
-        timings.calibration_s += getattr(self.scheduler, "last_calibration_s", 0.0)
 
         round_stats = getattr(self.scheduler, "last_round_stats", None)
         if round_stats:

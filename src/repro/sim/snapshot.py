@@ -28,7 +28,7 @@ Three properties make that hold:
 
 The on-disk envelope is a single JSON document::
 
-    {"format": "repro-engine-snapshot", "version": 1,
+    {"format": "repro-engine-snapshot", "version": 2,
      "checksum": "<sha256 of the canonical state JSON>",
      "state": {...}}
 
@@ -61,7 +61,9 @@ __all__ = [
 ]
 
 SNAPSHOT_FORMAT = "repro-engine-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+"""2: the scheduler phase keeps an invocation count instead of every
+decision's latency, and the phase timings lost ``calibration_s``."""
 
 
 class SnapshotError(ValueError):

@@ -9,7 +9,7 @@ from repro.sim.progress import JobRuntime, JobState
 
 from tests.conftest import make_job
 
-NO_DELAY = lambda rt, alloc: 0.0  # noqa: E731
+NO_DELAY = lambda rt: 0.0  # noqa: E731
 
 
 def queued(job):

@@ -23,8 +23,8 @@ def queued(job):
     return rt
 
 
-NO_DELAY = lambda rt, alloc: 0.0  # noqa: E731
-TEN_S = lambda rt, alloc: 10.0  # noqa: E731
+NO_DELAY = lambda rt: 0.0  # noqa: E731
+TEN_S = lambda rt: 10.0  # noqa: E731
 
 
 @pytest.fixture

@@ -90,3 +90,25 @@ class TestTaskLevelHeterogeneity:
         # It ran — which no single-type scheduler could do on this cluster
         # (max 4 of any type) — and the engine enforced the gang size.
         assert rt.allocation_changes >= 1
+
+
+def test_core_imports_no_clock():
+    """No module under ``repro/core`` imports ``time``: a decision cannot
+    read the wall clock if its package never reaches one."""
+    import ast
+    from pathlib import Path
+
+    import repro.core
+
+    offenders = []
+    for path in sorted(Path(repro.core.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [(node.module or "").split(".")[0]]
+            else:
+                continue
+            if "time" in names:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders

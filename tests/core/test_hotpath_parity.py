@@ -139,18 +139,23 @@ def test_reference_calibration_matches_golden(seed: int) -> None:
 # explored every branch; the bound lowers the logical demand by design and
 # leaves every schedule unchanged (the golden tests above).
 FIND_ALLOC_CALLS = {1: 12867, 2: 8001, 3: 4595}
+# Of those, the calls the current-placement certificate answered without
+# generating a candidate (every call still counts above).
+CURRENT_CERTIFIED = {1: 12800, 2: 6066, 3: 4557}
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_candidate_evals_reduced_at_least_10x(seed: int) -> None:
     """>=10x fewer cold candidate costings than with every cache off, and
     fewer logical ``FIND_ALLOC`` calls than the unbounded DP made.  The
-    counters are deterministic, so the call count is pinned exactly."""
+    counters are deterministic, so the call count and the certified
+    calls among them are pinned exactly."""
     cached = _run("hadar", seed).hotpath_stats
     reference = RETIRED_REFERENCE_COUNTERS[seed]
     assert cached["candidate_evals"] * 10 <= reference["candidate_evals"]
     assert cached["find_alloc_calls"] == FIND_ALLOC_CALLS[seed]
     assert FIND_ALLOC_CALLS[seed] < reference["find_alloc_calls"]
+    assert cached["current_certified"] == CURRENT_CERTIFIED[seed]
 
 
 def test_cold_fig7_decision_costs_few_candidates_per_call() -> None:
@@ -215,7 +220,7 @@ def _make_ctx(state, matrix, cluster, prices=None) -> RoundContext:
         cluster=cluster,
         utility=NormalizedThroughputUtility(),
         now=0.0,
-        delay_estimator=lambda rt, new: 10.0,
+        delay_estimator=lambda rt: 10.0,
         state=state,
     )
 

@@ -1,8 +1,10 @@
 """Property-based tests: FIND_ALLOC and DP_allocation invariants."""
 
 import json
+from collections import Counter
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,11 @@ from repro.core.utility import (
     MakespanUtility,
     NormalizedThroughputUtility,
 )
+from repro.sim.checkpoint import (
+    FixedDelayCheckpoint,
+    ModelAwareCheckpoint,
+    NoOverheadCheckpoint,
+)
 from repro.sim.progress import JobRuntime, JobState
 from repro.workload.models import model_spec
 from repro.workload.job import Job
@@ -28,7 +35,7 @@ from repro.workload.throughput import ThroughputMatrix, default_throughput_matri
 
 MATRIX = default_throughput_matrix()
 UTILITY = NormalizedThroughputUtility()
-NO_DELAY = lambda rt, alloc: 0.0  # noqa: E731
+NO_DELAY = lambda rt: 0.0  # noqa: E731
 
 CLUSTER = Cluster(
     [
@@ -42,7 +49,7 @@ MODELS = ("resnet18", "resnet50", "cyclegan", "transformer", "a3c")
 # Same inventory with the ring-allreduce penalty on, so scattered gangs
 # pay the comm surcharge the search must cost identically.
 COMM_CLUSTER = Cluster([Node(n.node_id, dict(n.gpus)) for n in CLUSTER.nodes])
-MOVE_DELAY = lambda rt, alloc: 30.0  # noqa: E731
+MOVE_DELAY = lambda rt: 30.0  # noqa: E731
 GPU_TYPES = ("V100", "P100", "K80")
 
 
@@ -470,3 +477,227 @@ def test_bounded_dp_matches_unbounded_recursion(cluster, utility, objective, dat
         event("the bound cut a skip branch")
     assert value.hex() == ref_value.hex()
     assert list(plan.items()) == list(ref_plan.items())
+
+
+# -- the current-placement certificate -----------------------------------------
+
+CHECKPOINTS = (
+    NoOverheadCheckpoint(),
+    FixedDelayCheckpoint(),
+    ModelAwareCheckpoint(),
+)
+
+
+def _certifies(ctx, rt, state, current_payoff):
+    """The certificate from its definition, at one state.
+
+    ``P`` (the current gang's delay-free payoff) must be positive and
+    beat ``B_k = value_for(age + d + remaining / (rate(t_k) * W)) - W *
+    pmin_k * (1 - 2**-40)`` for every tier ``t_k`` of the fastest-first
+    usable order whose free devices of ``t_1..t_k`` number at least
+    ``W`` and include a ``t_k``, where ``pmin_k`` is the cheapest Eq. (5)
+    price over those free slots.
+    """
+    if current_payoff is None or not current_payoff > 0.0:
+        return False
+    job = rt.job
+    w = job.num_workers
+    rates = ctx.rates_for(job.model.name)
+    order = ctx.usable_desc(job.model.name)
+    head = max(ctx.now - job.arrival_time, 0.0) + ctx.delay_estimator(rt)
+    free = [(slot, f) for slot, f in state.free_slots() if f]
+    for k, t in enumerate(order):
+        slots = [(slot, f) for slot, f in free if slot[1] in order[: k + 1]]
+        if sum(f for _, f in slots) < w or all(s[1] != t for s, _ in slots):
+            continue
+        pmin = min(
+            ctx.prices.price_given(s[1], state.capacity(*s), f) for s, f in slots
+        )
+        bound = ctx.utility.value_for(
+            rt, head + rt.remaining_iterations / (rates[t] * w), ctx.now
+        ) - w * pmin * (1.0 - 2.0**-40)
+        if not current_payoff > bound:
+            return False
+    return True
+
+
+def _int(rng, lo, hi):
+    return int(rng.integers(lo, hi, endpoint=True))
+
+
+def _pick(rng, seq):
+    return seq[int(rng.integers(len(seq)))]
+
+
+def _shuffled(rng, seq):
+    return [seq[i] for i in rng.permutation(len(seq))]
+
+
+def _certificate_round(rng):
+    """One round of running jobs searched on one context, as the greedy
+    searches them: returns each search's outcome.
+
+    The cluster, utility and checkpoint model are drawn; every job runs
+    on a current gang, on one server or spread over several, some
+    straggling, part done.  Other gangs take part of the current gangs'
+    slots — sometimes so much that a current gang no longer fits.  Each
+    search must equal ``explain_alloc``'s best, and it must be answered
+    by the certificate exactly when :func:`_certifies` holds.  Between
+    searches the reference's gang may be committed, so the tier floors
+    are read at several states.
+    """
+    nodes = []
+    for _ in range(_int(rng, 1, 3)):
+        types = _shuffled(rng, GPU_TYPES)[: _int(rng, 1, 2)]
+        gpus = {t: _int(rng, 1, 4) for t in types}
+        for _ in range(_int(rng, 1, 3)):
+            nodes.append(Node(len(nodes), dict(gpus)))
+    cluster = Cluster(nodes)
+    utility = _pick(rng, UTILITIES)
+    checkpoint = _pick(rng, CHECKPOINTS)
+    slots = sorted(cluster.fresh_state().slots)
+    caps = {slot: cluster.node(slot[0]).gpus[slot[1]] for slot in slots}
+
+    queue = []
+    for i in range(_int(rng, 1, 6)):
+        job = Job(
+            job_id=i,
+            model=model_spec(_pick(rng, MODELS)),
+            arrival_time=float(rng.uniform(0.0, 3600.0)),
+            num_workers=_pick(rng, [1, 2, 4]),
+            epochs=_int(rng, 1, 5),
+            iters_per_epoch=_int(rng, 100, 3000),
+        )
+        rt = JobRuntime(job=job)
+        rt.state = JobState.RUNNING
+        rt.iterations_done = job.total_iterations * float(rng.uniform(0.0, 0.9))
+        rt.slowdown = _pick(rng, [1.0, 1.0, 0.6])
+        hosts = [
+            n.node_id for n in cluster.nodes
+            if sum(n.gpus.values()) >= job.num_workers
+        ]
+        if hosts and rng.random() < 0.5:
+            host = _pick(rng, hosts)
+            walk = [s for s in slots if s[0] == host]
+        else:
+            walk = _shuffled(rng, slots)
+        need, gang = job.num_workers, {}
+        for slot in walk:
+            take = min(need, caps[slot])
+            if take:
+                gang[slot] = take
+                need -= take
+            if not need:
+                break
+        if need:
+            continue  # the cluster is smaller than the gang
+        rt.allocation = Allocation(gang)
+        queue.append(rt)
+    if not queue:
+        return []
+
+    state = cluster.fresh_state()
+    for slot in slots:
+        held = _pick(rng, [0, 0, _int(rng, 0, caps[slot])])
+        if held:
+            state.allocate(Allocation({slot: held}))
+    now = max(rt.job.arrival_time for rt in queue) + float(rng.uniform(1.0, 7200.0))
+    prices = PriceBook.calibrate(queue, MATRIX, utility, cluster.fresh_state(), now)
+
+    def context():
+        return RoundContext(
+            prices=prices, matrix=MATRIX, cluster=cluster, utility=utility,
+            now=now, state=state,
+            delay_estimator=lambda rt: checkpoint.move_delay(rt.job, rt.allocation),
+        )
+
+    ctx = context()
+    outcomes = []
+    for rt in _shuffled(rng, queue) * 2:
+        explanation = explain_alloc(context(), rt, state)
+        certified = ctx.stats.current_certified
+        assert cached_find_alloc(ctx, rt, state) == explanation.best
+        certified = ctx.stats.current_certified > certified
+        assert certified == _certifies(
+            ctx, rt, state, explanation.current_payoff
+        )
+        outcomes.append("certified" if certified else "searched")
+        if explanation.best is not None and rng.random() < 0.5:
+            state.allocate(explanation.best.allocation)
+    return outcomes
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_current_certificate_matches_reference(seed):
+    """Certified or not, the search returns the reference's best, and it
+    is certified exactly when the bound says so."""
+    for outcome in _certificate_round(np.random.default_rng(seed)):
+        event(outcome)
+
+
+def test_current_certificate_fires_and_falls_through():
+    """Over a fixed sweep of rounds both outcomes occur: the certificate
+    answers some searches and leaves others to the full search."""
+    outcomes = Counter()
+    for seed in range(80):
+        outcomes.update(_certificate_round(np.random.default_rng(seed)))
+    assert outcomes["certified"] > 0
+    assert outcomes["searched"] > 0
+
+
+def _two_server_round(rt, checkpoint, types=("V100", "V100")):
+    cluster = Cluster(
+        [Node(0, {types[0]: 1}), Node(1, {types[1]: 1})],
+        comm=CommunicationModel.disabled(),
+    )
+    state = cluster.fresh_state()
+    prices = PriceBook.calibrate([rt], MATRIX, UTILITY, state, 3600.0)
+    return state, lambda: RoundContext(
+        prices=prices, matrix=MATRIX, cluster=cluster, utility=UTILITY,
+        now=3600.0, state=state,
+        delay_estimator=lambda rt: checkpoint.move_delay(rt.job, rt.allocation),
+    )
+
+
+def _running(model, gang):
+    job = Job(
+        job_id=0, model=model_spec(model), arrival_time=0.0,
+        num_workers=1, epochs=1, iters_per_epoch=1000,
+    )
+    rt = JobRuntime(job=job)
+    rt.state = JobState.RUNNING
+    rt.allocation = Allocation(gang)
+    return rt
+
+
+def test_exact_tie_reaches_the_full_search():
+    """With free moves, a job on server 1 ties a gang on identical, idle
+    server 0 exactly.  The search breaks that tie towards the lower picks
+    and moves the job; the certificate must not keep it."""
+    rt = _running("resnet18", {(1, "V100"): 1})
+    state, context = _two_server_round(rt, NoOverheadCheckpoint())
+    ctx = context()
+    explanation = explain_alloc(context(), rt, state)
+    assert explanation.current_payoff == explanation.best.payoff
+    assert explanation.best.allocation == Allocation({(0, "V100"): 1})
+    assert cached_find_alloc(ctx, rt, state) == explanation.best
+    assert ctx.stats.current_certified == 0
+    assert ctx.stats.generation_runs == 1
+
+
+def test_move_delay_enters_the_bound():
+    """A job one iteration from done on a K80 earns more on the idle V100
+    when moves are free; a 10 s pause makes staying better, and the
+    certificate must see that without generating any candidate."""
+    rt = _running("resnet50", {(1, "K80"): 1})
+    rt.iterations_done = 999
+    state, context = _two_server_round(
+        rt, FixedDelayCheckpoint(), types=("V100", "K80")
+    )
+    ctx = context()
+    explanation = explain_alloc(context(), rt, state)
+    assert explanation.best.allocation == rt.allocation
+    assert cached_find_alloc(ctx, rt, state) == explanation.best
+    assert ctx.stats.current_certified == 1
+    assert ctx.stats.generation_runs == 0

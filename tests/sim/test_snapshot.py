@@ -214,6 +214,39 @@ class TestRoundTrip:
         ]
         assert reference.end_time == result.end_time
 
+    def test_restored_run_counts_every_round_times_only_its_own(self):
+        """The invocation count travels in the snapshot; the per-decision
+        latencies are this process's measurements and do not."""
+        reference = make_engine().run()
+        engine = loaded_engine()
+        before = engine.scheduling_invocations
+        restored = make_engine()
+        restored.restore(engine.snapshot())
+        result = restored.run()
+        assert result.scheduling_invocations == reference.scheduling_invocations
+        assert len(result.decision_seconds) == result.scheduling_invocations - before
+        assert 0 < before < result.scheduling_invocations
+
+
+class TestSnapshotSize:
+    def test_payload_flat_over_the_run(self):
+        """On the 14-job seed-1 Hadar scenario with a registry attached,
+        the snapshot at round 700 is within 10% of the one at round 100:
+        nothing in it grows one entry per round."""
+        engine = SimulationEngine(
+            cluster=simulated_cluster(),
+            trace=generate_philly_trace(PhillyTraceConfig(num_jobs=14, seed=1)),
+            scheduler=HadarScheduler(),
+            metrics=MetricsRegistry(),
+        )
+        engine.start()
+        sizes = {}
+        while engine.step() and len(sizes) < 2:
+            rounds = engine.scheduling_invocations
+            if rounds in (100, 700) and rounds not in sizes:
+                sizes[rounds] = len(SnapshotCodec().dumps(engine.snapshot()))
+        assert sizes[700] <= 1.1 * sizes[100]
+
 
 class TestCodecEnvelope:
     def test_dumps_matches_two_pass_canonical_envelope(self):
