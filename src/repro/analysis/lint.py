@@ -309,8 +309,9 @@ class NondeterminismRule(LintRule):
 
     Replayability (bit-identical reruns, the property Gavel-style systems
     audit regressions with) requires every random draw to flow from a
-    seeded ``numpy.random.Generator`` and every timestamp from simulated
-    time or a monotonic measurement clock.  In the library's replay-
+    seeded generator (a ``numpy.random.Generator``, or a ``random.Random``
+    built with its own seed) and every timestamp from simulated time or a
+    monotonic measurement clock.  In the library's replay-
     critical paths (not the tests) the process environment is an input
     too: ``os.environ`` / ``os.getenv`` reads are flagged there, since a
     decision that reads them changes with the shell it runs in.
@@ -356,6 +357,16 @@ class NondeterminismRule(LintRule):
                 "wall-clock time.time() in a deterministic path; use simulated "
                 "time, or time.monotonic()/perf_counter() for measurements",
             )
+        elif target == ("random", "Random"):
+            # An instance with its own seed shares no state; unseeded,
+            # it draws an OS-entropy stream.
+            if UnseededRNGRule._unseeded(node):
+                ctx.report(
+                    node,
+                    self,
+                    "random.Random() without a seed is nondeterministic "
+                    "across replays",
+                )
         elif target[0] == "random" and len(target) == 2:
             ctx.report(
                 node,

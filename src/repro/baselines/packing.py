@@ -4,12 +4,12 @@ All baselines need to turn "give job j its ``W_j`` workers" into a
 concrete :class:`~repro.cluster.allocation.Allocation` against the free
 capacity.  Two flavours:
 
-* :func:`pack_gang` — type-blind packing (Tiresias, YARN-CS): any free
+* :func:`pack_gang` — type-blind packing (YARN-CS, random): any free
   devices, preferring as few servers as possible (consolidation first),
   optionally restricted to device types the model supports;
-* :func:`pack_gang_single_type` — Gavel's job-level constraint: all
-  ``W_j`` workers on *one* device type, again on as few servers as
-  possible.
+* :func:`pack_gang_single_type` — Gavel's job-level constraint, which
+  Tiresias shares: all ``W_j`` workers on *one* device type, again on as
+  few servers as possible.
 
 Both return ``None`` when the gang cannot be packed.
 """
@@ -88,7 +88,21 @@ def pack_gang_single_type(
     workers: int,
     type_name: str,
 ) -> Optional[Allocation]:
-    """Pack ``workers`` devices of exactly one type (Gavel's constraint)."""
+    """Pack ``workers`` devices of exactly one type (Gavel's constraint).
+
+    Fullest slot first, ties by node id: the order :func:`pack_gang`'s
+    node walk gives when one type is allowed, but over that type's slots
+    only.
+    """
     if workers <= 0:
         raise ValueError("workers must be positive")
-    return _take_from_nodes(state, workers, [type_name], {type_name: 0})
+    slots = sorted(state.free_slots_of(type_name), key=lambda s: (-s[1], s[0]))
+    need = workers
+    picks: list[tuple[int, str, int]] = []
+    for node_id, free in slots:
+        take = min(free, need)
+        picks.append((node_id, type_name, take))
+        need -= take
+        if need == 0:
+            return Allocation.from_pairs(picks)
+    return None

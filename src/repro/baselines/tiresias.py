@@ -110,13 +110,39 @@ class TiresiasScheduler(Scheduler):
         # Queue 0 first; FIFO by arrival within a queue.
         active.sort(key=lambda rt: (queue_index(rt), rt.job.arrival_time, rt.job_id))
 
+        # One pass over the queue against per-type free counts kept for
+        # the round.  Tiresias predates heterogeneous scheduling: like
+        # Gavel it places a gang on a single device type ("Tiresias also
+        # suffers from the same limitation", Sec. IV-A-2), but it picks
+        # the type by *availability*, not speed (heterogeneity-blind):
+        # the usable type with the most free devices, the first in name
+        # order on a tie.  A type with ``W`` free devices always packs.
         state = ctx.fresh_state()
+        free = state.free_by_type()
+        types = ctx.cluster.gpu_types
+        usable: dict[str, tuple[str, ...]] = {}
         target: dict[int, Allocation] = {}
         for rt in active:
-            gang = self._pack_single_type(ctx, state, rt)
-            if gang is None:
+            workers = rt.job.num_workers
+            if max(free.values(), default=0) < workers:
                 continue
+            model = rt.job.model.name
+            fits = usable.get(model)
+            if fits is None:
+                fits = usable[model] = tuple(
+                    t for t in types if ctx.matrix.supports(model, t)
+                )
+            best: str | None = None
+            best_free = workers - 1
+            for type_name in fits:
+                count = free.get(type_name, 0)
+                if count > best_free:
+                    best, best_free = type_name, count
+            if best is None:
+                continue
+            gang = pack_gang_single_type(state, workers, best)
             state.allocate(gang)
+            free[best] -= workers
             target[rt.job_id] = gang
         self.last_round_stats = {
             "jobs_considered": len(active),
@@ -124,26 +150,3 @@ class TiresiasScheduler(Scheduler):
             "demotions": demotions,
         }
         return target
-
-    def _pack_single_type(self, ctx, state, rt) -> Allocation | None:
-        """A homogeneous gang on whichever type has the most free devices.
-
-        Tiresias predates heterogeneous scheduling: like Gavel it places a
-        gang on a single device type ("Tiresias also suffers from the same
-        limitation", Sec. IV-A-2), but it picks the type by *availability*,
-        not speed — it is heterogeneity-blind.
-        """
-        best: Allocation | None = None
-        best_free = -1
-        free_by_type = state.free_by_type()
-        for type_name in sorted(ctx.cluster.gpu_types):
-            if not ctx.matrix.supports(rt.job.model.name, type_name):
-                continue
-            free = free_by_type.get(type_name, 0)
-            if free < rt.job.num_workers or free <= best_free:
-                continue
-            gang = pack_gang_single_type(state, rt.job.num_workers, type_name)
-            if gang is not None:
-                best = gang
-                best_free = free
-        return best

@@ -42,6 +42,11 @@ class Cluster:
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate node ids in cluster: {sorted(ids)}")
         object.__setattr__(self, "nodes", tuple(self.nodes))
+        # Derived once (not a field: stays out of __eq__ and repr);
+        # schedulers read it per job per round.
+        object.__setattr__(
+            self, "_gpu_types", tuple(sorted({t for n in self.nodes for t in n.gpus}))
+        )
 
     # -- capacity views -------------------------------------------------
     @property
@@ -55,8 +60,7 @@ class Cluster:
     @property
     def gpu_types(self) -> tuple[str, ...]:
         """All GPU type names present, sorted for deterministic iteration."""
-        names = {t for n in self.nodes for t in n.gpus}
-        return tuple(sorted(names))
+        return self._gpu_types  # type: ignore[attr-defined]
 
     def node(self, node_id: int) -> Node:
         for n in self.nodes:

@@ -8,11 +8,12 @@ for memoization); the simulation engine keeps one authoritative state for
 "what is running right now".
 
 The slot universe is fixed at construction, so the canonical slot order
-is computed once and shared by every copy: :meth:`allocate` /
-:meth:`release` update the free-count vector in ``O(slots touched)`` and
-:meth:`key` never re-sorts — it just freezes (and caches) the maintained
-vector.  This is what keeps the DP recursion's per-node memo lookups flat
-as the cluster grows (see ``docs/performance.md``).
+(and each type's positions in it) is computed once and shared by every
+copy: :meth:`allocate` / :meth:`release` update the free-count vector in
+``O(slots touched)`` and :meth:`key` never re-sorts — it just freezes
+(and caches) the maintained vector.  This is what keeps the DP
+recursion's per-node memo lookups flat as the cluster grows (see
+``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ class ClusterState:
     :meth:`allocate` / :meth:`release`, which enforce capacity invariants.
     """
 
-    __slots__ = ("_capacity", "_free", "_order", "_index", "_vec", "_key_cache")
+    __slots__ = (
+        "_capacity", "_free", "_order", "_index", "_by_type", "_vec", "_key_cache",
+    )
 
     def __init__(self, capacity: dict[tuple[int, str], int]):
         for slot, cap in capacity.items():
@@ -47,6 +50,13 @@ class ClusterState:
         self._order: tuple[tuple[int, str], ...] = tuple(sorted(self._capacity))
         self._index: dict[tuple[int, str], int] = {
             slot: i for i, slot in enumerate(self._order)
+        }
+        # Each type's positions in the canonical order, shared like _order.
+        by_type: dict[str, list[int]] = {}
+        for i, (_, type_name) in enumerate(self._order):
+            by_type.setdefault(type_name, []).append(i)
+        self._by_type: dict[str, tuple[int, ...]] = {
+            type_name: tuple(positions) for type_name, positions in by_type.items()
         }
         # Free counts in canonical order; maintained incrementally so
         # key() needs no sort (and no dict walk).
@@ -110,6 +120,16 @@ class ClusterState:
             count = vec[i]
             if count > 0:
                 yield slot, count
+
+    def free_slots_of(self, type_name: str) -> Iterable[tuple[int, int]]:
+        """Yield ``(node_id, free_count)`` for one type's slots with free
+        GPUs, in canonical (node) order; walks only that type's slots."""
+        vec = self._vec
+        order = self._order
+        for i in self._by_type.get(type_name, ()):
+            count = vec[i]
+            if count > 0:
+                yield order[i][0], count
 
     # -- mutation ---------------------------------------------------------
     def can_fit(self, allocation: Allocation) -> bool:
@@ -194,6 +214,7 @@ class ClusterState:
         clone._free = dict(self._free)
         clone._order = self._order  # shared: the slot universe never changes
         clone._index = self._index
+        clone._by_type = self._by_type
         clone._vec = list(self._vec)
         clone._key_cache = self._key_cache
         return clone

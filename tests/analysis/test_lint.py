@@ -79,6 +79,25 @@ class TestNondeterminism:
         src = "import random\nx = random.random()\n"
         assert rules_of(lint_source(src, CORE)) == ["REP002"]
 
+    def test_seeded_stdlib_random_instance_allowed(self):
+        src = (
+            "import random\nfrom random import Random\n"
+            "a = random.Random(7)\nb = Random(seed)\nc = random.Random(x=seed)\n"
+        )
+        assert lint_source(src, CORE) == []
+        assert lint_source(src, "tests/fake.py") == []
+
+    def test_unseeded_or_system_stdlib_random_flagged(self):
+        src = (
+            "import random\n"
+            "a = random.Random()\nb = random.Random(None)\n"
+            "c = random.SystemRandom(7)\nd = random.shuffle(xs)\n"
+            "e = random.Random(7).random()\n"
+        )
+        findings = lint_source(src, CORE)
+        assert rules_of(findings) == ["REP002"] * 4
+        assert [f.line for f in findings] == [2, 3, 4, 5]
+
     def test_legacy_numpy_global_flagged(self):
         src = "import numpy as np\nx = np.random.rand(3)\n"
         assert rules_of(lint_source(src, CORE)) == ["REP002"]

@@ -22,6 +22,8 @@ class TestCluster:
         assert small_cluster.capacity("K80") == 2
         assert small_cluster.total_gpus == 9
         assert small_cluster.gpu_types == ("K80", "P100", "V100")
+        assert "_gpu_types" not in repr(small_cluster)
+        assert small_cluster == Cluster(list(small_cluster.nodes))
 
     def test_node_lookup(self, small_cluster):
         assert small_cluster.node(1).node_id == 1

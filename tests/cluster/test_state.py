@@ -23,6 +23,16 @@ class TestQueries:
     def test_slots_sorted(self, state):
         assert list(state.slots) == sorted(state.slots)
 
+    def test_free_slots_of_one_type(self, state):
+        assert list(state.free_slots_of("V100")) == [(0, 2), (1, 2)]
+        assert list(state.free_slots_of("A100")) == []
+        clone = state.copy()
+        clone.allocate(Allocation({(0, "V100"): 2, (2, "P100"): 1}))
+        clone.fail(1, "V100", 1)
+        assert list(clone.free_slots_of("V100")) == [(1, 1)]
+        assert list(clone.free_slots_of("P100")) == [(1, 1), (2, 1)]
+        assert list(state.free_slots_of("V100")) == [(0, 2), (1, 2)]
+
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
             ClusterState({(0, "V100"): -1})
