@@ -8,8 +8,10 @@ cycling 1-3):
 * ``tracing_disabled`` — a ``DecisionTracer(enabled=False)`` attached;
 * ``faults_disabled`` — an all-rates-zero ``FaultModel`` (repair-mode
   validator, fault phase, empty schedule);
-* ``metrics_live`` — a ``MetricsRegistry`` attached (the per-round engine
-  families and the health observer, published under the registry lock);
+* ``metrics_live`` — a ``MetricsRegistry`` attached: each decision
+  observes its latency, churn and queue waits, each step holds the
+  registry lock, and the engine's collector derives the other families
+  when ``stop()`` reads the registry;
 * ``snapshot_overhead`` — the step lifecycle with a full engine snapshot
   serialized every 25 rounds (the ``--snapshot-every`` CLI default).
 

@@ -10,16 +10,17 @@ Three pieces, one package:
   the applied diff (placements / migrations / preemptions), and the
   round's cache counters.  Near-zero overhead when disabled.
 * :class:`~repro.obs.registry.MetricsRegistry` — dependency-free
-  counters / gauges / histograms with labeled series.  The engine,
-  schedulers, and calibrator publish into it (per-round while stepping);
-  the snapshot lands in ``SimulationResult.metrics`` and exports to JSON.
+  counters / gauges / histograms with labeled series.  The engine
+  observes decision-time events into it and registers a collector that
+  derives its counters and gauges whenever the registry is read; the
+  snapshot lands in ``SimulationResult.metrics`` and exports to JSON.
 * :mod:`~repro.obs.server` + :mod:`~repro.obs.exposition` — a stdlib
   HTTP endpoint (``repro serve --listen``) serving the registry as
   Prometheus text exposition on ``/metrics`` plus ``/healthz`` /
   ``/readyz`` / ``/status``, scrape-atomic against the stepping engine.
-* :class:`~repro.obs.health.ClusterHealthPhase` — per-round cluster
-  health: fragmentation, per-type utilization, queue starvation,
-  allocation churn.
+* :class:`~repro.obs.health.ClusterHealthPhase` — cluster health:
+  allocation churn and queue waits per decision; fragmentation, per-type
+  utilization and queue starvation gauges on each read.
 * :mod:`~repro.obs.perfetto` — trace → Chrome ``trace_event`` timeline
   that opens in https://ui.perfetto.dev (rounds as frames, per-job
   allocation lifelines, price counter tracks, wall-clock phase spans).

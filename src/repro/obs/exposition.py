@@ -13,11 +13,11 @@ Two deliberate choices beyond a straight dump:
   incremented still emits one unlabeled zero sample (and, for
   histograms, a full zero bucket ladder) — dashboards see the family
   from the first scrape instead of gapping until the first event.
-* **round-atomic scrapes.**  :func:`render` holds the registry's lock
-  for the whole walk, pairing with the engine's per-round publication
-  block, so a scrape never observes a half-published round (a histogram
-  whose ``_sum`` moved but whose ``_count`` did not, a counter ahead of
-  its sibling gauge).
+* **step-atomic scrapes.**  :func:`render` holds the registry's lock
+  for the whole walk (the collectors run inside it), and the engine holds
+  the same lock across each step, so a scrape never observes a
+  half-finished step (a histogram whose ``_sum`` moved but whose
+  ``_count`` did not, a counter ahead of its sibling gauge).
 """
 
 from __future__ import annotations

@@ -5,8 +5,21 @@ ROADMAP's multi-tenant item needs scheduler-independent visibility into
 made — grounded in Synergy's multi-tenant resource-sensitive scheduling
 (arXiv 2110.06073) and the fragmentation/starvation objectives of arXiv
 2512.10980.  The :class:`ClusterHealthPhase` is a pure observer the
-engine runs after every scheduling decision whenever a
-:class:`~repro.obs.registry.MetricsRegistry` is attached; it publishes:
+engine builds whenever a :class:`~repro.obs.registry.MetricsRegistry` is
+attached.  Two families record events, once per scheduling decision
+(:meth:`~ClusterHealthPhase.after_decision`):
+
+``repro_queue_wait_seconds{scheduler=...}``
+    Histogram over completed waits: every time a queued job is placed,
+    the seconds it just spent allocation-less are observed (wide
+    minutes-to-days buckets, see :data:`QUEUE_WAIT_BUCKETS_S`).
+``repro_allocation_churn_total{scheduler=...,kind=...}``
+    Preemption/migration/placement churn, one counter per decision kind
+    (the multi-objective literature's "reallocation tax").
+
+The gauges describe the cluster as it is, so they are derived when the
+registry is read (:meth:`~ClusterHealthPhase.collect`, called from the
+engine's collector):
 
 ``repro_gpu_fragmentation_ratio{gpu_type=...}``
     How scattered the free devices of a type are across servers:
@@ -23,19 +36,12 @@ engine runs after every scheduling decision whenever a
     last lost (or never got) an allocation.  The companion
     ``repro_queue_starved_jobs`` gauge counts queued jobs older than
     :data:`STARVATION_AGE_S`.
-``repro_queue_wait_seconds{scheduler=...}``
-    Histogram over completed waits: every time a queued job is placed,
-    the seconds it just spent allocation-less are observed (wide
-    minutes-to-days buckets, see :data:`QUEUE_WAIT_BUCKETS_S`).
-``repro_allocation_churn_total{scheduler=...,kind=...}``
-    Preemption/migration/placement churn, one counter per decision kind
-    (the multi-objective literature's "reallocation tax").
 
-Everything is derived from state the round already produced — the
-cluster free vector, the runtimes table, and the
+Everything is derived from state the engine already holds — the cluster
+free vector, the runtimes table, and the
 :class:`~repro.sim.phases.SchedulerPhase`'s captured diff — so the phase
-holds no mutable state of its own beyond the metric handles it takes at
-construction; :meth:`MetricsRegistry.load_state_dict` restores those
+holds no mutable state of its own beyond the two metric handles it takes
+at construction; :meth:`MetricsRegistry.load_state_dict` restores those
 objects in place.  ``tests/core/test_chaos_snapshot.py`` checks that a
 restored run publishes the same families as the uninterrupted one, and
 ``tests/core/test_golden_parity_obs.py`` fails if the phase writes the
@@ -117,60 +123,29 @@ def queued_since(rt: JobRuntime) -> float:
     ``rt.history`` (scheduler preemption, fault preemption, completion),
     so the newest empty entry *is* the start of the current wait; a job
     that never held devices has an empty history and waits since arrival.
+    A queued job whose newest entry still shows a gang would mean an
+    unrecorded preemption path; the wait is then dated from that entry, so
+    the age is an underestimate, never an invention.
     """
-    history = rt.history
-    if history:
-        when, allocation = history[-1]
-        if not allocation:
-            return when
-        # Defensive: a queued job whose newest entry still shows a gang
-        # means an unrecorded preemption path; date the wait from that
-        # entry so the age is an underestimate, never an invention.
-        return when
-    return rt.job.arrival_time
+    return rt.history[-1][0] if rt.history else rt.job.arrival_time
 
 
 class ClusterHealthPhase:
-    """Layer 4d: per-round cluster-health publication (observer, stateless).
+    """Layer 4d: cluster-health families (observer, stateless).
 
-    Constructed by the engine whenever a metrics registry is attached;
-    :meth:`after_decision` runs inside the engine's per-round publication
-    block (the caller holds ``registry.lock``), so a concurrent
-    ``/metrics`` scrape sees either the whole round or none of it.
+    Constructed by the engine whenever a metrics registry is attached.
+    :meth:`after_decision` records the decision's churn and completed
+    queue waits; :meth:`collect` derives the gauges on each read of the
+    registry.  Both run under ``registry.lock``, which the engine holds
+    across each step, so a concurrent ``/metrics`` scrape sees either the
+    whole step or none of it.
     """
 
-    __slots__ = (
-        "registry",
-        "scheduler_label",
-        "_fragmentation",
-        "_utilization",
-        "_starvation",
-        "_starved",
-        "_wait_histogram",
-        "_churn",
-    )
+    __slots__ = ("registry", "scheduler_label", "_wait_histogram", "_churn")
 
     def __init__(self, registry: "MetricsRegistry", scheduler_name: str):
         self.registry = registry
         self.scheduler_label = {"scheduler": scheduler_name}
-        self._fragmentation = registry.gauge(
-            "repro_gpu_fragmentation_ratio",
-            "Free-GPU scatter per type: 1 - largest single-node free block "
-            "/ total free (gpu_type=all is the free-weighted mean)",
-        )
-        self._utilization = registry.gauge(
-            "repro_gpu_utilization_ratio",
-            "Allocated fraction of each GPU type's surviving capacity",
-        )
-        self._starvation = registry.gauge(
-            "repro_queue_starvation_seconds",
-            "Age of the longest-waiting queued job (simulated seconds "
-            "since it last held an allocation)",
-        )
-        self._starved = registry.gauge(
-            "repro_queue_starved_jobs",
-            f"Queued jobs waiting longer than {STARVATION_AGE_S:.0f}s",
-        )
         self._wait_histogram = registry.histogram(
             "repro_queue_wait_seconds",
             "Completed queue waits, observed when a queued job is placed",
@@ -186,46 +161,10 @@ class ClusterHealthPhase:
         *,
         now: float,
         runtimes: Mapping[int, JobRuntime],
-        state: "ClusterState",
         scheduler_phase: "SchedulerPhase",
     ) -> None:
-        """Publish this round's health families (caller holds the lock)."""
+        """Record the decision's churn and the queue waits it ended."""
         labels = self.scheduler_label
-
-        # -- fragmentation + per-type utilization ---------------------------
-        scores = fragmentation_by_type(state.free_slots())
-        free = state.free_by_type()
-        used_by_type = state.used_by_type()
-        for type_name in sorted(set(used_by_type) | set(free) | set(scores)):
-            # A fully-allocated type has no free slots to scatter — pin
-            # its score to 0 rather than letting a stale gauge linger.
-            self._fragmentation.set(
-                scores.get(type_name, 0.0), labels={"gpu_type": type_name}
-            )
-            if type_name == "all":
-                continue
-            used = used_by_type.get(type_name, 0)
-            capacity = used + free.get(type_name, 0)
-            if capacity > 0:
-                self._utilization.set(
-                    used / capacity, labels={"gpu_type": type_name}
-                )
-
-        # -- starvation age over the still-queued jobs ----------------------
-        oldest = 0.0
-        starved = 0
-        for rt in runtimes.values():
-            if rt.state is not JobState.QUEUED:
-                continue
-            age = now - queued_since(rt)
-            if age > oldest:
-                oldest = age
-            if age > STARVATION_AGE_S:
-                starved += 1
-        self._starvation.set(oldest, labels=labels)
-        self._starved.set(float(starved), labels=labels)
-
-        # -- completed waits + churn from the captured diff -----------------
         for job_id, old, new in scheduler_phase.last_changes:
             if new:
                 kind = "migrate" if old else "place"
@@ -245,3 +184,58 @@ class ClusterHealthPhase:
                 self._wait_histogram.observe(
                     max(0.0, now - began), labels=labels
                 )
+
+    def collect(
+        self,
+        registry: "MetricsRegistry",
+        *,
+        now: float,
+        runtimes: Mapping[int, JobRuntime],
+        state: "ClusterState",
+    ) -> None:
+        """Write the fragmentation, utilization and starvation gauges of
+        the cluster as it is now into ``registry``."""
+        fragmentation = registry.gauge(
+            "repro_gpu_fragmentation_ratio",
+            "Free-GPU scatter per type: 1 - largest single-node free block "
+            "/ total free (gpu_type=all is the free-weighted mean)",
+        )
+        utilization = registry.gauge(
+            "repro_gpu_utilization_ratio",
+            "Allocated fraction of each GPU type's surviving capacity",
+        )
+        scores = fragmentation_by_type(state.free_slots())
+        free = state.free_by_type()
+        used_by_type = state.used_by_type()
+        for type_name in sorted(set(used_by_type) | set(free) | set(scores)):
+            # A fully-allocated type has no free slots to scatter: it scores 0.
+            fragmentation.set(
+                scores.get(type_name, 0.0), labels={"gpu_type": type_name}
+            )
+            if type_name == "all":
+                continue
+            used = used_by_type.get(type_name, 0)
+            capacity = used + free.get(type_name, 0)
+            if capacity > 0:
+                utilization.set(used / capacity, labels={"gpu_type": type_name})
+
+        oldest = 0.0
+        starved = 0
+        for rt in runtimes.values():
+            if rt.state is not JobState.QUEUED:
+                continue
+            age = now - queued_since(rt)
+            if age > oldest:
+                oldest = age
+            if age > STARVATION_AGE_S:
+                starved += 1
+        labels = self.scheduler_label
+        registry.gauge(
+            "repro_queue_starvation_seconds",
+            "Age of the longest-waiting queued job (simulated seconds "
+            "since it last held an allocation)",
+        ).set(oldest, labels=labels)
+        registry.gauge(
+            "repro_queue_starved_jobs",
+            f"Queued jobs waiting longer than {STARVATION_AGE_S:.0f}s",
+        ).set(float(starved), labels=labels)

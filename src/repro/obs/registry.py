@@ -9,6 +9,13 @@ labeled series, a series is a float (counter/gauge) or a fixed-bucket
 histogram, and :meth:`MetricsRegistry.snapshot` renders everything as a
 plain JSON-able dict.
 
+*Stored* families are updated when the event they measure happens (a
+decision's latency, a placement's queue wait).  *Collected* families are
+derived from state another component already owns (round counters,
+gauges): a callback registered with :meth:`MetricsRegistry.add_collector`
+writes them into a fresh registry on each read — the Prometheus
+custom-collector idiom — so nothing recomputes them unread.
+
 Naming conventions (documented in ``docs/observability.md``):
 
 * every metric is prefixed ``repro_``;
@@ -29,7 +36,7 @@ import re
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 __all__ = [
     "ALLOWED_LABEL_NAMES",
@@ -149,11 +156,9 @@ class Counter:
     ) -> None:
         """Monotonically raise the series to ``target`` (no-op if at/past it).
 
-        The live publication path uses this to mirror cumulative stats
-        another component already owns (fault totals, rejection counts)
-        without keeping a shadow "last published" copy: both the counter
-        and the source stat are engine-snapshot state, so the idempotent
-        top-up stays correct across checkpoint/restore.
+        Collectors use this to mirror a cumulative stat another component
+        already owns (fault totals, rejection counts) into the fresh
+        registry of one read, where the top-up is the stat itself.
         """
         delta = target - self.value(labels=labels)
         if delta > 0:
@@ -310,32 +315,60 @@ class MetricsRegistry:
     standalone ``Counter()``/``Gauge()``/``Histogram()`` objects stay
     unvalidated scratch space.
 
+    Reads see stored and collected families together; :meth:`state_dict`
+    and :meth:`load_state_dict` cover the stored ones only.
+
     :attr:`lock` is the concurrency seam with the live exposition server:
-    publishers wrap each logically-atomic batch of updates in ``with
-    registry.lock``, and :func:`repro.obs.exposition.render` /
-    :meth:`snapshot` hold the same lock, so a scrape never reads a torn
-    round.  The lock is reentrant and uncontended in batch runs.
+    a publisher holds it across each logically-atomic batch of updates
+    (the engine, across each step), and every read holds it while the
+    collectors run, so a scrape never sees a torn step.  The lock is
+    reentrant and uncontended in batch runs.
     """
 
     def __init__(self) -> None:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        self._collectors: list[Callable[["MetricsRegistry"], None]] = []
         self.lock = threading.RLock()
 
+    def add_collector(self, collect: Callable[["MetricsRegistry"], None]) -> None:
+        """Derive families on every read: ``collect(fresh)`` writes them
+        into a registry built for that read.  Adding a collector that is
+        already registered (an equal bound method) is a no-op."""
+        with self.lock:
+            if collect not in self._collectors:
+                self._collectors.append(collect)
+
+    def _all(self) -> dict[str, Counter | Gauge | Histogram]:
+        """Stored families plus the ones the collectors derive now."""
+        with self.lock:
+            if not self._collectors:
+                return self._metrics
+            fresh = MetricsRegistry()
+            for collect in self._collectors:
+                collect(fresh)
+            clash = sorted(fresh._metrics.keys() & self._metrics.keys())
+            if clash:
+                raise ValueError(
+                    f"collected families {clash} are also stored in the registry"
+                )
+            return {**self._metrics, **fresh._metrics}
+
     def __len__(self) -> int:
-        return len(self._metrics)
+        return len(self._all())
 
     def __contains__(self, name: str) -> bool:
-        return name in self._metrics
+        return name in self._all()
 
     def names(self) -> list[str]:
-        return sorted(self._metrics)
+        return sorted(self._all())
 
     def families(self) -> list[Counter | Gauge | Histogram]:
-        """Every registered metric object, name-sorted."""
-        return [self._metrics[name] for name in sorted(self._metrics)]
+        """Every metric object, stored and collected, name-sorted."""
+        metrics = self._all()
+        return [metrics[name] for name in sorted(metrics)]
 
     def get(self, name: str) -> Optional[Counter | Gauge | Histogram]:
-        return self._metrics.get(name)
+        return self._all().get(name)
 
     def _register(self, metric):
         existing = self._metrics.get(metric.name)
@@ -379,8 +412,8 @@ class MetricsRegistry:
         ``RoundStats.as_dict()``, ``hotpath_stats`` — so every subsystem's
         numbers land in one namespace without bespoke glue per counter.
         The source dicts are cumulative, so each series is a monotonic
-        ``advance_to`` top-up: the live per-round publication path and the
-        end-of-run publication can both run without double counting.
+        ``advance_to`` top-up and publishing the same dict twice does not
+        double count.
         """
         metric = self.counter(f"{prefix}_total", help)
         for key in sorted(counters):
@@ -391,15 +424,15 @@ class MetricsRegistry:
 
     # -- export ---------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Everything published so far, as a plain JSON-able dict."""
+        """Every family, stored and collected, as a plain JSON-able dict."""
         with self.lock:
             return {
-                name: {
+                metric.name: {
                     "type": metric.kind,
                     "help": metric.help,
                     "series": metric.series(),
                 }
-                for name, metric in sorted(self._metrics.items())
+                for metric in self.families()
             }
 
     def to_json(self, indent: int = 2) -> str:
@@ -407,9 +440,11 @@ class MetricsRegistry:
 
     # -- engine snapshot support ----------------------------------------------
     def state_dict(self) -> dict:
-        """Full reconstructible state (unlike :meth:`snapshot`, which is a
-        cumulative *rendering* of histograms).  Histogram min/max are hex
-        floats so the ±inf sentinels of an empty series survive JSON."""
+        """Full reconstructible state of the stored families (unlike
+        :meth:`snapshot`, which is a cumulative *rendering* of histograms
+        and includes what the collectors derive from their owners' own
+        state).  Histogram min/max are hex floats so the ±inf sentinels of
+        an empty series survive JSON."""
         with self.lock:
             return self._state_dict_locked()
 

@@ -7,7 +7,7 @@ thread) that turns the in-process :class:`~repro.obs.registry
 ``/metrics``
     Prometheus text exposition (format 0.0.4) rendered by
     :mod:`repro.obs.exposition` under the registry lock — scrapes are
-    atomic against the stepping engine's per-round publication.
+    atomic against the stepping engine, which holds the lock per step.
 ``/healthz``
     Liveness: 200 whenever the server thread is serving.
 ``/readyz``

@@ -46,10 +46,14 @@ The engine is a checkpointable service, not just a batch loop:
 * a :class:`~repro.workload.arrivals.SubmissionSource` streams jobs into
   the kernel while the engine runs, so the workload need not be known at
   construction (``repro.cli serve``).
+* with a :class:`~repro.obs.registry.MetricsRegistry` attached, a
+  decision observes only its latency, churn and queue waits; the other
+  families are derived by one collector when the registry is read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time as _time
 from dataclasses import dataclass, field
@@ -187,6 +191,19 @@ class SimulationResult:
         return sum(self.decision_seconds) / len(self.decision_seconds)
 
 
+def _locked(method):
+    """Run an engine method under the attached registry's lock: reads see whole steps."""
+
+    @functools.wraps(method)
+    def call(self, *args, **kwargs):
+        if self.metrics is None:
+            return method(self, *args, **kwargs)
+        with self.metrics.lock:
+            return method(self, *args, **kwargs)
+
+    return call
+
+
 @dataclass
 class SimulationEngine:
     """One simulation run binding a cluster, trace, and scheduler."""
@@ -212,9 +229,9 @@ class SimulationEngine:
     :class:`~repro.sim.phases.TracePhase` emits one schema-versioned JSONL
     record per scheduling round (see :mod:`repro.obs`)."""
     metrics: Optional["MetricsRegistry"] = None
-    """Optional metrics registry; the engine publishes phase timings,
-    round/completion counters, decision latencies, and the schedulers'
-    hot-path counters into it, and snapshots it into
+    """Optional metrics registry; the engine observes decision latencies
+    into it, registers a collector for its phase timings, round/completion
+    counters and the schedulers' hot-path counters, and snapshots it into
     :attr:`SimulationResult.metrics`."""
     source: Optional[SubmissionSource] = None
     """Optional streaming job source; when attached, the engine pulls jobs
@@ -309,6 +326,9 @@ class SimulationEngine:
             from repro.obs.health import ClusterHealthPhase
 
             health_phase = ClusterHealthPhase(self.metrics, self.scheduler.name)
+            self._decision_latency = self.metrics.histogram(
+                "repro_decision_seconds", "Per-round scheduler decision latency"
+            )
         self._health_phase = health_phase
         # The health phase reads the captured decision diff (churn, queue
         # waits), so capturing is armed whenever either consumer is live.
@@ -336,6 +356,7 @@ class SimulationEngine:
         self._paused = False
         self._result = None
 
+    @_locked
     def start(self) -> None:
         """Build the run's state and seed the kernel's initial events."""
         if self._lifecycle != "created":
@@ -357,6 +378,8 @@ class SimulationEngine:
         if self.source is not None:
             self._push_next_submission()
         self._lifecycle = "running"
+        if self.metrics is not None:
+            self.metrics.add_collector(self._collect_metrics)
 
     def pause(self) -> None:
         """Make :meth:`step` a no-op until :meth:`resume` (state is kept)."""
@@ -408,6 +431,7 @@ class SimulationEngine:
         self._require_running("note restore fallbacks")
         self._restore_fallbacks += int(count)
 
+    @_locked
     def step(self) -> bool:
         """Process at most one event; True while more work remains.
 
@@ -513,12 +537,19 @@ class SimulationEngine:
                 )
             if event.kind is EventKind.ROUND_BOUNDARY and changed:
                 self._rounds_with_change += 1
-            if self.metrics is not None:
-                self._publish_round(now)
+            if self._health_phase is not None:
+                self._health_phase.after_decision(
+                    now=now, runtimes=runtimes, scheduler_phase=self._scheduler_phase
+                )
+                self._decision_latency.observe(
+                    self._scheduler_phase.decision_seconds[-1],
+                    labels={"scheduler": self.scheduler.name},
+                )
         self._telemetry.record_queue_depth(now, runtimes)
         self._loop_s += _time.perf_counter() - tick
         return self._has_work()
 
+    @_locked
     def stop(self) -> SimulationResult:
         """Finalize the run and build the :class:`SimulationResult`.
 
@@ -589,7 +620,6 @@ class SimulationEngine:
             hotpath_stats=result.hotpath_stats,
         )
         if self.metrics is not None:
-            self._publish_metrics(result)
             result.metrics = self.metrics.snapshot()
         self._lifecycle = "stopped"
         self._paused = False
@@ -628,6 +658,7 @@ class SimulationEngine:
 
         return capture_engine_state(self)
 
+    @_locked
     def restore(self, state: "EngineState") -> None:
         """Rebuild a freshly constructed engine from a snapshot.
 
@@ -645,6 +676,8 @@ class SimulationEngine:
         self._setup()
         apply_engine_state(self, state)
         self._lifecycle = "running"
+        if self.metrics is not None:
+            self.metrics.add_collector(self._collect_metrics)
 
     # ----------------------------------------------------------- internals --
     def _require_running(self, what: str) -> None:
@@ -701,70 +734,32 @@ class SimulationEngine:
         self._push_next_submission()
 
     # ------------------------------------------------------------- metrics --
-    def _publish_round(self, now: float) -> None:
-        """Per-round live publication into the attached registry.
-
-        One logically-atomic batch under the registry lock — the
-        exposition server renders under the same lock, so a concurrent
-        ``/metrics`` scrape observes whole rounds, never a torn one.
-        Every cumulative family is a monotonic ``advance_to`` top-up from
-        state the engine already owns, which makes the batch idempotent:
-        the end-of-run publication in :meth:`stop` re-runs it harmlessly,
-        and a restored engine (whose registry travels in the snapshot)
-        continues bit-identically.  The one exception is the decision
-        latency histogram, observed here once per decision: latencies are
-        wall-clock measurements, not engine state, so nothing replays them.
-        """
-        registry = self.metrics
-        assert registry is not None
-        with registry.lock:
-            if self._health_phase is not None:
-                self._health_phase.after_decision(
-                    now=now,
-                    runtimes=self._runtimes,
-                    state=self._state,
-                    scheduler_phase=self._scheduler_phase,
-                )
-            self._publish_engine_families(now)
-            registry.histogram(
-                "repro_decision_seconds", "Per-round scheduler decision latency"
-            ).observe(
-                self._scheduler_phase.decision_seconds[-1],
-                labels={"scheduler": self.scheduler.name},
-            )
-
-    def _publish_engine_families(self, now: float) -> None:
-        """The engine-owned families (caller holds the registry lock).
+    def _collect_metrics(self, registry: "MetricsRegistry") -> None:
+        """The engine-owned families, derived from engine state on each
+        read of the attached registry (``registry`` is that read's fresh
+        registry; the caller holds the attached one's lock).
 
         Naming follows ``docs/observability.md``: everything ``repro_``-
         prefixed, counters end in ``_total``, timings in ``_seconds``,
         labels low-cardinality (``scheduler``, ``phase``, ``counter``).
         """
-        registry = self.metrics
-        assert registry is not None
         phase = self._scheduler_phase
+        fault_phase = self._fault_phase
         labels = {"scheduler": self.scheduler.name}
-        registry.counter(
-            "repro_engine_rounds_total", "Scheduler invocations"
-        ).advance_to(phase.invocations, labels=labels)
-        registry.counter(
-            "repro_engine_ticks_total", "Events popped from the kernel"
-        ).advance_to(self._ticks, labels=labels)
-        registry.counter(
-            "repro_jobs_completed_total", "Jobs that ran to completion"
-        ).advance_to(self._completed, labels=labels)
-        registry.counter(
-            "repro_rounds_with_change_total",
-            "Rounds in which at least one job's allocation changed",
-        ).advance_to(self._rounds_with_change, labels=labels)
         arrived = sum(
-            1
-            for rt in self._runtimes.values()
-            if rt.state is not JobState.PENDING
+            1 for rt in self._runtimes.values() if rt.state is not JobState.PENDING
         )
-        registry.counter(
-            "repro_jobs_arrived_total", "Jobs that have entered the system"
-        ).advance_to(arrived, labels=labels)
+        for name, help_text, value in (
+            ("repro_engine_rounds_total", "Scheduler invocations", phase.invocations),
+            ("repro_engine_ticks_total", "Events popped from the kernel", self._ticks),
+            ("repro_jobs_completed_total", "Jobs that ran to completion",
+             self._completed),
+            ("repro_rounds_with_change_total",
+             "Rounds in which at least one job's allocation changed",
+             self._rounds_with_change),
+            ("repro_jobs_arrived_total", "Jobs that have entered the system", arrived),
+        ):
+            registry.counter(name, help_text).advance_to(value, labels=labels)
         queued, running = phase.last_queue_depth
         depth = registry.gauge(
             "repro_queue_depth", "Jobs by lifecycle state at the last decision"
@@ -773,7 +768,7 @@ class SimulationEngine:
         depth.set(running, labels={**labels, "state": "running"})
         registry.gauge(
             "repro_sim_time_seconds", "Simulated clock of the newest event"
-        ).set(now, labels=labels)
+        ).set(self._now, labels=labels)
         if self.source is not None:
             registry.counter(
                 "repro_submissions_total",
@@ -794,20 +789,12 @@ class SimulationEngine:
                 labels=labels,
                 help="Allocation-engine and calibration hot-path counters",
             )
-        fault_phase = self._fault_phase
         if fault_phase is not None:
             faults = registry.counter(
                 "repro_faults_total", "Injected fault events by kind"
             )
-            for kind in (
-                "node_faults",
-                "gpu_faults",
-                "recoveries",
-                "partitions",
-                "partition_heals",
-                "degraded_windows",
-                "storage_losses",
-            ):
+            for kind in ("node_faults", "gpu_faults", "recoveries", "partitions",
+                         "partition_heals", "degraded_windows", "storage_losses"):
                 faults.advance_to(
                     fault_phase.stats.get(kind, 0), labels={**labels, "kind": kind}
                 )
@@ -832,25 +819,12 @@ class SimulationEngine:
                 "repro_decisions_rejected_total",
                 "Decision entries rejected-and-repaired by the validator, by reason",
             )
-            by_reason: dict[str, int] = {}
             for rejection in phase.validator.rejections:
-                by_reason[rejection.reason] = by_reason.get(rejection.reason, 0) + 1
-            for reason, count in sorted(by_reason.items()):
-                rejected.advance_to(count, labels={**labels, "reason": reason})
-
-    def _publish_metrics(self, result: SimulationResult) -> None:
-        """Final top-up of the live families at the end of the run.
-
-        Every family is published via monotonic top-ups, so this is the
-        same batch :meth:`_publish_round` runs per round — it exists so a
-        registry attached to a run *without* live consumers still ends up
-        complete, and so the final ``phase_timings`` (whose dispatch
-        bucket is only computed in :meth:`stop`) land in the gauges.
-        """
-        registry = self.metrics
-        assert registry is not None
-        with registry.lock:
-            self._publish_engine_families(self._now)
+                rejected.inc(labels={**labels, "reason": rejection.reason})
+        if self._health_phase is not None:
+            self._health_phase.collect(
+                registry, now=self._now, runtimes=self._runtimes, state=self._state
+            )
 
     # -------------------------------------------------------------- status --
     def status(self) -> dict:

@@ -153,41 +153,30 @@ class SchedulerPhase:
         clock, no decision reads it, and one float per round would make
         every snapshot larger than the last.
         ``capture_changes``/``on_place``/``fault_phase`` are wiring the
-        engine reattaches at restore.  ``last_changes`` and
-        ``last_queue_depth`` are captured: ``status()`` and the
-        end-of-run queue-depth gauge read the latest decision's depth
-        before the next invocation overwrites it.  The validator's
-        ``last_rejections`` is a per-round transient the next invocation
-        overwrites before any read, so it is not captured.
+        engine reattaches at restore.  ``last_queue_depth`` is captured:
+        ``status()`` and the queue-depth gauge read the latest decision's
+        depth before the next invocation overwrites it.  ``last_changes``
+        and the validator's ``last_rejections`` are per-round transients
+        the next invocation overwrites before any read, so they are not
+        captured.
         ``tests/core/test_chaos_snapshot.py`` checks that a restored run
         reproduces every output of the uninterrupted one.
         """
-        from repro.sim.progress import _alloc_to_record
-
         return {
             "invocations": self.invocations,
             "hotpath_stats": dict(self.hotpath_stats),
-            "last_changes": [
-                [job_id, _alloc_to_record(old), _alloc_to_record(new)]
-                for job_id, old, new in self.last_changes
-            ],
             "last_queue_depth": list(self.last_queue_depth),
             "rejections": [r.as_record() for r in self.validator.rejections],
         }
 
     def load_state_dict(self, state: dict) -> None:
         from repro.faults.validator import DecisionRejected
-        from repro.sim.progress import _alloc_from_record
 
         self.invocations = int(state["invocations"])
         self.decision_seconds = []
         self.hotpath_stats = {
             str(k): int(v) for k, v in state["hotpath_stats"].items()
         }
-        self.last_changes = [
-            (int(job_id), _alloc_from_record(old), _alloc_from_record(new))
-            for job_id, old, new in state["last_changes"]
-        ]
         self.last_queue_depth = (
             int(state["last_queue_depth"][0]),
             int(state["last_queue_depth"][1]),

@@ -28,7 +28,7 @@ Three properties make that hold:
 
 The on-disk envelope is a single JSON document::
 
-    {"format": "repro-engine-snapshot", "version": 2,
+    {"format": "repro-engine-snapshot", "version": 3,
      "checksum": "<sha256 of the canonical state JSON>",
      "state": {...}}
 
@@ -61,9 +61,12 @@ __all__ = [
 ]
 
 SNAPSHOT_FORMAT = "repro-engine-snapshot"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 """2: the scheduler phase keeps an invocation count instead of every
-decision's latency, and the phase timings lost ``calibration_s``."""
+decision's latency, and the phase timings lost ``calibration_s``.
+3: ``metrics`` holds only the families observed at events, ``lifecycle``
+carries the restore-fallback count, and the scheduler phase no longer
+keeps the last decision's diff (the next decision overwrites it unread)."""
 
 
 class SnapshotError(ValueError):
@@ -155,6 +158,7 @@ def capture_engine_state(engine: "SimulationEngine") -> EngineState:
             "halted": engine._halted,
             "paused": engine._paused,
             "round_scheduled": engine._round_scheduled,
+            "restore_fallbacks": engine._restore_fallbacks,
         },
         events=engine._kernel.state_dict(),
         jobs=[rt.state_dict() for rt in engine._runtimes.values()],
@@ -265,6 +269,7 @@ def apply_engine_state(engine: "SimulationEngine", state: EngineState) -> None:
     engine._halted = bool(lifecycle["halted"])
     engine._paused = bool(lifecycle["paused"])
     engine._round_scheduled = bool(lifecycle["round_scheduled"])
+    engine._restore_fallbacks = int(lifecycle["restore_fallbacks"])
 
 
 def _canonical(payload: dict) -> str:

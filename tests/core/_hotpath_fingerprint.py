@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 from repro.baselines import GavelScheduler, TiresiasScheduler
 from repro.cluster.cluster import simulated_cluster
 from repro.core import HadarScheduler
-from repro.sim.engine import simulate
+from repro.sim.engine import SimulationEngine, simulate
 from repro.workload.philly import PhillyTraceConfig, generate_philly_trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -63,6 +63,17 @@ def run_scheduler(
     cluster = simulated_cluster()
     trace = generate_philly_trace(PhillyTraceConfig(num_jobs=NUM_JOBS, seed=seed))
     return simulate(cluster, trace, scheduler, **(engine_kwargs or {}))
+
+
+def scenario_engine(name: str, seed: int, **engine_kwargs) -> SimulationEngine:
+    """The parity scenario of ``seed`` as an unstarted engine, for runs
+    driven step by step (same defaults as :func:`run_scenario`)."""
+    return SimulationEngine(
+        cluster=simulated_cluster(),
+        trace=generate_philly_trace(PhillyTraceConfig(num_jobs=NUM_JOBS, seed=seed)),
+        scheduler=make_scheduler(name),
+        **engine_kwargs,
+    )
 
 
 def fingerprint(result: "SimulationResult") -> dict:

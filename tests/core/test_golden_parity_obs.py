@@ -5,7 +5,9 @@ MetricsRegistry (and with it the cluster-health phase) and
 InvariantSanitizer attached, and requires the *same* schedule
 fingerprints as ``tests/core/test_hotpath_parity.py`` — tracing,
 metrics, health and invariant checks may read scheduler state but must
-never perturb a single decision.  A write guard makes a balanced write
+never perturb a single decision.  Reading the registry runs the
+engine's collector, so a run scraped after every step must also equal
+an unscraped one in every output.  A write guard makes a balanced write
 loud too: during any observer call, mutating a ``ClusterState`` the
 observer did not create itself (a throwaway probe copy is fine) fails
 the test, even when a later write would restore the free counts.  The
@@ -20,8 +22,9 @@ import pytest
 from repro.analysis.sanitizer import InvariantSanitizer
 from repro.cluster.state import ClusterState
 from repro.core.scheduler import HadarScheduler
-from repro.obs import DecisionTracer, MetricsRegistry, validate_trace
+from repro.obs import DecisionTracer, MetricsRegistry, render, validate_trace
 from repro.obs.health import ClusterHealthPhase
+from repro.sim.engine import SimulationEngine
 from repro.sim.phases import SanitizerPhase, TelemetryPhase, TracePhase
 
 from tests.core._hotpath_fingerprint import (
@@ -29,7 +32,9 @@ from tests.core._hotpath_fingerprint import (
     SEEDS,
     digest,
     fingerprint,
+    outputs,
     run_scenario,
+    scenario_engine,
 )
 
 GOLDEN_PATH = Path(__file__).with_name("golden_hotpath.json")
@@ -43,11 +48,14 @@ OBSERVERS = (
     (TracePhase, "emit_summary"),
     (SanitizerPhase, "after_decision"),
     (ClusterHealthPhase, "after_decision"),
+    (ClusterHealthPhase, "collect"),
+    (SimulationEngine, "_collect_metrics"),
     (HadarScheduler, "_build_decision_trace"),
     (DecisionTracer, "emit"),
 )
 """Every observer entry point: the engine's observer phases, the
-scheduler's decision-trace builder and the tracer sink."""
+metrics collectors, the scheduler's decision-trace builder and the
+tracer sink."""
 
 _WRITES = ("allocate", "release", "fail", "restore", "load_state_dict")
 
@@ -137,6 +145,21 @@ def test_tracing_and_metrics_preserve_schedules(name, seed, monkeypatch):
     assert rounds_series[0]["value"] == result.scheduling_invocations
     completed_series = result.metrics["repro_jobs_completed_total"]["series"]
     assert completed_series[0]["value"] == len(result.completed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_scrape_after_every_step_preserves_outputs(seed, monkeypatch):
+    forbid_observer_writes(monkeypatch)
+    unscraped = run_scenario("hadar", seed, engine_kwargs={"metrics": MetricsRegistry()})
+    metrics = MetricsRegistry()
+    engine = scenario_engine("hadar", seed, metrics=metrics)
+    engine.start()
+    render(metrics)
+    while engine.step():
+        render(metrics)
+    result = engine.stop()
+    assert digest(fingerprint(result)) == GOLDEN[f"hadar/{seed}"]["sha256"]
+    assert outputs(result) == outputs(unscraped)
 
 
 def test_disabled_tracer_also_preserves_schedules():

@@ -12,6 +12,7 @@ from repro.obs import (
     MetricLabelError,
     MetricNameError,
     MetricsRegistry,
+    render,
 )
 
 
@@ -152,8 +153,8 @@ class TestAdvanceTo:
         assert c.value() == 5
 
     def test_count_all_republishing_does_not_double_count(self):
-        # The engine republishes the same hotpath stats every round;
-        # count_all must converge, not accumulate.
+        # The hotpath stats are cumulative: publishing the same dict
+        # again must converge, not accumulate.
         reg = MetricsRegistry()
         stats = {"find_alloc_calls": 7, "cache_hits": 3}
         for _ in range(3):
@@ -162,6 +163,58 @@ class TestAdvanceTo:
         assert metric.value(
             labels={"counter": "find_alloc_calls", "scheduler": "hadar"}
         ) == 7
+
+
+class TestCollectors:
+    def test_reads_include_collected_families(self):
+        reg = MetricsRegistry()
+        reg.counter("repro_a_total").inc()
+        reg.add_collector(lambda fresh: fresh.gauge("repro_b").set(3.0))
+        assert len(reg) == 2 and "repro_b" in reg
+        assert reg.names() == ["repro_a_total", "repro_b"]
+        assert [m.name for m in reg.families()] == reg.names()
+        assert reg.get("repro_b").value() == 3.0
+        assert reg.snapshot()["repro_b"]["series"] == [{"labels": {}, "value": 3.0}]
+        assert "repro_b 3\n" in render(reg)
+
+    def test_collected_families_are_derived_on_each_read(self):
+        reg = MetricsRegistry()
+        depth = [1]
+        reg.add_collector(lambda fresh: fresh.gauge("repro_b").set(depth[0]))
+        first = reg.get("repro_b")
+        depth[0] = 5
+        assert reg.get("repro_b").value() == 5.0
+        assert first.value() == 1.0  # each read builds its own families
+
+    def test_state_dict_covers_stored_families_only(self):
+        reg = MetricsRegistry()
+        reg.counter("repro_a_total").inc(2)
+        reg.add_collector(lambda fresh: fresh.gauge("repro_b").set(1.0))
+        assert set(reg.state_dict()) == {"repro_a_total"}
+        other = MetricsRegistry()
+        other.load_state_dict(reg.state_dict())
+        assert other.names() == ["repro_a_total"]
+
+    def test_name_clash_with_a_stored_family_raises(self):
+        reg = MetricsRegistry()
+        reg.gauge("repro_b").set(1.0)
+        reg.add_collector(lambda fresh: fresh.gauge("repro_b").set(2.0))
+        with pytest.raises(ValueError, match="repro_b"):
+            reg.names()
+
+    def test_adding_the_same_collector_again_is_a_no_op(self):
+        class Owner:
+            calls = 0
+
+            def collect(self, fresh):
+                self.calls += 1
+                fresh.counter("repro_a_total").inc()
+
+        reg, owner = MetricsRegistry(), Owner()
+        reg.add_collector(owner.collect)
+        reg.add_collector(owner.collect)
+        assert reg.get("repro_a_total").value() == 1.0
+        assert owner.calls == 1
 
 
 class TestNameAndLabelValidation:

@@ -224,7 +224,7 @@ class TestLiveEngine:
 class TestGoldenParityWithServer:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_attached_server_preserves_schedules(self, seed):
-        """Live publication + a concurrently scraping server must not
+        """Live metrics + a concurrently scraping server must not
         change one scheduling decision vs the recorded goldens."""
         metrics = MetricsRegistry()
         srv = ObservabilityServer(metrics)

@@ -20,7 +20,7 @@ from repro.analysis.sanitizer import InvariantSanitizer
 from repro.cluster.cluster import simulated_cluster
 from repro.core import HadarScheduler
 from repro.faults import FaultModel
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, parse_exposition, render
 from repro.sim.engine import SimulationEngine, simulate
 from repro.sim.snapshot import (
     SNAPSHOT_VERSION,
@@ -32,7 +32,7 @@ from repro.workload.arrivals import SubmissionSource
 from repro.workload.philly import PhillyTraceConfig, generate_philly_trace
 from repro.workload.trace import Trace
 
-from tests.core._hotpath_fingerprint import outputs
+from tests.core._hotpath_fingerprint import WALL_CLOCK_FAMILIES, outputs
 
 
 def make_trace(seed: int = 1, num_jobs: int = 10) -> Trace:
@@ -246,6 +246,58 @@ class TestSnapshotSize:
             if rounds in (100, 700) and rounds not in sizes:
                 sizes[rounds] = len(SnapshotCodec().dumps(engine.snapshot()))
         assert sizes[700] <= 1.1 * sizes[100]
+
+
+class TestSnapshotMetrics:
+    EVENT_OBSERVED = {
+        "repro_decision_seconds",
+        "repro_queue_wait_seconds",
+        "repro_allocation_churn_total",
+    }
+
+    @staticmethod
+    def attached():
+        return dict(
+            faults=FaultModel(node_mtbf_h=0.5, mttr_s=1800.0, seed=3),
+            metrics=MetricsRegistry(),
+        )
+
+    @staticmethod
+    def exposition(engine) -> dict:
+        families = parse_exposition(render(engine.metrics))
+        for name in WALL_CLOCK_FAMILIES:
+            families.pop(name)
+        return families
+
+    def test_snapshot_holds_only_event_observed_families(self):
+        engine = loaded_engine(steps=300, **self.attached())
+        assert set(engine.snapshot().metrics) == self.EVENT_OBSERVED
+        # The rest is derived when the registry is read.
+        assert "repro_engine_rounds_total" in engine.metrics
+        assert "repro_gpu_fragmentation_ratio" in engine.metrics
+
+    def test_restored_engine_renders_the_uninterrupted_exposition(self):
+        engine = loaded_engine(steps=150, **self.attached())
+        restored = make_engine(**self.attached())
+        restored.restore(SnapshotCodec().loads(SnapshotCodec().dumps(engine.snapshot())))
+        assert self.exposition(restored) == self.exposition(engine)
+        for _ in range(100):
+            assert engine.step() == restored.step()
+        assert self.exposition(restored) == self.exposition(engine)
+
+    def test_restore_fallbacks_accumulate_across_restores(self):
+        """Two corrupt snapshots skipped by one restore and one more by
+        the next: the counter reads 3 at the end of the run."""
+        engine = loaded_engine(steps=100, metrics=MetricsRegistry())
+        engine.note_restore_fallbacks(2)
+        rounds = engine.scheduling_invocations
+        while engine.scheduling_invocations == rounds:
+            engine.step()
+        restored = make_engine(metrics=MetricsRegistry())
+        restored.restore(SnapshotCodec().loads(SnapshotCodec().dumps(engine.snapshot())))
+        restored.note_restore_fallbacks(1)
+        series = restored.run().metrics["repro_snapshot_restore_fallbacks_total"]["series"]
+        assert [record["value"] for record in series] == [3.0]
 
 
 class TestCodecEnvelope:
