@@ -389,9 +389,7 @@ class FaultPhase:
         victims: list[JobRuntime] = []
         deficits = self._deficits(want, state)
         if deficits:
-            for rt in sorted(
-                ledger.runtimes.values(), key=lambda r: r.job_id
-            ):
+            for rt in sorted(ledger.live.values(), key=lambda r: r.job_id):
                 if rt.state is not JobState.RUNNING or not rt.allocation:
                     continue
                 if any(s in deficits for s in rt.allocation.placements):
@@ -475,7 +473,7 @@ class FaultPhase:
         cut = set(event.nodes)
         stalled: list[int] = []
         victims: list[int] = []
-        for rt in sorted(ledger.runtimes.values(), key=lambda r: r.job_id):
+        for rt in sorted(ledger.live.values(), key=lambda r: r.job_id):
             if rt.state is not JobState.RUNNING or not rt.allocation:
                 continue
             placed = {node_id for node_id, _ in rt.allocation.placements}
@@ -615,7 +613,7 @@ class FaultPhase:
     def _retune_node(self, node_id: int, ledger, now: float) -> list[int]:
         """Retune every running gang with a worker on ``node_id``."""
         jobs: list[int] = []
-        for rt in sorted(ledger.runtimes.values(), key=lambda r: r.job_id):
+        for rt in sorted(ledger.live.values(), key=lambda r: r.job_id):
             if rt.state is not JobState.RUNNING or not rt.allocation:
                 continue
             if any(n == node_id for n, _ in rt.allocation.placements):
@@ -652,10 +650,8 @@ class FaultPhase:
         victims: list[int] = []
         queued_hit: list[int] = []
         lost_total = 0.0
-        for rt in sorted(ledger.runtimes.values(), key=lambda r: r.job_id):
+        for rt in sorted(ledger.live.values(), key=lambda r: r.job_id):
             if rt.job_id % tiers != event.tier:
-                continue
-            if rt.state is JobState.COMPLETE:
                 continue
             if rt.iterations_done <= 0 and rt.checkpoint_iterations <= 0:
                 continue  # nothing saved, nothing lost
@@ -707,7 +703,7 @@ class FaultPhase:
     def _rollback(
         self, rt: JobRuntime, state: "ClusterState", now: float, fault_id: int
     ) -> None:
-        """Crash-restart ``rt``: re-queue and roll back to its checkpoint."""
+        """Crash-restart ``rt``: re-queue (it stays live) and roll back to its checkpoint."""
         remaining_before = rt.remaining_iterations
         lost_iters = max(0.0, rt.iterations_done - rt.checkpoint_iterations)
         lost_seconds = lost_iters / rt.rate if rt.rate > 0 else 0.0

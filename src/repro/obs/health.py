@@ -38,7 +38,7 @@ engine's collector):
     :data:`STARVATION_AGE_S`.
 
 Everything is derived from state the engine already holds — the cluster
-free vector, the runtimes table, and the
+free vector, the runtimes table (its live set, for the gauges), and the
 :class:`~repro.sim.phases.SchedulerPhase`'s captured diff — so the phase
 holds no mutable state of its own beyond the two metric handles it takes
 at construction; :meth:`MetricsRegistry.load_state_dict` restores those
@@ -190,11 +190,12 @@ class ClusterHealthPhase:
         registry: "MetricsRegistry",
         *,
         now: float,
-        runtimes: Mapping[int, JobRuntime],
+        live: Mapping[int, JobRuntime],
         state: "ClusterState",
     ) -> None:
         """Write the fragmentation, utilization and starvation gauges of
-        the cluster as it is now into ``registry``."""
+        the cluster as it is now into ``registry`` (``live`` is the
+        ledger's set of queued and running jobs)."""
         fragmentation = registry.gauge(
             "repro_gpu_fragmentation_ratio",
             "Free-GPU scatter per type: 1 - largest single-node free block "
@@ -221,7 +222,7 @@ class ClusterHealthPhase:
 
         oldest = 0.0
         starved = 0
-        for rt in runtimes.values():
+        for rt in live.values():
             if rt.state is not JobState.QUEUED:
                 continue
             age = now - queued_since(rt)

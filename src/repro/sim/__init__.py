@@ -34,7 +34,6 @@ from repro.sim.interface import Scheduler, SchedulerContext
 from repro.sim.kernel import EventKernel
 from repro.sim.phases import (
     PhaseTimings,
-    SanitizerPhase,
     SchedulerPhase,
     SchedulerProtocolError,
     TelemetryPhase,
@@ -62,7 +61,6 @@ __all__ = [
     "ProgressLedger",
     "RecordingScheduler",
     "ReplayScheduler",
-    "SanitizerPhase",
     "Scheduler",
     "SchedulerContext",
     "SchedulerPhase",

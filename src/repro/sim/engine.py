@@ -9,16 +9,18 @@ thin orchestrator over four layers:
 1. the **event kernel** (:mod:`repro.sim.kernel`) owns the heap, the
    deterministic same-timestamp ordering, and the lazy-deletion staleness
    rules for revocable events;
-2. the **progress ledger** (:mod:`repro.sim.progress`) integrates every
-   live job's progress to each event time, finalizes completions, and
-   tracks the dirty set of jobs needing completion re-prediction;
+2. the **progress ledger** (:mod:`repro.sim.progress`) owns the live set
+   of queued and running jobs, integrates their progress to each event
+   time, finalizes completions, and tracks the dirty set of jobs needing
+   completion re-prediction;
 3. the **scheduler phase** (:mod:`repro.sim.phases`) invokes the
    scheduler behind the :class:`~repro.sim.interface.Scheduler` contract,
    validates the decision against the gang constraint (1e) and cluster
    capacity (1d) — a buggy scheduler fails loudly instead of silently
    overcommitting — and applies the diff;
-4. the **telemetry/sanitizer phases** hook utilization sampling and
-   invariant checks into the pipeline.
+4. the **telemetry/trace phases** hook utilization sampling and decision
+   tracing into the pipeline, and an attached sanitizer checks
+   invariants after every decision.
 
 Per-phase wall-clock totals are surfaced as
 :attr:`SimulationResult.phase_timings`.
@@ -57,7 +59,7 @@ import functools
 import math
 import time as _time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.cluster.cluster import Cluster
 from repro.faults.model import FaultModel
@@ -69,13 +71,12 @@ from repro.sim.interface import Scheduler
 from repro.sim.kernel import EventKernel
 from repro.sim.phases import (
     PhaseTimings,
-    SanitizerPhase,
     SchedulerPhase,
     SchedulerProtocolError,
     TelemetryPhase,
     TracePhase,
 )
-from repro.sim.progress import JobRuntime, JobState, ProgressLedger
+from repro.sim.progress import JobRuntime, ProgressLedger
 from repro.sim.stragglers import StragglerModel
 from repro.sim.telemetry import UtilizationRecorder
 from repro.workload.arrivals import SubmissionSource
@@ -289,7 +290,6 @@ class SimulationEngine:
         kernel = EventKernel()
         ledger = ProgressLedger(runtimes)
         self._telemetry = TelemetryPhase()
-        self._sanitizer_phase = SanitizerPhase(self.sanitizer)
         fault_phase: Optional[FaultPhase] = None
         if self.faults is not None:
             fault_phase = FaultPhase(
@@ -471,16 +471,14 @@ class SimulationEngine:
 
         needs_scheduler = False
         if event.kind is EventKind.ARRIVAL:
-            rt = runtimes[event.payload]
-            rt.state = JobState.QUEUED
-            rt.last_integrated = now
+            ledger.admit(runtimes[event.payload], now)
             needs_scheduler = self.scheduler.reacts_to_events
         elif event.kind is EventKind.COMPLETION:
             needs_scheduler = self.scheduler.reacts_to_events
         elif event.kind is EventKind.ROUND_BOUNDARY:
             needs_scheduler = True
             self._round_scheduled = False
-            self._push_next_round(kernel, runtimes, self._completed, now)
+            self._push_next_round(now)
         elif event.kind is EventKind.STRAGGLER_ONSET:
             self._apply_straggler_onset(runtimes[event.payload], now, timings)
         elif event.kind is EventKind.STRAGGLER_RECOVERY:
@@ -510,23 +508,19 @@ class SimulationEngine:
                 ledger, kernel, state, now, timings
             )
             self._telemetry.record_utilization(now, state)
-            self._sanitizer_phase.after_decision(
-                round_index=self._scheduler_phase.invocations,
-                now=now,
-                runtimes=runtimes,
-                state=state,
-                scheduler=self.scheduler,
-                failed=(
-                    self._fault_phase.failed
-                    if self._fault_phase is not None
-                    else None
-                ),
-                stalled=(
-                    self._fault_phase.stalled_jobs
-                    if self._fault_phase is not None
-                    else None
-                ),
-            )
+            if self.sanitizer is not None:
+                fault_phase = self._fault_phase
+                self.sanitizer.on_round(
+                    round_index=self._scheduler_phase.invocations,
+                    now=now,
+                    runtimes=runtimes,
+                    state=state,
+                    scheduler=self.scheduler,
+                    failed=fault_phase.failed if fault_phase is not None else None,
+                    stalled=(
+                        fault_phase.stalled_jobs if fault_phase is not None else None
+                    ),
+                )
             if self._tracing:
                 self._trace_phase.after_decision(
                     round_index=self._scheduler_phase.invocations,
@@ -545,7 +539,7 @@ class SimulationEngine:
                     self._scheduler_phase.decision_seconds[-1],
                     labels={"scheduler": self.scheduler.name},
                 )
-        self._telemetry.record_queue_depth(now, runtimes)
+        self._telemetry.record_queue_depth(now, ledger.live)
         self._loop_s += _time.perf_counter() - tick
         return self._has_work()
 
@@ -578,7 +572,7 @@ class SimulationEngine:
                 default=self._now,
             )
         self._telemetry.record_utilization(end_time, self._state)
-        self._telemetry.record_queue_depth(end_time, runtimes)
+        self._telemetry.record_queue_depth(end_time, self._ledger.live)
         # The dispatch bucket is the loop residual: everything outside the
         # explicitly timed integration/re-prediction/decision phases.
         timings.event_dispatch_s = max(
@@ -637,6 +631,11 @@ class SimulationEngine:
         """
         if self._lifecycle == "stopped":
             self._lifecycle = "created"
+            if self.metrics is not None:
+                # The stored families are run state (a snapshot carries
+                # them): a re-run observes its own decisions from zero.
+                with self.metrics.lock:
+                    self.metrics.load_state_dict({})
         if self._lifecycle == "created":
             self.start()
         if self._paused:
@@ -722,10 +721,7 @@ class SimulationEngine:
         job = self._pending_submission
         assert job is not None and job.job_id == job_id
         self._pending_submission = None
-        rt = JobRuntime(job=job)
-        rt.state = JobState.QUEUED
-        rt.last_integrated = now
-        self._runtimes[job.job_id] = rt
+        self._ledger.admit(JobRuntime(job=job), now)
         # Re-seed the round-boundary chain if it died while the system was
         # empty (no active jobs and no pending batch arrivals left).
         if self.scheduler.round_based and not self._round_scheduled:
@@ -746,9 +742,7 @@ class SimulationEngine:
         phase = self._scheduler_phase
         fault_phase = self._fault_phase
         labels = {"scheduler": self.scheduler.name}
-        arrived = sum(
-            1 for rt in self._runtimes.values() if rt.state is not JobState.PENDING
-        )
+        arrived = len(self._ledger.live) + self._completed
         for name, help_text, value in (
             ("repro_engine_rounds_total", "Scheduler invocations", phase.invocations),
             ("repro_engine_ticks_total", "Events popped from the kernel", self._ticks),
@@ -823,7 +817,7 @@ class SimulationEngine:
                 rejected.inc(labels={**labels, "reason": rejection.reason})
         if self._health_phase is not None:
             self._health_phase.collect(
-                registry, now=self._now, runtimes=self._runtimes, state=self._state
+                registry, now=self._now, live=self._ledger.live, state=self._state
             )
 
     # -------------------------------------------------------------- status --
@@ -869,39 +863,27 @@ class SimulationEngine:
         """The first round boundary at or after time ``t``."""
         return math.ceil(t / self.round_length - 1e-12) * self.round_length
 
-    def _push_next_round(
-        self,
-        kernel: EventKernel,
-        runtimes: Mapping[int, JobRuntime],
-        completed: int,
-        now: float,
-    ) -> None:
+    def _push_next_round(self, now: float) -> None:
         """Schedule the next boundary, skipping idle gaps before far arrivals.
 
         Sets ``_round_scheduled`` exactly when a boundary is pushed, so a
         streamed submission re-seeds the chain only after it has died.
         """
-        if completed >= len(runtimes):
+        unfinished = len(self._runtimes) - self._completed
+        if not unfinished:
             return
-        active = any(
-            rt.state in (JobState.QUEUED, JobState.RUNNING)
-            for rt in runtimes.values()
-        )
-        if active:
-            kernel.push_round_boundary(now + self.round_length)
-            self._round_scheduled = True
-            return
-        pending = [
-            rt.job.arrival_time
-            for rt in runtimes.values()
-            if rt.state is JobState.PENDING
-        ]
-        if pending:
-            nxt = self._round_at_or_after(min(pending))
+        if self._ledger.live:
+            nxt = now + self.round_length
+        else:
+            # Nothing is live, so every unfinished job is a trace job yet
+            # to arrive.  Trace jobs arrive in trace order, so they are
+            # the trace's last ``unfinished`` jobs; the first comes next.
+            arrival = self.trace[len(self.trace) - unfinished].arrival_time
+            nxt = self._round_at_or_after(arrival)
             if nxt <= now:
                 nxt = now + self.round_length
-            kernel.push_round_boundary(nxt)
-            self._round_scheduled = True
+        self._kernel.push_round_boundary(nxt)
+        self._round_scheduled = True
 
     # ------------------------------------------------------------ stragglers --
     def _schedule_straggler_onset(self, rt: JobRuntime, now: float) -> None:

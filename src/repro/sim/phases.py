@@ -4,15 +4,15 @@
 
 1. the :class:`~repro.sim.kernel.EventKernel` pops the event and decides
    staleness;
-2. the :class:`~repro.sim.progress.ProgressLedger` integrates progress
-   and finalizes completions;
+2. the :class:`~repro.sim.progress.ProgressLedger` integrates the live
+   jobs' progress and finalizes completions;
 3. the :class:`SchedulerPhase` (this module) invokes the scheduler
    behind the :class:`~repro.sim.interface.Scheduler` contract,
    validates the decision, applies the diff, and flushes the ledger's
    dirty set into fresh completion predictions;
-4. the :class:`TelemetryPhase` and :class:`SanitizerPhase` hook
-   utilization recording and invariant checks into the pipeline without
-   being inlined in the event loop.
+4. the :class:`TelemetryPhase` and :class:`TracePhase` hook utilization
+   recording and decision tracing into the pipeline without being
+   inlined in the event loop.
 
 :class:`PhaseTimings` is the wall-clock breakdown across those layers,
 surfaced as :attr:`SimulationResult.phase_timings` and on the
@@ -42,7 +42,6 @@ from repro.sim.telemetry import UtilizationRecorder
 from repro.workload.throughput import ThroughputMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.analysis.sanitizer import InvariantSanitizer
     from repro.cluster.state import ClusterState
     from repro.faults.phase import FaultPhase
     from repro.obs.tracer import DecisionTracer
@@ -51,7 +50,6 @@ __all__ = [
     "PhaseTimings",
     "SchedulerPhase",
     "TelemetryPhase",
-    "SanitizerPhase",
     "TracePhase",
     "SchedulerProtocolError",
 ]
@@ -88,6 +86,11 @@ class PhaseTimings:
         self.integration_s = float(state["integration_s"])
         self.repredict_s = float(state["repredict_s"])
         self.decision_s = float(state["decision_s"])
+
+
+def _arrival_order(rt: JobRuntime) -> tuple[float, int]:
+    """The order the scheduler sees jobs in: arrival, then job id."""
+    return (rt.job.arrival_time, rt.job_id)
 
 
 class SchedulerPhase:
@@ -200,27 +203,20 @@ class SchedulerPhase:
         timings: PhaseTimings,
     ) -> bool:
         """Run one scheduling decision and apply the diff; True if changed."""
-        runtimes = ledger.runtimes
-        waiting = tuple(
-            sorted(
-                (rt for rt in runtimes.values() if rt.state is JobState.QUEUED),
-                key=lambda rt: (rt.job.arrival_time, rt.job_id),
-            )
-        )
-        running = tuple(
-            sorted(
-                (rt for rt in runtimes.values() if rt.state is JobState.RUNNING),
-                key=lambda rt: (rt.job.arrival_time, rt.job_id),
-            )
-        )
+        waiting: list[JobRuntime] = []
+        running: list[JobRuntime] = []
+        for rt in ledger.live.values():
+            (running if rt.state is JobState.RUNNING else waiting).append(rt)
+        waiting.sort(key=_arrival_order)
+        running.sort(key=_arrival_order)
         self.last_queue_depth = (len(waiting), len(running))
         ctx = SchedulerContext(
             now=now,
             cluster=self.cluster,
             matrix=self.matrix,
             round_length=self.round_length,
-            waiting=waiting,
-            running=running,
+            waiting=tuple(waiting),
+            running=tuple(running),
             failed=(
                 dict(self.fault_phase.failed)
                 if self.fault_phase is not None
@@ -248,7 +244,7 @@ class SchedulerPhase:
         # Reject-and-repair (or raise, in strict mode) against a probe at
         # *surviving* capacity — same mask the scheduler planned with.
         target = self.validator.check(
-            target, runtimes, ctx.fresh_state(), nominal=self._nominal
+            target, ledger.runtimes, ctx.fresh_state(), nominal=self._nominal
         )
         changed = self.apply(target, ledger, kernel, state, now, timings)
         return changed
@@ -257,15 +253,6 @@ class SchedulerPhase:
     def last_rejections(self):
         """Typed ``DecisionRejected`` outcomes of the latest invocation."""
         return self.validator.last_rejections
-
-    def validate(
-        self, target: Mapping[int, Allocation], runtimes: Mapping[int, JobRuntime]
-    ) -> None:
-        """Strict one-shot validation (kept for direct/test use; the
-        invoke path goes through :attr:`validator` instead)."""
-        DecisionValidator("strict").check(
-            target, runtimes, self.cluster.fresh_state(), nominal=self._nominal
-        )
 
     def apply(
         self,
@@ -284,12 +271,9 @@ class SchedulerPhase:
         mark order (changed jobs first, then kept jobs, matching the
         deterministic push order the goldens pin).
         """
-        runtimes = ledger.runtimes
         changed_jobs: list[tuple[JobRuntime, Allocation]] = []
         kept_jobs: list[JobRuntime] = []
-        for rt in runtimes.values():
-            if rt.state in (JobState.PENDING, JobState.COMPLETE):
-                continue
+        for rt in ledger.live.values():
             new = target.get(rt.job_id, EMPTY_ALLOCATION)
             if new == rt.allocation:
                 if rt.state is JobState.RUNNING and rt.allocation:
@@ -393,12 +377,10 @@ class TelemetryPhase:
     def record_utilization(self, now: float, state: "ClusterState") -> None:
         self.recorder.record(now, state.used_by_type())
 
-    def record_queue_depth(
-        self, now: float, runtimes: Mapping[int, JobRuntime]
-    ) -> None:
+    def record_queue_depth(self, now: float, live: Mapping[int, JobRuntime]) -> None:
+        """Sample how many of the live jobs (the ledger's set) are queued."""
         self.recorder.record_queue(
-            now,
-            sum(1 for rt in runtimes.values() if rt.state is JobState.QUEUED),
+            now, sum(1 for rt in live.values() if rt.state is JobState.QUEUED)
         )
 
 
@@ -558,34 +540,3 @@ class TracePhase:
         if hotpath_stats:
             record["hotpath_stats"] = dict(hotpath_stats)
         self.tracer.emit(record)
-
-
-class SanitizerPhase:
-    """Layer 4b: post-decision invariant checks (no-op without a sanitizer)."""
-
-    __slots__ = ("sanitizer",)
-
-    def __init__(self, sanitizer: Optional["InvariantSanitizer"] = None):
-        self.sanitizer = sanitizer
-
-    def after_decision(
-        self,
-        round_index: int,
-        now: float,
-        runtimes: Mapping[int, JobRuntime],
-        state: "ClusterState",
-        scheduler: Scheduler,
-        failed: Optional[Mapping[tuple[int, str], int]] = None,
-        stalled: Optional[frozenset[int]] = None,
-    ) -> None:
-        if self.sanitizer is None:
-            return
-        self.sanitizer.on_round(
-            round_index=round_index,
-            now=now,
-            runtimes=runtimes,
-            state=state,
-            scheduler=scheduler,
-            failed=failed,
-            stalled=stalled,
-        )

@@ -7,11 +7,11 @@ overhead, and the bookkeeping metrics consume afterwards (queuing delay,
 preemption count, attained service).
 
 The :class:`ProgressLedger` is layer 2 of the engine pipeline (see
-:mod:`repro.sim.engine`): it integrates the continuous-rate progress of
-every live job up to each event time, finalizes completions, and tracks
-the **dirty set** — the jobs whose rate, pause window, or allocation
-changed since the last flush and therefore need a fresh completion
-prediction.  Jobs untouched by a round keep their outstanding predicted
+:mod:`repro.sim.engine`): it owns the **live set** of queued and running
+jobs, integrates their continuous-rate progress up to each event time,
+finalizes completions, and tracks the **dirty set** — the jobs whose
+rate, pause window, or allocation changed since the last flush and
+therefore need a fresh completion prediction.  Jobs untouched by a round keep their outstanding predicted
 completion instead of being broadly re-predicted.
 """
 
@@ -265,7 +265,7 @@ def _alloc_from_record(record: list) -> Allocation:
 
 
 class ProgressLedger:
-    """Progress integration + dirty-set completion re-prediction (layer 2).
+    """The live set, progress integration and dirty-set re-prediction (layer 2).
 
     The ledger owns the analytic side of the continuous-rate model: at
     every event it advances each live job exactly to the event time, and
@@ -274,36 +274,72 @@ class ProgressLedger:
     and :meth:`flush_repredictions` pushes in that order — completions at
     equal ``(time, kind)`` tie-break on push sequence, so preserving the
     marking order preserves the engine's deterministic event ordering.
+
+    :attr:`live` holds the QUEUED and RUNNING runtimes in the runtimes
+    table's order, so every per-event walk skips pending and finished
+    jobs.  Only two transitions change it: :meth:`admit` adds a job and
+    :meth:`finalize_completions` retires one; QUEUED↔RUNNING moves
+    (placement, preemption, fault rollback) keep the job in place.
     """
 
-    __slots__ = ("runtimes", "_dirty")
+    __slots__ = ("runtimes", "live", "_seeded", "_dirty")
 
     def __init__(self, runtimes: dict[int, JobRuntime]):
         self.runtimes = runtimes
+        self._seeded = len(runtimes)
+        """Size of the table at construction: the trace's jobs.  Entries
+        past it are streamed jobs :meth:`admit` appended."""
         self._dirty: dict[int, JobRuntime] = {}
+        self._rebuild_live()
+
+    def _rebuild_live(self) -> None:
+        self.live: dict[int, JobRuntime] = {
+            job_id: rt
+            for job_id, rt in self.runtimes.items()
+            if rt.state in (JobState.QUEUED, JobState.RUNNING)
+        }
+
+    def admit(self, rt: JobRuntime, now: float) -> None:
+        """Enter an arrived job into the system: queued, waiting from ``now``.
+
+        A streamed job not yet in the table joins its end.  Trace jobs
+        are admitted in table order, so appending keeps :attr:`live` in
+        table order — unless a streamed job, which the table keeps after
+        every trace job, was admitted first; then the set is re-derived.
+        """
+        rt.state = JobState.QUEUED
+        rt.last_integrated = now
+        if rt.job_id not in self.runtimes:
+            self.runtimes[rt.job_id] = rt
+        elif len(self.runtimes) > self._seeded:
+            self._rebuild_live()
+            return
+        self.live[rt.job_id] = rt
 
     # -- integration ----------------------------------------------------------
     def integrate_to(self, now: float) -> None:
-        """Advance every RUNNING/QUEUED job's progress exactly to ``now``."""
-        for rt in self.runtimes.values():
-            if rt.state in (JobState.RUNNING, JobState.QUEUED):
-                rt.advance_to(now)
+        """Advance every live job's progress exactly to ``now``."""
+        for rt in self.live.values():
+            rt.advance_to(now)
 
     def finalize_completions(self, state: "ClusterState", now: float) -> int:
         """Mark done jobs complete, free their devices; returns the count."""
-        finished = 0
-        for rt in self.runtimes.values():
-            if rt.state is JobState.RUNNING and rt.is_done:
-                rt.state = JobState.COMPLETE
-                rt.finish_time = now
-                rt.rate = 0.0
-                rt.generation += 1
-                if rt.allocation:
-                    state.release(rt.allocation)
-                    rt.allocation = EMPTY_ALLOCATION
-                rt.record_placement(now, EMPTY_ALLOCATION)
-                finished += 1
-        return finished
+        done = [
+            rt
+            for rt in self.live.values()
+            if rt.state is JobState.RUNNING and rt.is_done
+        ]
+        for rt in done:
+            del self.live[rt.job_id]
+            rt.state = JobState.COMPLETE
+            rt.finish_time = now
+            rt.rate = 0.0
+            rt.generation += 1
+            if rt.allocation:
+                state.release(rt.allocation)
+                rt.allocation = EMPTY_ALLOCATION
+            rt.record_placement(now, EMPTY_ALLOCATION)
+        return len(done)
 
     # -- dirty set ------------------------------------------------------------
     def mark_dirty(self, rt: JobRuntime) -> None:
@@ -336,6 +372,9 @@ class ProgressLedger:
         return {"dirty": list(self._dirty.keys())}
 
     def load_state_dict(self, state: dict) -> None:
+        """Load the dirty set and re-derive :attr:`live` from the restored
+        table (the set is never captured: the table's states define it)."""
         self._dirty = {
             int(job_id): self.runtimes[int(job_id)] for job_id in state["dirty"]
         }
+        self._rebuild_live()

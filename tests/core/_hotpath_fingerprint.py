@@ -22,6 +22,7 @@ from repro.baselines import GavelScheduler, TiresiasScheduler
 from repro.cluster.cluster import simulated_cluster
 from repro.core import HadarScheduler
 from repro.sim.engine import SimulationEngine, simulate
+from repro.workload.arrivals import SubmissionSource
 from repro.workload.philly import PhillyTraceConfig, generate_philly_trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -72,6 +73,24 @@ def scenario_engine(name: str, seed: int, **engine_kwargs) -> SimulationEngine:
         cluster=simulated_cluster(),
         trace=generate_philly_trace(PhillyTraceConfig(num_jobs=NUM_JOBS, seed=seed)),
         scheduler=make_scheduler(name),
+        **engine_kwargs,
+    )
+
+
+def mixed_engine(name: str, **engine_kwargs) -> SimulationEngine:
+    """A Poisson-arrival trace mixed with a streamed source, as an unstarted
+    engine.  Their arrivals interleave: trace jobs keep arriving after
+    streamed jobs (which the runtimes table keeps after every trace job)
+    were admitted."""
+    return SimulationEngine(
+        cluster=simulated_cluster(),
+        trace=generate_philly_trace(
+            PhillyTraceConfig(
+                num_jobs=10, arrival_pattern="continuous", jobs_per_hour=3.0, seed=1
+            )
+        ),
+        scheduler=make_scheduler(name),
+        source=SubmissionSource(3.0, seed=2, max_jobs=8, first_job_id=100),
         **engine_kwargs,
     )
 

@@ -25,7 +25,7 @@ from repro.core.scheduler import HadarScheduler
 from repro.obs import DecisionTracer, MetricsRegistry, render, validate_trace
 from repro.obs.health import ClusterHealthPhase
 from repro.sim.engine import SimulationEngine
-from repro.sim.phases import SanitizerPhase, TelemetryPhase, TracePhase
+from repro.sim.phases import TelemetryPhase, TracePhase
 
 from tests.core._hotpath_fingerprint import (
     SCHEDULER_NAMES,
@@ -46,7 +46,7 @@ OBSERVERS = (
     (TracePhase, "emit_meta"),
     (TracePhase, "after_decision"),
     (TracePhase, "emit_summary"),
-    (SanitizerPhase, "after_decision"),
+    (InvariantSanitizer, "on_round"),
     (ClusterHealthPhase, "after_decision"),
     (ClusterHealthPhase, "collect"),
     (SimulationEngine, "_collect_metrics"),

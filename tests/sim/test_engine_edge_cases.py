@@ -182,3 +182,27 @@ class TestRepeatedRuns:
         a = engine.run()
         b = engine.run()
         assert a.jcts() == b.jcts()
+
+    def test_rerun_observes_decisions_from_zero(self):
+        """A re-run's event-observed families (decision latency, churn,
+        queue waits) count its own decisions only, like the derived ones."""
+        from repro.obs import MetricsRegistry
+
+        from tests.core._hotpath_fingerprint import scenario_engine
+
+        engine = scenario_engine("hadar", 1, metrics=MetricsRegistry())
+
+        def observed(result):
+            families = result.metrics
+            return (
+                result.scheduling_invocations,
+                families["repro_engine_rounds_total"]["series"][0]["value"],
+                [s["count"] for s in families["repro_decision_seconds"]["series"]],
+                [s["count"] for s in families["repro_queue_wait_seconds"]["series"]],
+                families["repro_allocation_churn_total"]["series"],
+            )
+
+        first = observed(engine.run())
+        second = observed(engine.run())
+        assert first == second
+        assert first[2] == [first[0]]
