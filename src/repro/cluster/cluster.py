@@ -47,6 +47,9 @@ class Cluster:
         object.__setattr__(
             self, "_gpu_types", tuple(sorted({t for n in self.nodes for t in n.gpus}))
         )
+        # The all-free state every fresh_state() copies, built once the
+        # same way (schedulers and the validator take fresh states per round).
+        object.__setattr__(self, "_template", ClusterState.from_cluster(self))
 
     # -- capacity views -------------------------------------------------
     @property
@@ -80,8 +83,13 @@ class Cluster:
 
     # -- state ----------------------------------------------------------
     def fresh_state(self) -> ClusterState:
-        """A new all-free occupancy tracker for this cluster."""
-        return ClusterState.from_cluster(self)
+        """A new all-free occupancy tracker for this cluster.
+
+        A :meth:`~ClusterState.copy` of a template built at construction,
+        equal to ``ClusterState.from_cluster(self)``; the copy shares only
+        what no mutation writes in place.
+        """
+        return self._template.copy()  # type: ignore[attr-defined]
 
     def __str__(self) -> str:  # pragma: no cover - repr helper
         caps = ", ".join(f"{c}×{t}" for t, c in sorted(self.capacity_by_type().items()))

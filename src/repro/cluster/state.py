@@ -134,10 +134,11 @@ class ClusterState:
     # -- mutation ---------------------------------------------------------
     def can_fit(self, allocation: Allocation) -> bool:
         """Whether the placement fits in the currently free devices."""
-        return all(
-            self._free.get(slot, 0) >= count
-            for slot, count in allocation.placements.items()
-        )
+        free = self._free
+        for slot, count in allocation.placements.items():
+            if free.get(slot, 0) < count:
+                return False
+        return True
 
     def allocate(self, allocation: Allocation) -> None:
         """Claim the devices of ``allocation``; raises if any slot lacks room."""

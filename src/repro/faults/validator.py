@@ -128,14 +128,15 @@ class DecisionValidator:
             if not alloc:
                 repaired[job_id] = alloc
                 continue
-            if not probe.can_fit(alloc):
+            try:
+                probe.allocate(alloc)  # raises before claiming any device
+            except ValueError:
                 self._reject(
                     job_id,
                     self._capacity_reason(alloc, probe, nominal),
                     f"decision overcommits capacity at job {job_id}: {alloc}",
                 )
                 continue
-            probe.allocate(alloc)
             repaired[job_id] = alloc
         return repaired
 
@@ -170,4 +171,4 @@ class DecisionValidator:
         for slot, count in sorted(alloc.placements.items()):
             if count > probe.free(*slot):
                 return "occupied_gpu"
-        return "overcommit"  # pragma: no cover - can_fit failed some other way
+        return "overcommit"  # pragma: no cover - allocate refused some other way

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from repro.cluster.allocation import Allocation
@@ -103,9 +104,10 @@ class SchedulerContext:
     keep-current candidate of a fully-inside gang still fits), and Eq. 5
     prices rise exactly as under physical capacity loss."""
 
-    @property
+    @cached_property
     def active(self) -> tuple[JobRuntime, ...]:
-        """All schedulable jobs: queued first, then running, arrival order."""
+        """All schedulable jobs, queued and running interleaved, in arrival
+        order (ties by job id).  Built once per context."""
         combined = list(self.waiting) + list(self.running)
         combined.sort(key=lambda rt: (rt.job.arrival_time, rt.job_id))
         return tuple(combined)

@@ -39,6 +39,8 @@ from repro.sim.interface import (
 from repro.sim.kernel import EventKernel
 from repro.sim.progress import JobRuntime, JobState, ProgressLedger
 from repro.sim.telemetry import UtilizationRecorder
+from repro.workload.job import Job
+from repro.workload.models import ModelSpec
 from repro.workload.throughput import ThroughputMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -147,6 +149,12 @@ class SchedulerPhase:
         paused, or placed — captured before the diff is applied."""
         self.last_queue_depth: tuple[int, int] = (0, 0)
         """``(queued, running)`` jobs presented to the latest invocation."""
+        self._rates: dict[tuple[ModelSpec, Allocation], float] = {}
+        self._bottlenecks: dict[tuple[str, Allocation], str] = {}
+        """Pure memos of :func:`realized_rate` and the bottleneck type per
+        ``(model, gang)``: the matrix, cluster and communication model are
+        fixed for the phase's life.  Never snapshotted; only successful
+        results are stored, so an unusable gang raises every time."""
 
     # -- engine snapshot support ----------------------------------------------
     def state_dict(self) -> dict:
@@ -274,8 +282,8 @@ class SchedulerPhase:
         changed_jobs: list[tuple[JobRuntime, Allocation]] = []
         kept_jobs: list[JobRuntime] = []
         for rt in ledger.live.values():
-            new = target.get(rt.job_id, EMPTY_ALLOCATION)
-            if new == rt.allocation:
+            new = target.get(rt.job.job_id, EMPTY_ALLOCATION)
+            if new is rt.allocation or new == rt.allocation:
                 if rt.state is JobState.RUNNING and rt.allocation:
                     kept_jobs.append(rt)
                 continue
@@ -299,7 +307,7 @@ class SchedulerPhase:
                 delay = self.checkpoint.reallocation_delay(rt.job, old, new)
                 rt.allocation = new
                 rt.state = JobState.RUNNING
-                rt.rate = realized_rate(rt.job, new, self.matrix, self.cluster)
+                rt.rate = self._realized_rate(rt.job, new)
                 rt.resume_time = now + delay
                 rt.overhead_seconds += delay
                 rt.allocation_changes += 1
@@ -353,16 +361,28 @@ class SchedulerPhase:
             timings.repredict_s += _time.perf_counter() - t0
         return bool(changed_jobs)
 
+    def _realized_rate(self, job: Job, gang: Allocation) -> float:
+        """:func:`realized_rate` of ``gang`` for ``job``'s model, memoized."""
+        key = (job.model, gang)
+        rate = self._rates.get(key)
+        if rate is None:
+            rate = self._rates[key] = realized_rate(job, gang, self.matrix, self.cluster)
+        return rate
+
     def bookkeep_round(self, rt: JobRuntime) -> None:
         """Track per-type round counts (consumed by Gavel-style priorities)."""
-        if not rt.allocation:
+        gang = rt.allocation
+        if not gang:
             return
         rt.rounds_scheduled += 1
         model = rt.job.model.name
-        # Sorted so rate ties attribute the round to the same type every run.
-        bottleneck = min(
-            sorted(rt.allocation.gpu_types), key=lambda t: self.matrix.rate(model, t)
-        )
+        key = (model, gang)
+        bottleneck = self._bottlenecks.get(key)
+        if bottleneck is None:
+            # Sorted so rate ties attribute the round to the same type every run.
+            bottleneck = self._bottlenecks[key] = min(
+                sorted(gang.gpu_types), key=lambda t: self.matrix.rate(model, t)
+            )
         rt.rounds_by_type[bottleneck] = rt.rounds_by_type.get(bottleneck, 0) + 1
 
 

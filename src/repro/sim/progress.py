@@ -125,25 +125,7 @@ class JobRuntime:
     def is_waiting(self) -> bool:
         return self.state is JobState.QUEUED
 
-    # -- integration -----------------------------------------------------------
-    def advance_to(self, now: float) -> None:
-        """Integrate progress up to ``now`` at the current constant rate."""
-        if now < self.last_integrated - 1e-9:
-            raise ValueError(
-                f"time went backwards for job {self.job_id}: "
-                f"{now} < {self.last_integrated}"
-            )
-        if self.state is JobState.RUNNING and self.rate > 0.0:
-            active = max(0.0, now - max(self.last_integrated, self.resume_time))
-            self.iterations_done = min(
-                float(self.job.total_iterations),
-                self.iterations_done + self.rate * active,
-            )
-            self.attained_service += active * self.allocation.total_workers
-        elif self.state is JobState.QUEUED:
-            self.waiting_seconds += max(0.0, now - self.last_integrated)
-        self.last_integrated = max(self.last_integrated, now)
-
+    # -- prediction -------------------------------------------------------------
     def predicted_completion(self, now: float) -> Optional[float]:
         """When the job will finish at the current rate (None if stalled)."""
         if self.state is not JobState.RUNNING or self.rate <= 0.0:
@@ -318,16 +300,58 @@ class ProgressLedger:
 
     # -- integration ----------------------------------------------------------
     def integrate_to(self, now: float) -> None:
-        """Advance every live job's progress exactly to ``now``."""
+        """Advance every live job's progress exactly to ``now``.
+
+        The one home of the integration rule.  A RUNNING job with a
+        positive rate gains ``rate × active`` iterations, capped at its
+        total, and ``active × W`` GPU-seconds of attained service, where
+        ``active`` is the part of ``(last_integrated, now]`` after its
+        pause window (``resume_time``); a QUEUED job accrues waiting time.
+        Each conditional keeps the operand Python's ``max``/``min`` would
+        return (the first unless the second is strictly larger or
+        smaller), so the floats equal the ``max``/``min`` formulation bit
+        for bit; ``tests/sim/test_progress.py`` keeps that formulation as
+        the reference.  W is ``job.num_workers``: ``validate_gang`` admits
+        only full gangs, so it equals the allocation's worker count for
+        every RUNNING job.
+        """
+        running, queued = JobState.RUNNING, JobState.QUEUED
         for rt in self.live.values():
-            rt.advance_to(now)
+            last = rt.last_integrated
+            if now < last - 1e-9:
+                raise ValueError(
+                    f"time went backwards for job {rt.job.job_id}: {now} < {last}"
+                )
+            state = rt.state
+            if state is running:
+                rate = rt.rate
+                if rate > 0.0:
+                    resume = rt.resume_time
+                    active = now - (resume if resume > last else last)
+                    active = active if active > 0.0 else 0.0
+                    job = rt.job
+                    total = float(job.total_iterations)
+                    done = rt.iterations_done + rate * active
+                    rt.iterations_done = done if done < total else total
+                    rt.attained_service += active * job.num_workers
+            elif state is queued:
+                waited = now - last
+                rt.waiting_seconds += waited if waited > 0.0 else 0.0
+            if now > last:
+                rt.last_integrated = now
 
     def finalize_completions(self, state: "ClusterState", now: float) -> int:
-        """Mark done jobs complete, free their devices; returns the count."""
+        """Mark done jobs complete, free their devices; returns the count.
+
+        Done is :attr:`JobRuntime.is_done` written out: at most
+        ``_COMPLETION_EPS`` iterations left.
+        """
+        running = JobState.RUNNING
         done = [
             rt
             for rt in self.live.values()
-            if rt.state is JobState.RUNNING and rt.is_done
+            if rt.state is running
+            and rt.job.total_iterations - rt.iterations_done <= _COMPLETION_EPS
         ]
         for rt in done:
             del self.live[rt.job_id]

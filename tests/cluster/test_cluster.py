@@ -1,7 +1,10 @@
 """Unit tests for Cluster and the paper's builders."""
 
+from dataclasses import fields
+
 import pytest
 
+from repro.cluster.allocation import Allocation
 from repro.cluster.cluster import (
     Cluster,
     homogeneous_node_cluster,
@@ -9,6 +12,7 @@ from repro.cluster.cluster import (
     simulated_cluster,
 )
 from repro.cluster.node import Node
+from repro.cluster.state import ClusterState
 
 
 class TestCluster:
@@ -37,6 +41,54 @@ class TestCluster:
     def test_fresh_state_is_all_free(self, small_cluster):
         state = small_cluster.fresh_state()
         assert state.total_free() == small_cluster.total_gpus
+
+
+class TestFreshStateTemplate:
+    """``fresh_state()`` copies a template built once per cluster."""
+
+    def test_equals_a_state_built_from_the_cluster(self, small_cluster):
+        built = ClusterState.from_cluster(small_cluster)
+        fresh = small_cluster.fresh_state()
+        assert fresh == built
+        assert fresh.slots == built.slots
+        assert fresh.key() == built.key()
+        assert fresh.state_dict() == built.state_dict()
+        assert fresh is not small_cluster.fresh_state()
+
+    def test_mutating_one_copy_leaves_the_next_all_free(self, small_cluster):
+        built = ClusterState.from_cluster(small_cluster).state_dict()
+        used = small_cluster.fresh_state()
+        used.allocate(Allocation({(0, "V100"): 2, (1, "P100"): 1}))
+        failed = small_cluster.fresh_state()
+        failed.fail(0, "K80", 1)
+        failed.fail(2, "K80", 1)
+        loaded = small_cluster.fresh_state()
+        loaded.load_state_dict(used.state_dict())
+        later = small_cluster.fresh_state()
+        assert later.state_dict() == built
+        assert later.total_free() == small_cluster.total_gpus
+        assert later.key() == ClusterState.from_cluster(small_cluster).key()
+        # The mutated copies kept their own changes.
+        assert used.free(0, "V100") == later.free(0, "V100") - 2
+        assert failed.capacity(0, "K80") == later.capacity(0, "K80") - 1
+        assert loaded == used
+
+    def test_template_is_not_a_field(self, small_cluster):
+        def hash_outcome(cluster):
+            # Nodes hold their GPU counts in a dict, so hashing reports that.
+            try:
+                return hash(cluster)
+            except TypeError as exc:
+                return str(exc)
+
+        twin = Cluster(list(small_cluster.nodes), comm=small_cluster.comm)
+        assert twin == small_cluster
+        assert hash_outcome(twin) == hash_outcome(small_cluster)
+        assert hash_outcome(small_cluster) == "unhashable type: 'dict'"
+        assert repr(twin) == repr(small_cluster)
+        assert "_template" not in repr(small_cluster)
+        assert "ClusterState" not in repr(small_cluster)
+        assert [f.name for f in fields(Cluster)] == ["nodes", "comm"]
 
 
 class TestBuilders:
