@@ -1,7 +1,7 @@
 """Gavel's heterogeneity-aware allocation-matrix policy.
 
-Translates a set of active jobs plus cluster capacities into the max-min
-LP of :mod:`repro.baselines.gavel.solver` and back.  The returned
+Translates a set of active jobs plus cluster capacities into the
+allocation LP of :mod:`repro.baselines.gavel.solver` and back.  The returned
 :class:`AllocationMatrix` maps each (job, GPU type) to the optimal
 fraction of time the job should spend training on that type — Gavel's
 ``Y`` matrix, the quantity its round-based scheduler chases.
@@ -14,11 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.baselines.gavel.solver import (
-    solve_max_min_lp,
-    solve_max_sum_lp,
-    water_filling_allocation,
-)
+from repro.baselines.gavel.solver import POLICIES, solve_allocation_lp
 from repro.sim.progress import JobRuntime
 from repro.workload.throughput import ThroughputMatrix
 
@@ -52,22 +48,16 @@ def max_min_allocation_matrix(
     capacity: Mapping[str, int],
     matrix: ThroughputMatrix,
     *,
-    solver: str = "lp",
     policy: str = "max-min",
 ) -> AllocationMatrix:
     """Solve Gavel's allocation policy for ``jobs``.
 
-    ``solver`` is ``"lp"`` (exact, SciPy HiGHS) or ``"water-filling"``
-    (the in-repo approximation, max-min only).  ``policy`` is
-    ``"max-min"`` (LAS, the paper's comparison configuration) or
-    ``"max-sum"`` (utilitarian total normalized throughput).
+    ``policy`` is ``"max-min"`` (LAS, the paper's comparison
+    configuration) or ``"max-sum"`` (utilitarian total normalized
+    throughput).
     """
-    if solver not in {"lp", "water-filling"}:
-        raise ValueError(f"unknown solver {solver!r}")
-    if policy not in {"max-min", "max-sum"}:
+    if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    if policy == "max-sum" and solver != "lp":
-        raise ValueError("the max-sum policy requires the LP solver")
     types = tuple(types)
     job_ids = tuple(rt.job_id for rt in jobs)
     if not job_ids:
@@ -95,10 +85,5 @@ def max_min_allocation_matrix(
     workers = np.array([rt.job.num_workers for rt in jobs], dtype=float)
     caps = np.array([capacity.get(t, 0) for t in types], dtype=float)
 
-    if policy == "max-sum":
-        values = solve_max_sum_lp(speeds, workers, caps)
-    elif solver == "lp":
-        values = solve_max_min_lp(speeds, workers, caps)
-    else:
-        values = water_filling_allocation(speeds, workers, caps)
+    values = solve_allocation_lp(speeds, workers, caps, policy=policy)
     return AllocationMatrix(job_ids=job_ids, types=types, values=values)

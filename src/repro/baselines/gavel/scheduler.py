@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from repro.baselines.gavel.policy import AllocationMatrix, max_min_allocation_matrix
+from repro.baselines.gavel.solver import POLICIES
 from repro.baselines.packing import pack_gang_single_type
 from repro.cluster.allocation import Allocation
 from repro.sim.interface import Scheduler, SchedulerContext
@@ -30,24 +31,25 @@ __all__ = ["GavelConfig", "GavelScheduler"]
 _UNSERVED_BOOST = 1.0e9
 """Priority multiplier standing in for "infinite" when rounds_received = 0."""
 
+_MEMO_SIZE = 256
+"""Solved LP inputs a scheduler remembers; the least recently used goes.
+A fault-injected 14-job run sees up to about 250 distinct inputs."""
+
 
 @dataclass(frozen=True, slots=True)
 class GavelConfig:
     """Gavel knobs.
 
-    ``solver`` selects the allocation-matrix solver (``"lp"`` exact /
-    ``"water-filling"`` approximate); ``min_fraction`` ignores Y entries
-    below this threshold when building priorities (LP noise floor).
+    ``policy`` is the allocation LP's objective (``"max-min"`` or
+    ``"max-sum"``); ``min_fraction`` ignores Y entries below this
+    threshold when building priorities (LP noise floor).
     """
 
-    solver: str = "lp"
     policy: str = "max-min"
     min_fraction: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.solver not in {"lp", "water-filling"}:
-            raise ValueError(f"unknown solver {self.solver!r}")
-        if self.policy not in {"max-min", "max-sum"}:
+        if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.min_fraction < 0:
             raise ValueError("min_fraction must be non-negative")
@@ -63,6 +65,11 @@ class GavelScheduler(Scheduler):
         self.config = config or GavelConfig()
         self._cached_matrix: Optional[AllocationMatrix] = None
         self._cached_key: Optional[tuple] = None
+        self._memo: dict[tuple, AllocationMatrix] = {}
+        """Solved matrices of this run, keyed like ``_cached_key``: under
+        faults capacity flips back and forth between a few values.  Job
+        ids name jobs only within one run, so :meth:`reset` clears it;
+        snapshots leave it out, as a re-solve gives the same matrix."""
         self._solved_last_round = 0
         self.last_round_stats: dict[str, int] = {}
         """Per-round counters (LP solves vs matrix-cache reuses, priority
@@ -76,6 +83,7 @@ class GavelScheduler(Scheduler):
     def reset(self) -> None:
         self._cached_matrix = None
         self._cached_key = None
+        self._memo.clear()
         self._solved_last_round = 0
         self.last_round_stats = {}
 
@@ -87,7 +95,8 @@ class GavelScheduler(Scheduler):
         restored run reuses the exact LP solution the uninterrupted run
         would have reused, independent of any solver-level variation.
         ``_solved_last_round``/``last_round_stats`` are per-round
-        transients (overwritten before any cross-round read) and waived.
+        transients (overwritten before any cross-round read) and waived;
+        so is the memo, which only saves re-solving.
         """
         cached = self._cached_matrix
         return {
@@ -212,14 +221,21 @@ class GavelScheduler(Scheduler):
             tuple(sorted(capacity.items())),
         )
         if key != self._cached_key or self._cached_matrix is None:
+            # ``matrix_solves`` counts input changes, memo hits included,
+            # so a restored run (empty memo) counts what the original did.
             self._solved_last_round += 1
-            self._cached_matrix = max_min_allocation_matrix(
-                jobs=placeable,
-                types=ctx.cluster.gpu_types,
-                capacity=capacity,
-                matrix=ctx.matrix,
-                solver=self.config.solver,
-                policy=self.config.policy,
-            )
+            solved = self._memo.pop(key, None)
+            if solved is None:
+                solved = max_min_allocation_matrix(
+                    jobs=placeable,
+                    types=ctx.cluster.gpu_types,
+                    capacity=capacity,
+                    matrix=ctx.matrix,
+                    policy=self.config.policy,
+                )
+                if len(self._memo) >= _MEMO_SIZE:
+                    del self._memo[next(iter(self._memo))]
+            self._memo[key] = solved
+            self._cached_matrix = solved
             self._cached_key = key
         return self._cached_matrix

@@ -1,6 +1,6 @@
-"""Solvers for Gavel's max-min allocation problem.
+"""Gavel's allocation LP, built sparse and solved with SciPy's HiGHS.
 
-The optimization (Gavel §4.1, LAS/max-min policy):
+The max-min policy (Gavel §4.1, LAS):
 
     max   m
     s.t.  Σ_r Y[j,r] · s[j,r] ≥ m          ∀j   (normalized throughput)
@@ -8,25 +8,23 @@ The optimization (Gavel §4.1, LAS/max-min policy):
           Σ_j Y[j,r] · W_j    ≤ C_r        ∀r   (type capacity)
           0 ≤ Y[j,r] ≤ 1
 
-with ``s[j,r] = X[j,r] / max_r X[j,r]`` the job-normalized speed.
+with ``s[j,r] = X[j,r] / max_r X[j,r]`` the job-normalized speed.  The
+max-sum policy (Gavel's utilitarian family) maximizes ``Σ Y·s`` under
+the budget and capacity rows alone.
 
-:func:`solve_max_min_lp` solves it exactly with SciPy's HiGHS backend.
-:func:`water_filling_allocation` is an in-repo iterative approximation
-(progressive filling): repeatedly give a small slice of the currently
-most-deprived job's best remaining device type.  It needs no LP machinery
-and serves as a fallback and as an independent cross-check in tests.
+:func:`solve_allocation_lp` builds both from their nonzeros only.  The
+constraint matrix is (2J + R) × (J·R + 1), but a row holds at most
+R + 1 or J entries, so a dense build grows with J² while this one grows
+with J·R.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "solve_max_min_lp",
-    "solve_max_sum_lp",
-    "water_filling_allocation",
-    "min_scaled_throughput",
-]
+__all__ = ["POLICIES", "solve_allocation_lp"]
+
+POLICIES = ("max-min", "max-sum")
 
 
 def _validate(speeds: np.ndarray, workers: np.ndarray, capacity: np.ndarray) -> None:
@@ -48,180 +46,66 @@ def _validate(speeds: np.ndarray, workers: np.ndarray, capacity: np.ndarray) -> 
         raise ValueError(f"jobs {bad.tolist()} run on no device type")
 
 
-def min_scaled_throughput(
-    allocation: np.ndarray, speeds: np.ndarray
-) -> float:
-    """The max-min objective value of an allocation matrix."""
-    return float(np.min(np.sum(allocation * speeds, axis=1)))
-
-
-def solve_max_min_lp(
-    speeds: np.ndarray,
-    workers: np.ndarray,
-    capacity: np.ndarray,
-) -> np.ndarray:
-    """Exact max-min allocation via ``scipy.optimize.linprog`` (HiGHS).
-
-    Returns the ``jobs × types`` matrix ``Y`` of time fractions.
-    """
-    from scipy.optimize import linprog
-
-    speeds = np.asarray(speeds, dtype=float)
-    workers = np.asarray(workers, dtype=float)
-    capacity = np.asarray(capacity, dtype=float)
-    _validate(speeds, workers, capacity)
-    num_jobs, num_types = speeds.shape
-    n_y = num_jobs * num_types
-
-    # Variables: [Y.flatten(), m]; objective: maximize m.
-    c = np.zeros(n_y + 1)
-    c[-1] = -1.0
-
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-
-    # m − Σ_r Y[j,r] s[j,r] ≤ 0  for every job.
-    for j in range(num_jobs):
-        row = np.zeros(n_y + 1)
-        row[j * num_types : (j + 1) * num_types] = -speeds[j]
-        row[-1] = 1.0
-        rows.append(row)
-        rhs.append(0.0)
-
-    # Σ_r Y[j,r] ≤ 1 per job.
-    for j in range(num_jobs):
-        row = np.zeros(n_y + 1)
-        row[j * num_types : (j + 1) * num_types] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-
-    # Σ_j W_j Y[j,r] ≤ C_r per type.
-    for r in range(num_types):
-        row = np.zeros(n_y + 1)
-        row[r::num_types][:num_jobs] = workers
-        rows.append(row)
-        rhs.append(float(capacity[r]))
-
-    bounds = [(0.0, 1.0)] * n_y + [(0.0, None)]
-    result = linprog(
-        c,
-        A_ub=np.vstack(rows),
-        b_ub=np.asarray(rhs),
-        bounds=bounds,
-        method="highs",
-    )
-    if not result.success:  # pragma: no cover - HiGHS is reliable on this LP
-        raise RuntimeError(f"Gavel LP failed: {result.message}")
-    # HiGHS honours bounds only to its primal feasibility tolerance
-    # (~1e-7); snap the solution back into the declared [0, 1] domain.
-    return np.clip(result.x[:n_y], 0.0, 1.0).reshape(num_jobs, num_types)
-
-
-def solve_max_sum_lp(
-    speeds: np.ndarray,
-    workers: np.ndarray,
-    capacity: np.ndarray,
-) -> np.ndarray:
-    """Utilitarian variant: maximize the *sum* of normalized throughputs.
-
-    Gavel's "maximize total throughput" policy family; trades fairness
-    for aggregate progress.  Same constraint set as the max-min LP.
-    """
-    from scipy.optimize import linprog
-
-    speeds = np.asarray(speeds, dtype=float)
-    workers = np.asarray(workers, dtype=float)
-    capacity = np.asarray(capacity, dtype=float)
-    _validate(speeds, workers, capacity)
-    num_jobs, num_types = speeds.shape
-    n_y = num_jobs * num_types
-
-    c = -speeds.flatten()  # maximize Σ Y·s
-
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    for j in range(num_jobs):
-        row = np.zeros(n_y)
-        row[j * num_types : (j + 1) * num_types] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-    for r in range(num_types):
-        row = np.zeros(n_y)
-        row[r::num_types][:num_jobs] = workers
-        rows.append(row)
-        rhs.append(float(capacity[r]))
-
-    result = linprog(
-        c,
-        A_ub=np.vstack(rows),
-        b_ub=np.asarray(rhs),
-        bounds=[(0.0, 1.0)] * n_y,
-        method="highs",
-    )
-    if not result.success:  # pragma: no cover - HiGHS is reliable on this LP
-        raise RuntimeError(f"Gavel max-sum LP failed: {result.message}")
-    return np.clip(result.x, 0.0, 1.0).reshape(num_jobs, num_types)
-
-
-def water_filling_allocation(
+def solve_allocation_lp(
     speeds: np.ndarray,
     workers: np.ndarray,
     capacity: np.ndarray,
     *,
-    step: float = 0.01,
+    policy: str = "max-min",
 ) -> np.ndarray:
-    """Iterative progressive-filling approximation of the max-min LP.
+    """The optimal ``jobs × types`` time-fraction matrix ``Y`` of ``policy``.
 
-    Each iteration grants the currently most-deprived job (smallest
-    accumulated normalized throughput) a ``step``-sized slice of one
-    device type that still has both capacity and job time-budget left.
-    Types are tried in order of the job's **comparative advantage**
-    ``s[j,r] / mean_j' s[j',r]`` rather than raw speed: a job that is
-    merely *indifferent* between types leaves the contested fast type to
-    the jobs that genuinely need it (the AlloX/Gavel matching intuition).
-    Converges close to the LP optimum on the instances the cross-check
-    tests exercise.
+    Rows go in the order throughput (max-min only), budget, capacity;
+    the variables are ``Y`` flattened row-major, then ``m`` (max-min
+    only).  Zero speeds store no entry, as a dense-to-sparse conversion
+    would drop them, so HiGHS sees exactly the matrix of the formulation.
     """
+    # SciPy loads here, not at import time: importing repro stays cheap.
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_array
+
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
     speeds = np.asarray(speeds, dtype=float)
     workers = np.asarray(workers, dtype=float)
     capacity = np.asarray(capacity, dtype=float)
     _validate(speeds, workers, capacity)
-    if not 0 < step <= 1:
-        raise ValueError("step must be in (0, 1]")
-
     num_jobs, num_types = speeds.shape
-    y = np.zeros((num_jobs, num_types))
-    budget = np.ones(num_jobs)  # remaining Σ_r Y[j,r] head-room
-    cap = capacity.astype(float).copy()  # remaining worker-capacity per type
+    n_y = num_jobs * num_types
+    cell = np.arange(n_y)
+    job_of = cell // num_types
+    max_min = policy == "max-min"
+    shared = num_jobs if max_min else 0  # first budget row
 
-    # Type preference per job: comparative advantage first (deterministic
-    # tie-break via stable sort).
-    column_mean = speeds.mean(axis=0)
-    advantage = speeds / np.where(column_mean > 0, column_mean, 1.0)
-    pref = np.argsort(-advantage, axis=1, kind="stable")
-
-    max_iters = int(np.ceil(num_jobs / step)) * num_types + num_jobs * num_types
-    for _ in range(max_iters):
-        scaled = np.sum(y * speeds, axis=1)
-        # Most-deprived job that still has budget and a usable type with capacity.
-        order = np.argsort(scaled, kind="stable")
-        progressed = False
-        for j in order:
-            if budget[j] <= 1e-12:
-                continue
-            for r in pref[j]:
-                if speeds[j, r] <= 0 or cap[r] <= 1e-12:
-                    continue
-                delta = min(step, budget[j], cap[r] / workers[j])
-                if delta <= 1e-12:
-                    continue
-                y[j, r] += delta
-                budget[j] -= delta
-                cap[r] -= delta * workers[j]
-                progressed = True
-                break
-            if progressed:
-                break
-        if not progressed:
-            break
-    return y
+    # Σ_r Y[j,r] ≤ 1 per job, then Σ_j W_j Y[j,r] ≤ C_r per type.
+    rows = [shared + job_of, shared + num_jobs + cell % num_types]
+    cols = [cell, cell]
+    data = [np.ones(n_y), np.repeat(workers, num_types)]
+    rhs = [np.ones(num_jobs), capacity]
+    if max_min:
+        # m − Σ_r Y[j,r] s[j,r] ≤ 0 per job; m is the last variable.
+        flat = speeds.ravel()
+        nonzero = np.flatnonzero(flat)
+        rows += [job_of[nonzero], np.arange(num_jobs)]
+        cols += [nonzero, np.full(num_jobs, n_y)]
+        data += [-flat[nonzero], np.ones(num_jobs)]
+        rhs.insert(0, np.zeros(num_jobs))
+        c = np.zeros(n_y + 1)
+        c[-1] = -1.0
+    else:
+        c = -speeds.ravel()
+    bounds = np.zeros((c.size, 2))
+    bounds[:n_y, 1] = 1.0
+    bounds[n_y:, 1] = np.inf
+    a_ub = coo_array(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(shared + num_jobs + num_types, c.size),
+    )
+    result = linprog(
+        c, A_ub=a_ub, b_ub=np.concatenate(rhs), bounds=bounds, method="highs"
+    )
+    if not result.success:  # pragma: no cover - HiGHS is reliable on this LP
+        raise RuntimeError(f"Gavel {policy} LP failed: {result.message}")
+    # HiGHS honours bounds only to its primal feasibility tolerance
+    # (~1e-7); snap the solution back into the declared [0, 1] domain.
+    return np.clip(result.x[:n_y], 0.0, 1.0).reshape(num_jobs, num_types)

@@ -22,7 +22,6 @@ from typing import Mapping, Optional
 from repro.baselines.packing import pack_gang_single_type
 from repro.cluster.allocation import Allocation
 from repro.sim.interface import Scheduler, SchedulerContext
-from repro.sim.progress import JobRuntime
 
 __all__ = ["TiresiasConfig", "TiresiasScheduler"]
 
@@ -104,11 +103,10 @@ class TiresiasScheduler(Scheduler):
                 self._demoted.add(rt.job_id)
                 demotions += 1
 
-        def queue_index(rt: JobRuntime) -> int:
-            return 1 if rt.job_id in self._demoted else 0
-
-        # Queue 0 first; FIFO by arrival within a queue.
-        active.sort(key=lambda rt: (queue_index(rt), rt.job.arrival_time, rt.job_id))
+        # Queue 0 first; FIFO by arrival within a queue.  ``ctx.active`` is
+        # already in (arrival, job id) order and the sort is stable.
+        demoted = self._demoted
+        active.sort(key=lambda rt: rt.job_id in demoted)
 
         # One pass over the queue against per-type free counts kept for
         # the round.  Tiresias predates heterogeneous scheduling: like
@@ -122,9 +120,10 @@ class TiresiasScheduler(Scheduler):
         types = ctx.cluster.gpu_types
         usable: dict[str, tuple[str, ...]] = {}
         target: dict[int, Allocation] = {}
+        most_free = max(free.values(), default=0)
         for rt in active:
             workers = rt.job.num_workers
-            if max(free.values(), default=0) < workers:
+            if most_free < workers:
                 continue
             model = rt.job.model.name
             fits = usable.get(model)
@@ -143,6 +142,7 @@ class TiresiasScheduler(Scheduler):
             gang = pack_gang_single_type(state, workers, best)
             state.allocate(gang)
             free[best] -= workers
+            most_free = max(free.values())
             target[rt.job_id] = gang
         self.last_round_stats = {
             "jobs_considered": len(active),

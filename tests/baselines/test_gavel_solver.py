@@ -1,11 +1,13 @@
-"""Unit tests for the Gavel max-min solvers (LP + water-filling)."""
+"""Unit tests for Gavel's allocation LP, cross-checked against the
+test-side water-filling approximation."""
 
 import numpy as np
 import pytest
 
-from repro.baselines.gavel.solver import (
+from repro.baselines.gavel.solver import solve_allocation_lp
+
+from tests.baselines._gavel_reference import (
     min_scaled_throughput,
-    solve_max_min_lp,
     water_filling_allocation,
 )
 
@@ -19,7 +21,7 @@ def check_feasible(y, workers, capacity):
 class TestLP:
     def test_single_job_gets_best_type(self):
         speeds = np.array([[1.0, 0.3]])
-        y = solve_max_min_lp(speeds, np.array([1.0]), np.array([4.0, 4.0]))
+        y = solve_allocation_lp(speeds, np.array([1.0]), np.array([4.0, 4.0]))
         check_feasible(y, np.array([1.0]), np.array([4.0, 4.0]))
         assert min_scaled_throughput(y, speeds) == pytest.approx(1.0)
 
@@ -27,7 +29,7 @@ class TestLP:
         speeds = np.array([[1.0, 0.5], [0.5, 1.0]])
         workers = np.array([1.0, 1.0])
         capacity = np.array([2.0, 2.0])
-        y = solve_max_min_lp(speeds, workers, capacity)
+        y = solve_allocation_lp(speeds, workers, capacity)
         check_feasible(y, workers, capacity)
         assert min_scaled_throughput(y, speeds) == pytest.approx(1.0)
 
@@ -36,7 +38,7 @@ class TestLP:
         speeds = np.array([[1.0], [1.0]])
         workers = np.array([1.0, 1.0])
         capacity = np.array([1.0])
-        y = solve_max_min_lp(speeds, workers, capacity)
+        y = solve_allocation_lp(speeds, workers, capacity)
         check_feasible(y, workers, capacity)
         assert min_scaled_throughput(y, speeds) == pytest.approx(0.5)
 
@@ -47,20 +49,24 @@ class TestLP:
         speeds = np.array([[1.0, 0.1], [1.0, 1.0]])
         workers = np.array([1.0, 1.0])
         capacity = np.array([1.0, 1.0])
-        y = solve_max_min_lp(speeds, workers, capacity)
+        y = solve_allocation_lp(speeds, workers, capacity)
         m = min_scaled_throughput(y, speeds)
         # Assigning job 0 → type 0, job 1 → type 1 achieves 1.0.
         assert m == pytest.approx(1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            solve_max_min_lp(np.array([[0.0]]), np.array([1.0]), np.array([1.0]))
+            solve_allocation_lp(np.array([[0.0]]), np.array([1.0]), np.array([1.0]))
         with pytest.raises(ValueError):
-            solve_max_min_lp(np.array([[1.0]]), np.array([0.0]), np.array([1.0]))
+            solve_allocation_lp(np.array([[1.0]]), np.array([0.0]), np.array([1.0]))
         with pytest.raises(ValueError):
-            solve_max_min_lp(np.array([[1.0]]), np.array([1.0]), np.array([-1.0]))
+            solve_allocation_lp(np.array([[1.0]]), np.array([1.0]), np.array([-1.0]))
         with pytest.raises(ValueError):
-            solve_max_min_lp(np.array([1.0]), np.array([1.0]), np.array([1.0]))
+            solve_allocation_lp(np.array([1.0]), np.array([1.0]), np.array([1.0]))
+        with pytest.raises(ValueError, match="unknown policy"):
+            solve_allocation_lp(
+                np.array([[1.0]]), np.array([1.0]), np.array([1.0]), policy="magic"
+            )
 
 
 class TestWaterFilling:
@@ -83,7 +89,7 @@ class TestWaterFilling:
     )
     def test_tracks_lp_objective(self, speeds, workers, capacity):
         """The in-repo approximation stays within 10% + step of the LP."""
-        y_lp = solve_max_min_lp(speeds, workers, capacity)
+        y_lp = solve_allocation_lp(speeds, workers, capacity)
         y_wf = water_filling_allocation(speeds, workers, capacity, step=0.01)
         check_feasible(y_wf, workers, capacity)
         m_lp = min_scaled_throughput(y_lp, speeds)
@@ -95,7 +101,7 @@ class TestWaterFilling:
         workers = np.array([1.0, 1.0])
         capacity = np.array([1.0])
         m_lp = min_scaled_throughput(
-            solve_max_min_lp(speeds, workers, capacity), speeds
+            solve_allocation_lp(speeds, workers, capacity), speeds
         )
         m_wf = min_scaled_throughput(
             water_filling_allocation(speeds, workers, capacity), speeds

@@ -68,12 +68,14 @@ class TestGavelMaxSum:
     def test_max_sum_lp_shape(self):
         import numpy as np
 
-        from repro.baselines.gavel.solver import solve_max_sum_lp
+        from repro.baselines.gavel.solver import solve_allocation_lp
 
         # One fast-affine job, one indifferent: utilitarian optimum gives
         # the fast type to the job that exploits it.
         speeds = np.array([[1.0, 0.1], [1.0, 1.0]])
-        y = solve_max_sum_lp(speeds, np.array([1.0, 1.0]), np.array([1.0, 1.0]))
+        y = solve_allocation_lp(
+            speeds, np.array([1.0, 1.0]), np.array([1.0, 1.0]), policy="max-sum"
+        )
         total = float((y * speeds).sum())
         assert total == pytest.approx(2.0, abs=1e-6)
 
@@ -82,12 +84,3 @@ class TestGavelMaxSum:
 
         with pytest.raises(ValueError):
             GavelConfig(policy="max-entropy")
-
-    def test_max_sum_requires_lp(self, no_comm_cluster, matrix):
-        from repro.baselines.gavel.policy import max_min_allocation_matrix
-
-        with pytest.raises(ValueError, match="requires the LP"):
-            max_min_allocation_matrix(
-                [], no_comm_cluster.gpu_types, {}, matrix,
-                solver="water-filling", policy="max-sum",
-            )
