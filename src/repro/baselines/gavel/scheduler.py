@@ -155,7 +155,10 @@ class GavelScheduler(Scheduler):
             self.last_round_stats = {}
             return {}
         self._solved_last_round = 0
-        allocation_matrix = self._allocation_matrix(ctx)
+        # One all-free state per round: the LP plans against its surviving
+        # capacity, then the round's gangs are packed into it.
+        state = ctx.fresh_state()
+        allocation_matrix = self._allocation_matrix(ctx, state.capacity_by_type())
 
         # Priority matrix: optimal share per round actually received.
         entries: list[tuple[float, int, str]] = []
@@ -172,7 +175,6 @@ class GavelScheduler(Scheduler):
                 entries.append((priority, rt.job_id, type_name))
         entries.sort(key=lambda e: (-e[0], e[1], e[2]))
 
-        state = ctx.fresh_state()
         runtimes = {rt.job_id: rt for rt in active}
         target: dict[int, Allocation] = {}
         for _, job_id, type_name in entries:
@@ -193,7 +195,9 @@ class GavelScheduler(Scheduler):
         return target
 
     # ---------------------------------------------------------------- internal --
-    def _allocation_matrix(self, ctx: SchedulerContext) -> AllocationMatrix:
+    def _allocation_matrix(
+        self, ctx: SchedulerContext, capacity: dict[str, int]
+    ) -> AllocationMatrix:
         active = ctx.active
         # The LP promises time fractions the round realization must be
         # able to deliver, so it plans against *surviving* capacity —
@@ -202,12 +206,6 @@ class GavelScheduler(Scheduler):
         # matrix against the surviving counts).  Without faults the two
         # are identical.  A job no type can currently host simply waits
         # this round instead of poisoning the LP.
-        state = ctx.fresh_state()
-        capacity: dict[str, int] = {}
-        for node_id, type_name in state.slots:
-            capacity[type_name] = (
-                capacity.get(type_name, 0) + state.capacity(node_id, type_name)
-            )
         placeable = tuple(
             rt for rt in active
             if any(

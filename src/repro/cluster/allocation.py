@@ -60,7 +60,8 @@ class Allocation:
         return bool(self.placements)
 
     def __iter__(self) -> Iterator[tuple[tuple[int, str], int]]:
-        return iter(sorted(self.placements.items()))
+        """The placements in sorted order (the canonical key, built once)."""
+        return iter(self._key)  # type: ignore[attr-defined]
 
     # -- views ---------------------------------------------------------
     @property

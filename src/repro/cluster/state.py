@@ -93,12 +93,15 @@ class ClusterState:
             out[type_name] = out.get(type_name, 0) + count
         return out
 
-    def used_by_type(self) -> dict[str, int]:
-        free = self.free_by_type()
+    def capacity_by_type(self) -> dict[str, int]:
         out: dict[str, int] = {}
         for (_, type_name), cap in self._capacity.items():
             out[type_name] = out.get(type_name, 0) + cap
-        return {t: out[t] - free.get(t, 0) for t in out}
+        return out
+
+    def used_by_type(self) -> dict[str, int]:
+        free = self.free_by_type()
+        return {t: cap - free.get(t, 0) for t, cap in self.capacity_by_type().items()}
 
     def total_free(self) -> int:
         return sum(self._vec)

@@ -393,7 +393,7 @@ class FaultPhase:
                 if rt.state is not JobState.RUNNING or not rt.allocation:
                     continue
                 if any(s in deficits for s in rt.allocation.placements):
-                    self._rollback(rt, state, now, event.fault_id)
+                    self._rollback(rt, ledger, state, now, event.fault_id)
                     victims.append(rt)
                     deficits = self._deficits(want, state)
                     if not deficits:
@@ -481,7 +481,7 @@ class FaultPhase:
                 # Only gangs *spanning* the boundary lose their barrier;
                 # gangs fully inside the cut keep training locally.
                 if self.model.partition_policy == "preempt":
-                    self._rollback(rt, state, now, event.fault_id)
+                    self._rollback(rt, ledger, state, now, event.fault_id)
                     victims.append(rt.job_id)
                 else:
                     self._stall(rt, event.fault_id, ledger)
@@ -658,7 +658,7 @@ class FaultPhase:
             if rt.state is JobState.RUNNING and rt.allocation:
                 lost_total += rt.iterations_done
                 rt.checkpoint_iterations = 0.0
-                self._rollback(rt, state, now, event.fault_id)
+                self._rollback(rt, ledger, state, now, event.fault_id)
                 victims.append(rt.job_id)
             else:
                 # Queued with progress: the checkpoint it would resume
@@ -701,7 +701,12 @@ class FaultPhase:
 
     # ------------------------------------------------------------- rollback --
     def _rollback(
-        self, rt: JobRuntime, state: "ClusterState", now: float, fault_id: int
+        self,
+        rt: JobRuntime,
+        ledger: "ProgressLedger",
+        state: "ClusterState",
+        now: float,
+        fault_id: int,
     ) -> None:
         """Crash-restart ``rt``: re-queue (it stays live) and roll back to its checkpoint."""
         remaining_before = rt.remaining_iterations
@@ -709,7 +714,7 @@ class FaultPhase:
         lost_seconds = lost_iters / rt.rate if rt.rate > 0 else 0.0
         state.release(rt.allocation)
         rt.allocation = EMPTY_ALLOCATION
-        rt.state = JobState.QUEUED
+        ledger.move(rt, JobState.QUEUED)
         rt.iterations_done = rt.checkpoint_iterations
         rt.rate = 0.0
         rt.slowdown = 1.0  # the degraded workers died with the gang

@@ -77,6 +77,7 @@ from repro.sim.phases import (
     TracePhase,
 )
 from repro.sim.progress import JobRuntime, ProgressLedger
+from repro.sim.snapshot import SnapshotCache
 from repro.sim.stragglers import StragglerModel
 from repro.sim.telemetry import UtilizationRecorder
 from repro.workload.arrivals import SubmissionSource
@@ -286,6 +287,7 @@ class SimulationEngine:
             job.job_id: JobRuntime(job=job) for job in self.trace
         }
         self._runtimes = runtimes
+        self._snapshot_cache = SnapshotCache()
         self._state = self.cluster.fresh_state()
         kernel = EventKernel()
         ledger = ProgressLedger(runtimes)
@@ -520,6 +522,7 @@ class SimulationEngine:
                     stalled=(
                         fault_phase.stalled_jobs if fault_phase is not None else None
                     ),
+                    live=ledger.live,
                 )
             if self._tracing:
                 self._trace_phase.after_decision(
@@ -539,7 +542,7 @@ class SimulationEngine:
                     self._scheduler_phase.decision_seconds[-1],
                     labels={"scheduler": self.scheduler.name},
                 )
-        self._telemetry.record_queue_depth(now, ledger.live)
+        self._telemetry.record_queue_depth(now, ledger.queued)
         self._loop_s += _time.perf_counter() - tick
         return self._has_work()
 
@@ -572,7 +575,7 @@ class SimulationEngine:
                 default=self._now,
             )
         self._telemetry.record_utilization(end_time, self._state)
-        self._telemetry.record_queue_depth(end_time, self._ledger.live)
+        self._telemetry.record_queue_depth(end_time, self._ledger.queued)
         # The dispatch bucket is the loop residual: everything outside the
         # explicitly timed integration/re-prediction/decision phases.
         timings.event_dispatch_s = max(

@@ -306,7 +306,7 @@ class SchedulerPhase:
                 state.allocate(new)  # validated jointly above
                 delay = self.checkpoint.reallocation_delay(rt.job, old, new)
                 rt.allocation = new
-                rt.state = JobState.RUNNING
+                ledger.move(rt, JobState.RUNNING)
                 rt.rate = self._realized_rate(rt.job, new)
                 rt.resume_time = now + delay
                 rt.overhead_seconds += delay
@@ -326,7 +326,7 @@ class SchedulerPhase:
                     rt.preemptions += 1
             else:
                 rt.allocation = EMPTY_ALLOCATION
-                rt.state = JobState.QUEUED
+                ledger.move(rt, JobState.QUEUED)
                 rt.rate = 0.0
                 rt.preemptions += 1
                 if self.fault_phase is not None:
@@ -397,11 +397,9 @@ class TelemetryPhase:
     def record_utilization(self, now: float, state: "ClusterState") -> None:
         self.recorder.record(now, state.used_by_type())
 
-    def record_queue_depth(self, now: float, live: Mapping[int, JobRuntime]) -> None:
-        """Sample how many of the live jobs (the ledger's set) are queued."""
-        self.recorder.record_queue(
-            now, sum(1 for rt in live.values() if rt.state is JobState.QUEUED)
-        )
+    def record_queue_depth(self, now: float, queued: int) -> None:
+        """Sample how many jobs are queued (the ledger's count)."""
+        self.recorder.record_queue(now, queued)
 
 
 class TracePhase:

@@ -162,35 +162,46 @@ class JobRuntime:
         round-trip is exact for finite doubles, which is all the engine
         ever produces here.
         """
+        record = self.mutable_state_dict()
+        record["job"] = self.job.to_record()
+        record["history"] = self.history_record()
+        return record
+
+    def history_record(self, start: int = 0) -> list:
+        """:attr:`history` from entry ``start`` on, as JSON-able
+        ``[time, placements]`` pairs."""
+        return [[t, _alloc_to_record(alloc)] for t, alloc in self.history[start:]]
+
+    def mutable_state_dict(self) -> dict:
+        """:meth:`state_dict` without ``job`` and ``history``: the part
+        that can change at every event (the snapshot cache keeps the job
+        spec, which never changes, and the append-only history).  Keys
+        are in sorted order, which the canonical encoder sorts fastest."""
         return {
-            "job": self.job.to_record(),
-            "state": self.state.value,
-            "iterations_done": self.iterations_done,
+            "alloc_epoch": self.alloc_epoch,
             "allocation": _alloc_to_record(self.allocation),
-            "rate": self.rate,
-            "slowdown": self.slowdown,
-            "straggler_events": self.straggler_events,
+            "allocation_changes": self.allocation_changes,
+            "attained_service": self.attained_service,
             "checkpoint_iterations": self.checkpoint_iterations,
             "failures": self.failures,
-            "rollbacks": self.rollbacks,
-            "rollback_seconds": self.rollback_seconds,
-            "rollback_iterations": self.rollback_iterations,
-            "resume_time": self.resume_time,
-            "last_integrated": self.last_integrated,
-            "generation": self.generation,
-            "alloc_epoch": self.alloc_epoch,
-            "first_start_time": self.first_start_time,
             "finish_time": self.finish_time,
-            "preemptions": self.preemptions,
-            "allocation_changes": self.allocation_changes,
+            "first_start_time": self.first_start_time,
+            "generation": self.generation,
+            "iterations_done": self.iterations_done,
+            "last_integrated": self.last_integrated,
             "overhead_seconds": self.overhead_seconds,
-            "attained_service": self.attained_service,
-            "waiting_seconds": self.waiting_seconds,
-            "rounds_scheduled": self.rounds_scheduled,
+            "preemptions": self.preemptions,
+            "rate": self.rate,
+            "resume_time": self.resume_time,
+            "rollback_iterations": self.rollback_iterations,
+            "rollback_seconds": self.rollback_seconds,
+            "rollbacks": self.rollbacks,
             "rounds_by_type": dict(self.rounds_by_type),
-            "history": [
-                [t, _alloc_to_record(alloc)] for t, alloc in self.history
-            ],
+            "rounds_scheduled": self.rounds_scheduled,
+            "slowdown": self.slowdown,
+            "state": self.state.value,
+            "straggler_events": self.straggler_events,
+            "waiting_seconds": self.waiting_seconds,
         }
 
     @classmethod
@@ -232,10 +243,7 @@ class JobRuntime:
 
 def _alloc_to_record(alloc: Allocation) -> list[list]:
     """An allocation as a sorted, JSON-able placement list."""
-    return [
-        [node_id, type_name, count]
-        for (node_id, type_name), count in sorted(alloc.placements.items())
-    ]
+    return [[node_id, type_name, count] for (node_id, type_name), count in alloc]
 
 
 def _alloc_from_record(record: list) -> Allocation:
@@ -262,9 +270,12 @@ class ProgressLedger:
     jobs.  Only two transitions change it: :meth:`admit` adds a job and
     :meth:`finalize_completions` retires one; QUEUED↔RUNNING moves
     (placement, preemption, fault rollback) keep the job in place.
+    :attr:`queued` counts the QUEUED members; :meth:`admit` and
+    :meth:`move` (the one way between QUEUED and RUNNING) keep it, so the
+    per-event queue-depth sample reads it instead of walking the set.
     """
 
-    __slots__ = ("runtimes", "live", "_seeded", "_dirty")
+    __slots__ = ("runtimes", "live", "queued", "_seeded", "_dirty")
 
     def __init__(self, runtimes: dict[int, JobRuntime]):
         self.runtimes = runtimes
@@ -280,6 +291,7 @@ class ProgressLedger:
             for job_id, rt in self.runtimes.items()
             if rt.state in (JobState.QUEUED, JobState.RUNNING)
         }
+        self.queued = sum(1 for rt in self.live.values() if rt.state is JobState.QUEUED)
 
     def admit(self, rt: JobRuntime, now: float) -> None:
         """Enter an arrived job into the system: queued, waiting from ``now``.
@@ -297,6 +309,12 @@ class ProgressLedger:
             self._rebuild_live()
             return
         self.live[rt.job_id] = rt
+        self.queued += 1
+
+    def move(self, rt: JobRuntime, state: JobState) -> None:
+        """Move a live job to QUEUED or RUNNING, keeping :attr:`queued`."""
+        self.queued += (state is JobState.QUEUED) - (rt.state is JobState.QUEUED)
+        rt.state = state
 
     # -- integration ----------------------------------------------------------
     def integrate_to(self, now: float) -> None:

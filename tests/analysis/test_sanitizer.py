@@ -84,6 +84,45 @@ class TestGangCompleteness:
         InvariantSanitizer().check_gangs([rt])
 
 
+class TestLiveSetWalks:
+    """``on_round`` walks the engine's live set; the gang check still sees
+    every job outside it once: on the first round over a table, and when
+    a job leaves the set."""
+
+    @staticmethod
+    def sweep(sanitizer, runtimes, live, state):
+        sanitizer.on_round(
+            round_index=sanitizer.rounds_checked + 1, now=0.0, runtimes=runtimes,
+            state=state, scheduler=None, live=live,
+        )
+
+    def test_job_leaving_the_live_set_still_holding_devices_fires(self):
+        state = ClusterState({(0, "V100"): 4})
+        rt = running(1, 2, {(0, "V100"): 2})
+        state.allocate(rt.allocation)
+        table = {1: rt}
+        sanitizer = InvariantSanitizer()
+        self.sweep(sanitizer, table, {1: rt}, state)
+        rt.state = JobState.COMPLETE  # finalized without releasing its gang
+        state.release(rt.allocation)
+        with pytest.raises(InvariantViolation) as exc:
+            self.sweep(sanitizer, table, {}, state)
+        assert exc.value.rule == "gang" and exc.value.job_id == 1
+        # Once reported, the finished job is not walked again.
+        sanitizer.mode = "collect"
+        self.sweep(sanitizer, table, {}, state)
+        assert len(sanitizer.violations) == 1
+
+    def test_first_round_over_a_table_walks_every_job(self):
+        rt = JobRuntime(job=make_job(3, workers=1))  # PENDING
+        rt.allocation = Allocation.single(0, "V100", 1)
+        with pytest.raises(InvariantViolation) as exc:
+            self.sweep(
+                InvariantSanitizer(), {3: rt}, {}, ClusterState({(0, "V100"): 4})
+            )
+        assert exc.value.rule == "gang" and exc.value.job_id == 3
+
+
 class TestPriceBounds:
     def test_out_of_bounds_price_fires(self):
         class BrokenPrices:

@@ -143,6 +143,10 @@ def assert_live_is_table_filtered(engine: SimulationEngine) -> None:
     ]
     assert list(ledger.live) == expected
     assert all(ledger.live[job_id] is ledger.runtimes[job_id] for job_id in expected)
+    # The kept queued count equals a walk of the set.
+    assert ledger.queued == sum(
+        1 for rt in ledger.live.values() if rt.state is JobState.QUEUED
+    )
 
 
 @st.composite
@@ -201,7 +205,8 @@ def step_checking_live(engine: SimulationEngine, steps: int | None = None) -> No
 @settings(max_examples=60, deadline=None)
 def test_live_set_is_the_table_filtered_to_queued_and_running(scenario):
     """After every step, ``ledger.live`` lists exactly the QUEUED and
-    RUNNING runtimes, in the runtimes table's order: under every fault
+    RUNNING runtimes, in the runtimes table's order, and ``ledger.queued``
+    counts the QUEUED ones: under every fault
     family, stragglers, a streamed source interleaving with the trace,
     and across a mid-run snapshot and restore."""
     build, restore_at = scenario
