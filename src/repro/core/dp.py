@@ -271,6 +271,12 @@ class DPAllocator:
     def _solve_greedy(
         self, queue: list[JobRuntime], state: ClusterState, ctx: RoundContext
     ) -> dict[int, AllocationCandidate]:
+        """Allocate in payoff-density order.
+
+        The allocation walk drops each state's generations as it commits
+        past it: it only commits, so it never returns, and it is the
+        round's last search.
+        """
         # Rank once on round-initial prices: payoff per requested worker.
         ranked: list[tuple[float, int, JobRuntime]] = []
         for rt in queue:
@@ -285,6 +291,7 @@ class DPAllocator:
             cand = cached_find_alloc(ctx, rt, state)
             if cand is None:
                 continue  # prices rose past this job's payoff; filtered out
+            ctx.leave_state(state.key())
             state.allocate(cand.allocation)
             chosen[rt.job_id] = cand
         return chosen

@@ -328,7 +328,7 @@ def cached_find_alloc(
                     return _candidate(picks, best)
 
     # -- everything else: generated, pruned, costed through the memos ----------
-    pairs = _generate_candidates(ctx, model, w, usable_desc, state, state_key)
+    pairs = _generate_candidates(ctx, model, w, usable_desc, state_key)
     for picks, frees in pairs:
         if picks == current_picks:
             continue  # costed above, delay-free
@@ -536,7 +536,6 @@ def _generate_candidates(
     model: str,
     w: int,
     usable_desc: tuple[str, ...],
-    state: ClusterState,
     state_key: tuple[int, ...],
 ) -> tuple[tuple[_Picks, tuple[int, ...]], ...]:
     """The job-independent candidate families at one free-capacity vector.
@@ -549,20 +548,31 @@ def _generate_candidates(
     (:meth:`RoundContext.rate_rank`), which compare exactly like ``-rate``
     over usable types.  A miss moves the round's
     :class:`~repro.core.round_context.SlotBook` to the state and walks it;
-    two transformations relative to the reference are value-preserving:
+    three transformations relative to the reference are value-preserving:
 
     * the consolidated walks depend on a server only through its
-      inventory and free vector, so each class of such servers is walked
-      once and the picks relabelled for its two lowest node ids — the
-      pruning below keeps at most two candidates of one exact base cost,
-      lowest picks first, so the other servers' copies are never kept;
+      inventory and free vector — a slot's Eq. (5) price is
+      ``price_given(type, cap, free)`` — so each server class's fastest
+      and cheapest walks are a pure function of ``((inventory, free
+      vector), shape)``.  They are walked once per round as ``(type,
+      count)`` templates (:func:`_class_template`, memoized in
+      :attr:`RoundContext.class_walks` across states) and relabelled
+      for the class's two lowest node ids — the pruning below keeps at
+      most two candidates of one exact base cost, lowest picks first, so
+      the other servers' copies are never kept;
     * a cross-server walk over the tiers ``<= i`` takes at most ``W``
       slots, and restricted to one type its key order is the book's
       ``(price, node)`` order, so it never reaches past any type's first
       ``W`` free slots.  Sorting those prefixes by the reference keys
       (total orders: ties fall to the node, then the type name, as the
       reference's stable sort over canonical slot order does) gives the
-      walk's every step.
+      walk's every step;
+    * tier ``i``'s walk takes the same picks as tier ``i - 1``'s completed
+      walk when the new type's first slot sorts after that walk's last
+      take: its price is strictly higher (cheap walk) or its rank is
+      (fast walk), so every new slot comes after the take that filled
+      the gang.  Such walks are skipped; equal prices and equal ranks
+      fall through to the walk, where the node and type decide.
 
     **Dominance pruning.**  Candidates are grouped by (spans more than
     one node, bottleneck rate-tie group — the largest ``rank`` picked).
@@ -591,61 +601,60 @@ def _generate_candidates(
         return gen
     stats.generation_runs += 1
     book = ctx.slot_book(state_key)
-    price_of = book.price_of
     reads = 0
+    # Picks → (base price cost, pruning group, picked free counts).  The
+    # base is the physics layer's ``sum`` over the sorted picks; for the
+    # common one-slot candidate, the product itself.
+    candidates: dict[_Picks, tuple[float, tuple[bool, int], tuple[int, ...]]] = {}
 
     # As in the reference, every take fills the gang.
-    # -- consolidated (line 24): one walk pair per server class ----------------
-    candidates: set[_Picks] = set()
-    for (inventory, frees), nodes in book.classes.items():
-        reads += len(frees)
-        slots = [(t, f) for (t, _), f in zip(inventory, frees) if f and t in rank]
-        if sum(f for _, f in slots) < w:
-            continue
-        node_id = nodes[0]
-        fast = sorted(slots, key=lambda s: rank[s[0]])  # name order breaks ties
-        cheap = sorted(slots, key=lambda s: (price_of[(node_id, s[0])], s[0]))
-        for walk in (fast, cheap):
-            picks = _greedy_take([(node_id, t, f) for t, f in walk], w)
-            candidates.add(picks)
-            for other in nodes[1:2]:
-                candidates.add(tuple([(other, t, c) for _, t, c in picks]))
+    # -- consolidated (line 24): one template per server class -----------------
+    templates = ctx.class_walks[shape]
+    for ck, nodes in book.classes.items():
+        # A template hit still reads the class's free vector: it is the key.
+        reads += len(ck[1])
+        template = templates.get(ck)
+        if template is None:
+            template = templates[ck] = _class_template(
+                ck, nodes[0], book.price_of, rank, w
+            )
+        for tc, carried in template:
+            for node_id in nodes[:2]:
+                candidates[tuple([(node_id, t, c) for t, c in tc])] = carried
 
     # -- cross-server (line 25): each type's first W slots, per tier ------------
     # The reference keys use ``-rate_of[t]``; ``rank[t]`` compares
     # identically (rate-tie groups in fastest-first order).
     entries: list[tuple[float, int, int, str, int]] = []
     total_free = 0
+    cheap_last = fast_last = None  # the last takes of the previous walks
     for i, t in enumerate(usable_desc):
         tier_free = book.type_free[t]
         total_free += tier_free
         if tier_free:
             r = rank[t]
-            entries += [(p, r, n, t, f) for p, n, f in book.order[t][:w]]
+            head = book.order[t][:w]
+            entries += [(p, r, n, t, f) for p, n, f in head]
         elif i:
             # An empty tier leaves the allowed prefix — and hence both
             # walks — identical to the previous processed tier's.
             continue
         if total_free < w:
             continue
+        # Counted whether or not the walks below are skipped: the tier's
+        # first W slots were gathered either way.
         reads += len(entries)
-        for walk in (sorted(entries), sorted(entries, key=_FAST)):
-            candidates.add(_greedy_take([e[2:] for e in walk], w))
+        if cheap_last is None or not head[0][0] > cheap_last[0]:
+            cheap_last = _tier_walk(sorted(entries), w, candidates)
+        if fast_last is None or not r > fast_last[1]:
+            fast_last = _tier_walk(sorted(entries, key=_FAST), w, candidates)
     stats.slot_reads += reads
 
     # -- dominance pruning (see the docstring) ---------------------------------
-    # ``base`` is the physics layer's ``sum`` over the sorted picks; for
-    # the common one-slot candidate that is the product itself.  Set order
-    # never shows: groups are sorted before they are cut, and so is ``kept``.
+    # Dict order never shows: groups are sorted before they are cut, and
+    # so is ``kept``.
     groups: dict[tuple[bool, int], list[tuple[float, _Picks]]] = {}
-    for p in candidates:  # repro-lint: disable=REP004
-        if len(p) == 1:
-            n, t, c = p[0]
-            base = price_of[(n, t)] * c
-            group = (False, rank[t])
-        else:
-            base = sum(price_of[(n, t)] * c for n, t, c in p)
-            group = (p[0][0] != p[-1][0], max(rank[t] for _, t, _ in p))
+    for p, (base, group, _) in candidates.items():
         groups.setdefault(group, []).append((base, p))
     kept: list[_Picks] = []
     for members in groups.values():
@@ -665,12 +674,84 @@ def _generate_candidates(
             if run <= 2:
                 kept.append(p)
 
-    # Pair every kept candidate with its picked slots' free counts: the free
-    # vector is exactly what ``state_key`` canonicalizes, so the counts
-    # are identical at every state this generation is reused for —
-    # evaluators read them from the cache instead of re-querying state.
+    # Pair every kept candidate with its picked slots' free counts (read
+    # off the class keys and walk entries): the free vector is exactly
+    # what ``state_key`` canonicalizes, so the counts are identical at
+    # every state this generation is reused for.
     kept.sort()
-    free = state.free
-    gen = tuple([(p, tuple([free(n, t) for n, t, _ in p])) for p in kept])
+    gen = tuple([(p, candidates[p][2]) for p in kept])
     ctx.generation_put(shape, state_key, gen)
     return gen
+
+
+def _class_template(
+    class_key: tuple,
+    node_id: int,
+    price_of: dict[tuple[int, str], float],
+    rank: dict[str, int],
+    w: int,
+) -> tuple:
+    """A server class's distinct consolidated walks, as node-free templates.
+
+    ``class_key`` is the slot book's ``(inventory, free vector)``; prices
+    are read at ``node_id``, one member, and are the same at every
+    member.  Each walk becomes ``((type, count), ...)`` in the type order
+    :func:`_greedy_take` sorts one node's picks into, paired with its
+    base price cost, pruning group and picked free counts.
+    Empty when the class cannot host the gang.
+    """
+    inventory, frees = class_key
+    slots = [(t, f) for (t, _), f in zip(inventory, frees) if f and t in rank]
+    if sum(f for _, f in slots) < w:
+        return ()
+    fast = sorted(slots, key=lambda s: rank[s[0]])  # name order breaks ties
+    cheap = sorted(slots, key=lambda s: (price_of[(node_id, s[0])], s[0]))
+    free_of = dict(slots)
+    out = {}
+    for walk in (fast, cheap):
+        picks = _greedy_take([(node_id, t, f) for t, f in walk], w)
+        if len(picks) == 1:
+            _, t, c = picks[0]
+            base = price_of[(node_id, t)] * c
+        else:
+            base = sum(price_of[(node_id, t)] * c for _, t, c in picks)
+        out[tuple([(t, c) for _, t, c in picks])] = (
+            base,
+            (False, max(rank[t] for _, t, _ in picks)),
+            tuple([free_of[t] for _, t, _ in picks]),
+        )
+    return tuple(out.items())
+
+
+def _tier_walk(
+    ordered: list[tuple[float, int, int, str, int]],
+    w: int,
+    candidates: dict,
+) -> tuple[float, int, int, str, int]:
+    """Take ``w`` devices along ``(price, rank, node, type, free)`` entries.
+
+    Files the picks in ``candidates`` with their base price cost, pruning
+    group and picked free counts (all read off the entries) and returns
+    the entry whose take filled the gang.
+    """
+    need = w
+    taken = []
+    for entry in ordered:
+        free = entry[4]
+        take = free if free < need else need
+        taken.append((entry[2], entry[3], take, entry))
+        need -= take
+        if need == 0:
+            break
+    if len(taken) == 1:
+        n, t, c, (p, r, _, _, f) = taken[0]
+        candidates[((n, t, c),)] = (p * c, (False, r), (f,))
+        return entry
+    taken.sort(key=itemgetter(0, 1))
+    picks = tuple([(n, t, c) for n, t, c, _ in taken])
+    candidates[picks] = (
+        sum(e[0] * c for _, _, c, e in taken),
+        (picks[0][0] != picks[-1][0], max(e[1] for *_, e in taken)),
+        tuple([e[4] for *_, e in taken]),
+    )
+    return entry

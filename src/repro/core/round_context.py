@@ -25,7 +25,7 @@ every ``find_alloc`` call in that round.  It provides
   follows every state a search is handed by re-filing only the slots
   whose free count changed, so the greedy's commits and the exact DP's
   depth-first moves each cost a gang's slots, not the cluster's;
-* four memo layers, each kept because it measurably hits:
+* five memo layers, each kept because it measurably hits:
 
   - **price** — Eq. (5)'s price is a pure function of a slot's committed
     fraction, so :meth:`price` memoizes it per ``(slot, free count)``; an
@@ -36,7 +36,12 @@ every ``find_alloc`` call in that round.  It provides
     at one free-capacity vector, already pruned to the candidates that
     can win (``find_alloc._generate_candidates``), shared by every job
     whose model has the same type order and gang size
-    (:meth:`generation_get`);
+    (:meth:`generation_get`).  A walk that never returns to a state it
+    left drops that state's entries (:meth:`leave_state`);
+  - **class walk** — a server class's consolidated walks as node-free
+    ``(type, count)`` templates per job shape and ``(inventory, free
+    vector)`` (:attr:`class_walks`), shared across states: a generation
+    miss re-walks only the classes the state change created;
   - **physics** — a gang's bottleneck rate, comm penalty and price cost,
     shared by every job of one ``(model, W)`` (:attr:`physics_memo`);
   - **candidate** — a job's costed payoff per ``(picks, picked free
@@ -118,7 +123,10 @@ class RoundStats:
     calib_jobs: int = 0
     calib_dirty: int = 0
     slot_reads: int = 0
-    """Slot-book moves plus the slots the generation walks read."""
+    """Slot-book moves plus the slots each generation run reads: every
+    class's free vector (a class-walk template hit reads it as its key)
+    and each processed tier's gathered prefixes (counted also when both
+    of the tier's walks are skipped)."""
     dp_prunes: int = 0
     """Skip branches the exact DP left unexplored because its suffix
     utility bound was below the allocate branch's value."""
@@ -236,6 +244,7 @@ class RoundContext:
         "_move_delay",
         "candidate_memo",
         "physics_memo",
+        "class_walks",
         "_gen_cache",
         "_tiers",
         "_book",
@@ -277,8 +286,13 @@ class RoundContext:
         # (model, W) → (picks, picked free counts) → (cost, rate,
         # multi_node), or None for an unusable gang: no job economics.
         self.physics_memo: defaultdict[tuple[str, int], dict] = defaultdict(dict)
-        self._gen_cache: dict[tuple, tuple] = {}
-        self._tiers: dict[tuple, tuple] = {}
+        # Shape → server class ``(inventory, free vector)`` → the class's
+        # consolidated walk templates (``find_alloc._class_template``).
+        self.class_walks: defaultdict[tuple, dict] = defaultdict(dict)
+        # State key → shape → generation, and state key → type order →
+        # tier floors: one state's entries drop together (:meth:`leave_state`).
+        self._gen_cache: dict[tuple[int, ...], dict[tuple, tuple]] = {}
+        self._tiers: dict[tuple[int, ...], dict[tuple, tuple]] = {}
         self._book: Optional[SlotBook] = None
 
     # -- instrumentation ------------------------------------------------------
@@ -402,8 +416,10 @@ class RoundContext:
         slowest type.  Memoized per ``(usable_desc, state_key)``, so every
         job of one type order shares it at each state.
         """
-        key = (usable_desc, state_key)
-        tiers = self._tiers.get(key)
+        by_order = self._tiers.get(state_key)
+        if by_order is None:
+            by_order = self._tiers[state_key] = {}
+        tiers = by_order.get(usable_desc)
         if tiers is None:
             book = self.slot_book(state_key)
             out = []
@@ -417,7 +433,7 @@ class RoundContext:
                     if p < pmin:
                         pmin = p
                     out.append((t, pmin, total))
-            tiers = self._tiers[key] = tuple(out)
+            tiers = by_order[usable_desc] = tuple(out)
         return tiers
 
     # -- memo layers ----------------------------------------------------------
@@ -433,9 +449,25 @@ class RoundContext:
         so even different models share one generation per reachable state
         when their type orders agree.
         """
-        return self._gen_cache.get((shape, state_key), _MISS)
+        by_shape = self._gen_cache.get(state_key)
+        if by_shape is None:
+            return _MISS
+        return by_shape.get(shape, _MISS)
 
     def generation_put(
         self, shape: tuple, state_key: tuple[int, ...], value: tuple
     ) -> None:
-        self._gen_cache[(shape, state_key)] = value
+        self._gen_cache.setdefault(state_key, {})[shape] = value
+
+    def leave_state(self, state_key: tuple[int, ...]) -> None:
+        """Drop the generations and tier floors memoized at ``state_key``.
+
+        For walks that never return to a state they left — the greedy
+        allocation pass only ever commits — the entries are dead weight:
+        each key is a tuple over the whole slot universe, and a cold
+        8,192-job decision reached thousands of them.  Value-preserving
+        like every memo here: an entry dropped and needed again would
+        only be recomputed.
+        """
+        self._gen_cache.pop(state_key, None)
+        self._tiers.pop(state_key, None)

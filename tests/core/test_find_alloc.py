@@ -7,7 +7,12 @@ import pytest
 from repro.cluster.allocation import Allocation
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
-from repro.core.find_alloc import cached_find_alloc, explain_alloc, find_alloc
+from repro.core.find_alloc import (
+    _generate_candidates,
+    cached_find_alloc,
+    explain_alloc,
+    find_alloc,
+)
 from repro.core.pricing import PriceBook
 from repro.core.round_context import RoundContext
 from repro.core.utility import NormalizedThroughputUtility
@@ -407,3 +412,149 @@ class TestSlotBookClasses:
         )
         assert reference.allocation == Allocation({(2, "K80"): 2, (2, "V100"): 1})
         assert cand == reference
+
+
+def _fixed_prices(u_min: dict[str, float]) -> PriceBook:
+    return PriceBook(u_min=u_min, u_max=dict.fromkeys(u_min, 1e-3), eta=1.0)
+
+
+def _generated_picks(ctx, rt, state) -> set:
+    """The pick sets one cold generation keeps for ``rt``'s shape."""
+    model = rt.job.model.name
+    gen = _generate_candidates(
+        ctx, model, rt.job.num_workers, ctx.usable_desc(model), state.key()
+    )
+    return {picks for picks, _ in gen}
+
+
+class TestClassTemplates:
+    """The consolidated walks memoized per server class across states, and
+    the cross-server tier walks skipped when they would repeat."""
+
+    def test_fault_shrunk_class_keeps_its_own_template(self, matrix, utility):
+        """Servers 1 (4 V100s, one taken) and 2 (one of 4 failed) have the
+        same free vector but different inventories, hence different Eq. (5)
+        prices: server 2 is idle and as cheap as the fault-shrunk server 0,
+        server 1 the priciest.  Sharing server 1's template would carry its
+        base cost to server 2, whose gang would then sort behind the two
+        mid-priced 8-GPU servers and be pruned.  A commit elsewhere then
+        re-walks only the class it changed."""
+        cluster = Cluster(
+            [Node(i, {"V100": 4}) for i in range(3)]
+            + [Node(i, {"V100": 8}) for i in (3, 4)]
+        )
+        state = cluster.fresh_state()
+        state.fail(0, "V100", 3)
+        state.fail(2, "V100", 1)
+        for node_id in (1, 3, 4):
+            state.allocate(Allocation({(node_id, "V100"): 1}))
+        prices = _fixed_prices({"V100": 1e-6})
+        rt = queued(make_job(0, "resnet18", workers=2, epochs=1,
+                             iters_per_epoch=100))
+
+        def context():
+            return RoundContext(
+                prices=prices, matrix=matrix, cluster=cluster,
+                utility=utility, now=0.0, delay_estimator=NO_DELAY,
+                state=state,
+            )
+
+        shared = context()
+        reference = explain_alloc(context(), rt, state).best
+        assert reference.allocation == Allocation({(2, "V100"): 2})
+        assert cached_find_alloc(shared, rt, state) == reference
+        (templates,) = shared.class_walks.values()
+        assert len(templates) == 4  # servers 3 and 4 share one class
+
+        state.allocate(Allocation({(4, "V100"): 2}))
+        reference = explain_alloc(context(), rt, state).best
+        assert cached_find_alloc(shared, rt, state) == reference
+        assert len(templates) == 5  # only server 4's new class was walked
+
+    def test_rate_ties_keep_class_templates_apart(self, utility):
+        """Two models rank K80 before P100, one tied and one strictly.  For
+        the tied model the P100 servers share the K80 server's pruning
+        group; for the strict one they form their own, and the faster K80
+        gang is its best although two P100 gangs are cheaper.  Templates
+        carry the group, so the strict model must not reuse the tied one's."""
+        matrix = ThroughputMatrix(
+            {
+                "resnet18": {"K80": 4.0, "P100": 4.0},
+                "resnet50": {"K80": 4.0, "P100": 2.0},
+            }
+        )
+        cluster = Cluster(
+            [Node(0, {"K80": 2}), Node(1, {"P100": 2}), Node(2, {"P100": 2}),
+             Node(3, {"P100": 4})]
+        )
+        state = cluster.fresh_state()
+        state.allocate(Allocation({(3, "P100"): 1}))
+        prices = _fixed_prices({"K80": 1e-4, "P100": 1e-6})
+
+        def context():
+            return RoundContext(
+                prices=prices, matrix=matrix, cluster=cluster,
+                utility=utility, now=0.0, delay_estimator=NO_DELAY,
+                state=state,
+            )
+
+        shared = context()
+        for job_id, model, best in ((0, "resnet18", (1, "P100")),
+                                    (1, "resnet50", (0, "K80"))):
+            rt = queued(make_job(job_id, model, workers=2, epochs=1,
+                                 iters_per_epoch=100))
+            reference = explain_alloc(context(), rt, state).best
+            assert reference.allocation == Allocation({best: 2})
+            assert cached_find_alloc(shared, rt, state) == reference
+
+    # V100 is fastest and priciest; K80 and P100 tie on rate, in that order.
+    TIED = ThroughputMatrix({"resnet50": {"V100": 3.0, "K80": 2.0, "P100": 2.0}})
+
+    def test_fast_walk_at_a_rate_tie_is_not_skipped(self, utility):
+        """The P100 tier adds a type of the K80 tier's rank, so its fast
+        walk may (and here does) take a P100 ahead of the K80 the previous
+        fast walk ended on: V100 + P100 is a candidate of its own."""
+        cluster = Cluster(
+            [Node(0, {"V100": 1}), Node(1, {"K80": 2}), Node(2, {"P100": 2})]
+        )
+        state = cluster.fresh_state()
+        ctx = RoundContext(
+            prices=_fixed_prices({"V100": 3e-5, "K80": 1e-5, "P100": 5e-6}),
+            matrix=self.TIED, cluster=cluster, utility=utility, now=0.0,
+            delay_estimator=NO_DELAY, state=state,
+        )
+        rt = queued(make_job(0, "resnet50", workers=2))
+        assert _generated_picks(ctx, rt, state) == {
+            ((1, "K80", 2),),
+            ((2, "P100", 2),),
+            ((0, "V100", 1), (1, "K80", 1)),
+            ((0, "V100", 1), (2, "P100", 1)),
+        }
+
+    def test_cheap_walk_at_an_equal_price_is_not_skipped(self, utility):
+        """The P100's price equals that of the K80 the previous cheap walk
+        ended on, and the rank ties too, so the lower node id puts it
+        first: the cheap walk changes, and its gang wins the exact cost
+        tie on picks.  Skipping it would leave a dearer V100 gang in the
+        pruning group instead."""
+        cluster = Cluster(
+            [Node(0, {"V100": 1}), Node(1, {"P100": 1}), Node(2, {"K80": 1}),
+             Node(3, {"K80": 1})]
+        )
+        state = cluster.fresh_state()
+        prices = _fixed_prices({"V100": 3e-5, "K80": 1e-5, "P100": 1e-5})
+        rt = queued(make_job(0, "resnet50", workers=2, epochs=1,
+                             iters_per_epoch=100))
+        cand, _, reference = search_and_reference(
+            rt, state, prices, self.TIED, cluster, utility, NO_DELAY
+        )
+        assert reference.allocation == Allocation({(1, "P100"): 1, (2, "K80"): 1})
+        assert cand == reference
+        ctx = RoundContext(
+            prices=prices, matrix=self.TIED, cluster=cluster, utility=utility,
+            now=0.0, delay_estimator=NO_DELAY, state=state,
+        )
+        assert _generated_picks(ctx, rt, state) == {
+            ((1, "P100", 1), (2, "K80", 1)),
+            ((2, "K80", 1), (3, "K80", 1)),
+        }

@@ -1,8 +1,10 @@
 """Property-based tests: FIND_ALLOC and DP_allocation invariants."""
 
 import json
+import sys
 from collections import Counter
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -204,6 +206,21 @@ def _pruned(cluster, prices, state, now, rt, matrix):
     return ctx.stats.candidate_evals < hosts
 
 
+FIND_ALLOC_MODULE = sys.modules[cached_find_alloc.__module__]
+
+
+def _walked_tiers(ctx, rt, book):
+    """Tiers whose cross-server walks a generation miss considers: those
+    adding free devices once ``W`` are free over the tier and faster ones."""
+    w = rt.job.num_workers
+    total = tiers = 0
+    for t in ctx.usable_desc(rt.job.model.name):
+        free = book.type_free[t]
+        total += free
+        tiers += bool(free) and total >= w
+    return tiers
+
+
 @given(
     cluster=st.one_of(st.just(COMM_CLUSTER), clusters()),
     matrix=st.one_of(st.just(MATRIX), tied_matrices()),
@@ -225,9 +242,11 @@ def test_search_matches_straight_line_reference(cluster, matrix, queue, data, no
     Clusters with runs of identical servers make the search's class walk
     and dominance pruning fire (reported as a hypothesis event); tied
     matrices give jobs of one usable-type order different rate-tie
-    structures, which must not share a generation.  Neither search
-    writes the state it is shown: its serialized form, insertion order
-    included, is unchanged.
+    structures, which must not share a generation or a class template.
+    Events also report a generation that reused a class template walked
+    at an earlier state, and one that skipped a repeat tier walk.
+    Neither search writes the state it is shown: its serialized form,
+    insertion order included, is unchanged.
     """
     state = cluster.fresh_state()
     held: list[Allocation] = []
@@ -261,7 +280,20 @@ def test_search_matches_straight_line_reference(cluster, matrix, queue, data, no
         ).best
         if _pruned(cluster, prices, state, now, rt, matrix):
             event("dominance pruning fired")
-        assert cached_find_alloc(ctx, rt, state) == reference
+        runs = ctx.stats.generation_runs
+        templates = sum(map(len, ctx.class_walks.values()))
+        with mock.patch.object(
+            FIND_ALLOC_MODULE, "_tier_walk", wraps=FIND_ALLOC_MODULE._tier_walk
+        ) as tier_walk:
+            assert cached_find_alloc(ctx, rt, state) == reference
+        if ctx.stats.generation_runs > runs:
+            # A generation miss looks up every class's template.
+            book = ctx.slot_book(state.key())
+            walked = sum(map(len, ctx.class_walks.values())) - templates
+            if walked < len(book.classes):
+                event("a class template walked at another state was reused")
+            if tier_walk.call_count < 2 * _walked_tiers(ctx, rt, book):
+                event("a repeat tier walk was skipped")
         assert cached_find_alloc(ctx, rt, state) == reference  # warm memos
         assert json.dumps(state.state_dict()) == before
         move = data.draw(st.sampled_from(["commit", "release", "stay"]))
