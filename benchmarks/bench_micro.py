@@ -12,6 +12,7 @@ from repro.core import HadarScheduler
 from repro.core.dp import DPAllocator, DPConfig
 from repro.core.find_alloc import find_alloc
 from repro.core.pricing import PriceBook
+from repro.core.round_context import RoundContext
 from repro.core.utility import NormalizedThroughputUtility
 from repro.sim.engine import simulate
 from repro.sim.interface import SchedulerContext
@@ -58,26 +59,28 @@ def test_micro_find_alloc(benchmark):
     )
 
 
+def _dp_round(jobs, prices, config):
+    """One cold DP round: a fresh round context, as the scheduler builds it."""
+    state = CLUSTER.fresh_state()
+    context = RoundContext(
+        prices=prices, matrix=MATRIX, cluster=CLUSTER, utility=UTILITY,
+        now=0.0, delay_estimator=NO_DELAY, state=state,
+    )
+    return DPAllocator(context, config).allocate(jobs, state)
+
+
 @pytest.mark.benchmark(group="micro")
 def test_micro_dp_round_exact(benchmark):
     jobs = _queued_jobs(8)
     prices = PriceBook.calibrate(jobs, MATRIX, UTILITY, CLUSTER.fresh_state(), 0.0)
-    allocator = DPAllocator(
-        prices=prices, matrix=MATRIX, cluster=CLUSTER, utility=UTILITY,
-        now=0.0, delay_estimator=NO_DELAY, config=DPConfig(queue_limit=10),
-    )
-    benchmark(lambda: allocator.allocate(jobs, CLUSTER.fresh_state()))
+    benchmark(_dp_round, jobs, prices, DPConfig(queue_limit=10))
 
 
 @pytest.mark.benchmark(group="micro")
 def test_micro_dp_round_greedy(benchmark):
     jobs = _queued_jobs(64)
     prices = PriceBook.calibrate(jobs, MATRIX, UTILITY, CLUSTER.fresh_state(), 0.0)
-    allocator = DPAllocator(
-        prices=prices, matrix=MATRIX, cluster=CLUSTER, utility=UTILITY,
-        now=0.0, delay_estimator=NO_DELAY, config=DPConfig(queue_limit=0),
-    )
-    benchmark(lambda: allocator.allocate(jobs, CLUSTER.fresh_state()))
+    benchmark(_dp_round, jobs, prices, DPConfig(queue_limit=0))
 
 
 @pytest.mark.benchmark(group="micro")

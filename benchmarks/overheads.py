@@ -5,7 +5,8 @@ counters; this script measures only what attaching something to a run
 costs, on the 14-job Hadar scenario of the golden-parity suite (seeds
 cycling 1-3):
 
-* ``tracing_disabled`` — a ``DecisionTracer(enabled=False)`` attached;
+* ``tracing_live`` — a ``DecisionTracer`` attached: each round's record
+  is built (Hadar's explain pass over every queued job) and validated;
 * ``faults_disabled`` — an all-rates-zero ``FaultModel`` (repair-mode
   validator, fault phase, empty schedule);
 * ``metrics_live`` — a ``MetricsRegistry`` attached: each decision
@@ -24,7 +25,8 @@ a ``gc.collect()``, which keeps other tenants' load and one run's garbage
 out of the next run's figure.
 
 Each gate reports n, the median and quartiles of its overhead %, and a
-verdict against ``LIMIT_PCT``: ``unresolved`` when q3 - q1 >= the limit
+verdict against its limit (``LIMIT_PCT`` unless ``GATE_LIMIT_PCT`` names
+one): ``unresolved`` when q3 - q1 >= the limit
 (the runs are too noisy to say), otherwise ``fail`` when the median is
 >= the limit, otherwise ``pass``.  The exit status is 1 only when some
 gate fails.
@@ -57,27 +59,35 @@ SEEDS = (1, 2, 3)
 NUM_JOBS = 14
 PAIRS = 10
 LIMIT_PCT = 3.0
+"""The limit of the off-path and cheap-observer gates."""
+GATE_LIMIT_PCT = {"tracing_live": 200.0}
+"""Gates whose limit differs from ``LIMIT_PCT``.  ``tracing_live`` pays
+Hadar's explain pass and per-record schema validation; on a 2-vCPU AMD
+EPYC VM three runs read medians of +146-162% (q3 up to +174%; about
++170/+95/+150% on seeds 1/2/3), so 200% sits above that spread and
+fails a regression of about a third in tracing's cost."""
 SNAPSHOT_EVERY = 25
 
 ATTACHED: dict[str, Callable[[int], dict]] = {
-    "tracing_disabled": lambda seed: {"tracer": DecisionTracer(sink=[], enabled=False)},
+    "tracing_live": lambda seed: {"tracer": DecisionTracer(sink=[])},
     "faults_disabled": lambda seed: {"faults": FaultModel(seed=seed)},
     "metrics_live": lambda seed: {"metrics": MetricsRegistry()},
 }
 """The run-vs-run gates: what each attaches to the bare run."""
 
 
-def verdict(samples: Sequence[float]) -> dict:
+def verdict(samples: Sequence[float], limit: float = LIMIT_PCT) -> dict:
     """n, median, quartiles and the verdict of one gate's overhead %s."""
     q1, median, q3 = statistics.quantiles(samples, n=4)
-    if q3 - q1 >= LIMIT_PCT:
+    if q3 - q1 >= limit:
         outcome = "unresolved"
-    elif median >= LIMIT_PCT:
+    elif median >= limit:
         outcome = "fail"
     else:
         outcome = "pass"
     return {"n": len(samples), "median_pct": round(median, 2),
-            "q1_pct": round(q1, 2), "q3_pct": round(q3, 2), "verdict": outcome,
+            "q1_pct": round(q1, 2), "q3_pct": round(q3, 2),
+            "limit_pct": limit, "verdict": outcome,
             "samples_pct": [round(x, 2) for x in samples]}
 
 
@@ -147,9 +157,12 @@ def measure() -> dict:
         samples["snapshot_overhead"].append(pct)
     return {
         "meta": {"num_jobs": NUM_JOBS, "seeds": list(SEEDS), "pairs": PAIRS,
-                 "limit_pct": LIMIT_PCT, "snapshot_every": SNAPSHOT_EVERY,
+                 "snapshot_every": SNAPSHOT_EVERY,
                  "clock": "time.process_time"},
-        "gates": {name: verdict(values) for name, values in samples.items()},
+        "gates": {
+            name: verdict(values, GATE_LIMIT_PCT.get(name, LIMIT_PCT))
+            for name, values in samples.items()
+        },
     }
 
 

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional
 
 from repro.cluster.state import ClusterState
+from repro.sim.interface import unwrap
 from repro.sim.progress import JobRuntime, JobState
 
 __all__ = ["InvariantViolation", "InvariantSanitizer"]
@@ -775,7 +776,7 @@ class InvariantSanitizer:
                 stalled, runtimes, round_index=round_index, now=now
             )
 
-        hadar = self._unwrap(scheduler, "last_prices")
+        hadar = unwrap(scheduler, "last_prices")
         if hadar is not None:
             prices = hadar.last_prices
             if prices is not None:
@@ -791,7 +792,7 @@ class InvariantSanitizer:
             if audit:
                 self.check_round_audit(audit[-1], round_index=round_index)
 
-        gavel = self._unwrap(scheduler, "last_allocation_matrix")
+        gavel = unwrap(scheduler, "last_allocation_matrix")
         if gavel is not None and gavel.last_allocation_matrix is not None:
             matrix = gavel.last_allocation_matrix
             workers = {
@@ -807,7 +808,7 @@ class InvariantSanitizer:
                 now=now,
             )
 
-        tiresias = self._unwrap(scheduler, "demoted_jobs")
+        tiresias = unwrap(scheduler, "demoted_jobs")
         if tiresias is not None:
             self.check_tiresias_monotonicity(
                 tiresias.demoted_jobs,
@@ -838,11 +839,3 @@ class InvariantSanitizer:
             )
         self._live_ids = frozenset(live)
         return jobs
-
-    @staticmethod
-    def _unwrap(scheduler: Any, attr: str) -> Any:
-        """The first scheduler in the wrapper chain exposing ``attr``."""
-        inner = scheduler
-        while inner is not None and not hasattr(inner, attr):
-            inner = getattr(inner, "inner", None)
-        return inner

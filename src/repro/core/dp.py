@@ -60,20 +60,12 @@ costings from the round's memos.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.cluster.cluster import Cluster
 from repro.cluster.state import ClusterState
-from repro.core.find_alloc import (
-    AllocationCandidate,
-    DelayEstimator,
-    cached_find_alloc,
-)
-from repro.core.pricing import PriceBook
+from repro.core.find_alloc import AllocationCandidate, cached_find_alloc
 from repro.core.round_context import RoundContext
-from repro.core.utility import Utility
 from repro.sim.progress import JobRuntime
-from repro.workload.throughput import ThroughputMatrix
 
 __all__ = ["DPConfig", "DPAllocator"]
 
@@ -110,21 +102,15 @@ class _MemoOverflow(Exception):
 
 @dataclass
 class DPAllocator:
-    """One round's allocation solver (prices and time are frozen per round)."""
+    """One round's allocation solver over the round's shared context.
 
-    prices: PriceBook
-    matrix: ThroughputMatrix
-    cluster: Cluster
-    utility: Utility
-    now: float
-    delay_estimator: DelayEstimator
+    ``context`` carries the round's inputs (prices, matrix, cluster,
+    utility, time, delay estimator) and its memos, which assume those
+    inputs and every job's runtime stay fixed: build it for the round.
+    """
+
+    context: RoundContext
     config: DPConfig = DPConfig()
-    context: Optional[RoundContext] = None
-    """The shared round context; built per ``allocate()`` call when absent
-    (a caller-supplied context must be fresh for the round)."""
-
-    last_context: Optional[RoundContext] = None
-    """The context the most recent ``allocate()`` ran with (stats access)."""
 
     def allocate(
         self, queue: Sequence[JobRuntime], state: ClusterState
@@ -134,17 +120,6 @@ class DPAllocator:
         if not queue:
             return {}
         ctx = self.context
-        if ctx is None:
-            ctx = RoundContext(
-                prices=self.prices,
-                matrix=self.matrix,
-                cluster=self.cluster,
-                utility=self.utility,
-                now=self.now,
-                delay_estimator=self.delay_estimator,
-                state=state,
-            )
-        self.last_context = ctx
         if len(queue) <= self.config.queue_limit:
             try:
                 _, chosen = self._solve_exact(queue, state, ctx)
@@ -224,7 +199,7 @@ class DPAllocator:
                 skip_value, skip_plan = recurse(idx + 1, branch_state)
                 if not maximize:
                     # Literal cost objective: an unserved job forfeits its utility.
-                    skip_value = skip_value + self._forgone_utility(rt)
+                    skip_value = skip_value + self._forgone_utility(ctx, rt)
                 best = (skip_value, skip_plan)
                 if cand is not None and (
                     take_value > skip_value if maximize else take_value < skip_value
@@ -257,15 +232,15 @@ class DPAllocator:
         jct = age + 0.0 + rt.remaining_iterations / (r_max * job.num_workers)
         return ctx.utility.value_for(rt, jct, ctx.now)
 
-    def _forgone_utility(self, rt: JobRuntime) -> float:
+    def _forgone_utility(self, ctx: RoundContext, rt: JobRuntime) -> float:
         """Cost-objective surrogate for leaving a job unserved this round."""
         model = rt.job.model.name
-        best = self.matrix.max_rate(model)
+        best = ctx.matrix.max_rate(model)
         jct = (
-            max(self.now - rt.job.arrival_time, 0.0)
+            max(ctx.now - rt.job.arrival_time, 0.0)
             + rt.remaining_iterations / (best * rt.job.num_workers)
         )
-        return self.utility.value_for(rt, jct, self.now)
+        return ctx.utility.value_for(rt, jct, ctx.now)
 
     # -- payoff-density greedy -------------------------------------------------
     def _solve_greedy(

@@ -23,7 +23,7 @@ attribution heuristic for mixed ones).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
 from repro.cluster.allocation import Allocation
@@ -163,15 +163,9 @@ class ProfilingScheduler(Scheduler):
             models=sorted({rt.job.model.name for rt in ctx.active}),
             types=list(ctx.cluster.gpu_types),
         )
-        shadow = SchedulerContext(
-            now=ctx.now,
-            cluster=ctx.cluster,
-            matrix=estimated,
-            round_length=ctx.round_length,
-            waiting=ctx.waiting,
-            running=ctx.running,
-        )
-        target = self.inner.schedule(shadow)
+        # Only the matrix is estimated: the shadow keeps the fault masks,
+        # so the inner scheduler plans on surviving capacity.
+        target = self.inner.schedule(replace(ctx, matrix=estimated))
         # Remember what each job held so the next decision can attribute
         # the progress in between.
         self._last_seen = {

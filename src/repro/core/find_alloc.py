@@ -242,6 +242,7 @@ def cached_find_alloc(
         return None
     if state_key is None:
         state_key = state.key()
+    move_delay = ctx.move_delay_for(rt)
 
     model_bytes = job.model.model_bytes
     comm = ctx.cluster.comm
@@ -292,7 +293,7 @@ def cached_find_alloc(
                     rate = rate * rt.slowdown
                 delay = 0.0
             else:
-                delay = ctx.move_delay_for(rt)
+                delay = move_delay
             jct = age + delay + remaining / rate
             u = utility.value_for(rt, jct, now)
             payoff = u - cost
@@ -321,7 +322,7 @@ def cached_find_alloc(
             if best is not None:
                 best_key = (-best[2], best[0], best[5], picks)
                 if w < _CERTIFIED_W and _current_wins(
-                    ctx, rt, best[2], age + ctx.move_delay_for(rt), rate_of,
+                    ctx, rt, best[2], age + move_delay, rate_of,
                     ctx.tier_floors(usable_desc, state_key),
                 ):
                     stats.current_certified += 1
@@ -402,10 +403,11 @@ def explain_alloc(
     of *every* family regardless of sign (the search discards
     non-positive payoffs outright) and names the reason no gang survived.
 
-    The decision tracer calls this once per job per traced round, at the
-    post-decision state, never inside the DP recursion.  It reads the
-    round's frozen tables and price memo through ``ctx`` (all
-    value-preserving) but touches neither the generation/candidate memos nor,
+    The decision record (``HadarScheduler.decision_record``) calls this
+    once per job per traced round, at the post-decision state, on a fresh
+    context after the timed decision.  It reads the frozen tables and
+    price memo through ``ctx`` (all value-preserving) but touches
+    neither the generation/candidate memos nor,
     thanks to :meth:`~repro.core.round_context.RoundContext.suspend_stats`,
     the round's hot-path counters.
     """

@@ -300,8 +300,8 @@ class RoundContext:
     def suspend_stats(self) -> Iterator[None]:
         """Swap in throwaway counters for the duration of the block.
 
-        Diagnostics passes (the decision tracer's post-decision
-        ``explain_alloc`` re-derivations) read the round's caches without
+        Diagnostics passes (``explain_alloc`` re-derivations, such as the
+        decision record's) read a context's caches without
         perturbing the :class:`RoundStats` the benchmarks and traces
         report — the hot-path counters must describe the *decision*, not
         the explanation of it.  Cache contents written inside the block

@@ -4,8 +4,8 @@ Each round the scheduler
 
 1. re-calibrates the dual price book (Eqs. 6-8) from the jobs currently
    in the system (their *remaining* work),
-2. runs the ``DP_allocation`` dual subroutine over the queue — by default
-   including the running jobs, so a running job whose allocation the new
+2. runs the ``DP_allocation`` dual subroutine over the queue, running
+   jobs included, so a running job whose allocation the new
    plan changes is preempted and moved ("If the allocation of the running
    job changes by computation, the job will be preempted and the new
    allocation will be in effect", Sec. IV-A-5),
@@ -69,9 +69,6 @@ class HadarConfig:
     checkpoint: CheckpointModel = field(default_factory=FixedDelayCheckpoint)
     """Used to *estimate* reallocation pauses inside candidate payoffs; the
     engine applies the actual overhead from its own model."""
-    reallocate_running: bool = True
-    """Re-plan running jobs each round (task-level preemption); when False
-    only queued jobs are placed into the remaining free capacity."""
     record_audit: bool = False
     """Record per-round primal/dual increments (see :class:`RoundAudit`)."""
 
@@ -97,16 +94,10 @@ class HadarScheduler(Scheduler):
         them into :attr:`SimulationResult.hotpath_stats`."""
         self.audit: list[RoundAudit] = []
         """Per-round primal/dual records (populated when record_audit)."""
-        self.trace_decisions: bool = False
-        """Build :attr:`last_decision_trace` each round.  Set by the engine
-        when a decision tracer is attached; off by default because the
-        explain pass costs one extra ``FIND_ALLOC``-shaped sweep per job."""
-        self.last_decision_trace: Optional[dict] = None
-        """The most recent round's structured decision record — per-slot
-        Eq. (5) prices and every queued job's outcome with its payoff μ_j,
-        skip reason, and consolidated-vs-scattered breakdown.  ``None``
-        unless :attr:`trace_decisions`; consumed by
-        :class:`~repro.sim.phases.TracePhase`."""
+        self._round: Optional[tuple[SchedulerContext, ClusterState]] = None
+        """The most recent round's context and post-decision state, kept
+        for :meth:`decision_record`; ``None`` after a round with an empty
+        queue."""
         self._calibrator: Optional[PriceCalibrator] = None
         """Persistent across rounds: reuses each job's Eq. (8) record
         until its remaining work moves."""
@@ -121,20 +112,19 @@ class HadarScheduler(Scheduler):
         self.last_chosen = {}
         self.last_round_stats = {}
         self.audit.clear()
-        self.last_decision_trace = None
+        self._round = None
         self._calibrator = None
 
     # ---------------------------------------------------- engine snapshots --
     def state_dict(self) -> dict:
         """Cross-round state: the persistent calibrator and the audit log.
 
-        The ``last_*`` views (prices, chosen candidates, round stats,
-        decision trace) are per-round transients — every consumer reads
-        them inside the same round that wrote them, and the next
-        :meth:`schedule` call overwrites them before any other read — so
-        they are left out of snapshots, as is
-        ``trace_decisions``, which the engine reconfigures from its tracer
-        on restore.  ``tests/core/test_chaos_snapshot.py`` checks that a
+        The ``last_*`` views (prices, chosen candidates, round stats) and
+        the round kept for :meth:`decision_record` are per-round
+        transients — every consumer reads them inside the same round that
+        wrote them, and the next :meth:`schedule` call overwrites them
+        before any other read — so they are left out of snapshots.
+        ``tests/core/test_chaos_snapshot.py`` checks that a
         restored run reproduces every output of the uninterrupted one.
         """
         return {
@@ -179,19 +169,12 @@ class HadarScheduler(Scheduler):
     # ------------------------------------------------------------------ API --
     def schedule(self, ctx: SchedulerContext) -> Mapping[int, Allocation]:
         cfg = self.config
-        self.last_decision_trace = None
-        if cfg.reallocate_running:
-            queue: list[JobRuntime] = list(ctx.active)
-            state = ctx.fresh_state()
-            pinned: dict[int, Allocation] = {}
-        else:
-            queue = sorted(ctx.waiting, key=lambda rt: (rt.job.arrival_time, rt.job_id))
-            state = ctx.occupied_state()
-            pinned = {rt.job_id: rt.allocation for rt in ctx.running}
-
+        queue = ctx.active
         if not queue:
             self.last_chosen = {}
-            return pinned
+            self._round = None
+            return {}
+        state = ctx.fresh_state()
 
         calibrator = self._calibrator
         if calibrator is None:
@@ -206,35 +189,13 @@ class HadarScheduler(Scheduler):
         self.last_prices = prices
         self.last_alpha = prices.alpha()
 
-        round_ctx = RoundContext(
-            prices=prices,
-            matrix=ctx.matrix,
-            cluster=ctx.cluster,
-            utility=cfg.utility,
-            now=ctx.now,
-            delay_estimator=self._estimate_delay,
-            state=state,
-        )
-        allocator = DPAllocator(
-            prices=prices,
-            matrix=ctx.matrix,
-            cluster=ctx.cluster,
-            utility=cfg.utility,
-            now=ctx.now,
-            delay_estimator=self._estimate_delay,
-            config=cfg.dp,
-            context=round_ctx,
-        )
-        chosen = allocator.allocate(queue, state)
+        round_ctx = self._round_context(ctx, state)
+        chosen = DPAllocator(round_ctx, cfg.dp).allocate(queue, state)
         self.last_chosen = dict(chosen)
         round_ctx.stats.calib_jobs = calibrator.last_jobs
         round_ctx.stats.calib_dirty = calibrator.last_dirty
         self.last_round_stats = round_ctx.stats.as_dict()
-
-        if self.trace_decisions:
-            self.last_decision_trace = self._build_decision_trace(
-                queue, pinned, chosen, state, prices, round_ctx
-            )
+        self._round = (ctx, state)
 
         if cfg.record_audit:
             fresh = ctx.fresh_state()
@@ -260,42 +221,61 @@ class HadarScheduler(Scheduler):
                 )
             )
 
-        target = dict(pinned)
-        for job_id, cand in chosen.items():
-            target[job_id] = cand.allocation
-        return target
+        return {job_id: cand.allocation for job_id, cand in chosen.items()}
 
     # ---------------------------------------------------------------- internal --
     def _estimate_delay(self, rt: JobRuntime) -> float:
         return self.config.checkpoint.move_delay(rt.job, rt.allocation)
 
-    def _build_decision_trace(
-        self,
-        queue: list[JobRuntime],
-        pinned: Mapping[int, Allocation],
-        chosen: Mapping[int, AllocationCandidate],
-        state: ClusterState,
-        prices: PriceBook,
-        round_ctx: RoundContext,
-    ) -> dict:
-        """One round's structured decision record (tracing only).
+    def _round_context(
+        self, ctx: SchedulerContext, state: ClusterState
+    ) -> RoundContext:
+        assert self.last_prices is not None
+        return RoundContext(
+            prices=self.last_prices,
+            matrix=ctx.matrix,
+            cluster=ctx.cluster,
+            utility=self.config.utility,
+            now=ctx.now,
+            delay_estimator=self._estimate_delay,
+            state=state,
+        )
+
+    def decision_record(self) -> Optional[dict]:
+        """The most recent round's structured decision record.
+
+        Per-slot Eq. (5) prices and every queued job's outcome with its
+        payoff μ_j, skip reason, and consolidated-vs-scattered breakdown;
+        ``None`` after a round with an empty queue.  The engine's
+        :class:`~repro.sim.phases.SchedulerPhase` asks for it only while a
+        decision tracer is attached, after the timed decision and before
+        the diff is applied: the record reads the runtimes as the round
+        saw them (current gangs, slowdowns, move delays).
 
         Every quantity is re-derived at the round's *post-decision* state
-        (``DP_allocation`` mutated ``state`` with the admitted gangs) —
-        the prices are the end-of-round Eq. (5) values the next arrival
+        (``DP_allocation`` mutated it with the admitted gangs) through a
+        fresh :class:`RoundContext` on the round's prices — every context
+        memo is value-preserving, so the values are the decision's own.
+        The prices are the end-of-round Eq. (5) values the next arrival
         would face.  For each admitted job the consolidated-vs-scattered
         breakdown is leave-one-out: its own gang is released on a
         throwaway probe copy and the families are costed there — "given
         everyone else's final placement, what did this job's
-        alternatives pay?".  ``state`` itself is never written, so the
-        audit block downstream reads the exact state it would have seen
-        with tracing off (``tests/core/test_golden_parity_obs.py`` fails
-        on any write to it, balanced or not).
+        alternatives pay?".  The kept state itself is never written
+        (``tests/core/test_golden_parity_obs.py`` fails on any write to
+        it, balanced or not).
         """
+        if self._round is None:
+            return None
         from repro.obs.tracer import placements_list
 
+        ctx, state = self._round
+        prices = self.last_prices
+        assert prices is not None
+        round_ctx = self._round_context(ctx, state)
+        chosen = self.last_chosen
         jobs: list[dict] = []
-        for rt in queue:
+        for rt in ctx.active:
             record: dict = {
                 "job_id": rt.job_id,
                 "model": rt.job.model.name,
@@ -337,16 +317,6 @@ class HadarScheduler(Scheduler):
                 if any(v is not None for v in breakdown.values()):
                     record["breakdown"] = breakdown
             jobs.append(record)
-        for job_id in sorted(pinned):
-            alloc = pinned[job_id]
-            if alloc:
-                jobs.append(
-                    {
-                        "job_id": job_id,
-                        "outcome": "kept",
-                        "allocation": placements_list(alloc),
-                    }
-                )
         return {
             "jobs": jobs,
             "prices": prices.slot_prices(state),

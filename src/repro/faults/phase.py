@@ -302,7 +302,8 @@ class FaultPhase:
         Only the new schedule's strictly-future events enter the kernel,
         tagged ``[epoch, index]``; the superseded epochs' future openers
         are dropped at pop time while their still-open windows close
-        normally.  Returns the splice summary for the trace record.
+        normally.  The splice is traced as a ``faultspec_reloaded``
+        record; returns its summary.
         """
         schedule = self._splice(spec)
         epoch = self.epoch
@@ -312,6 +313,14 @@ class FaultPhase:
                 kernel.push_fault(ev.time, [epoch, index])
                 pushed += 1
         self._reloads.append([now, spec])
+        if self.emit is not None:
+            self.emit({
+                "kind": "faultspec_reloaded",
+                "t": now,
+                "spec": spec,
+                "epoch": epoch,
+                "events": pushed,
+            })
         return {"epoch": epoch, "events": pushed, "spec": spec}
 
     # ------------------------------------------------------------- dispatch --

@@ -1,17 +1,19 @@
-"""The structured decision tracer — JSONL emission behind one ``enabled`` bit.
+"""The structured decision tracer — schema-versioned JSONL emission.
 
 A :class:`DecisionTracer` is handed to
 :func:`repro.sim.engine.simulate` (``tracer=...``); the engine's
 ``TracePhase`` builds one schema-versioned record per scheduling round
-(see :mod:`repro.obs.schema`) and the tracer serializes it.  Design
-constraints, in order:
+(see :mod:`repro.obs.schema`) and the tracer serializes it.  A tracer is
+on when it is attached.  Design constraints, in order:
 
-1. **Near-zero overhead when disabled.**  The phase pipeline checks one
-   ``tracer.enabled`` bool per round and a pre-hoisted ``None`` test per
-   event; no record is built, no string is formatted, nothing allocates.
-2. **Semantics-preserving when enabled.**  The tracer only *reads*
-   scheduler/engine state after decisions are applied; the golden-parity
-   suite pins traced and untraced runs to byte-identical schedules.
+1. **Nothing when detached.**  Without a tracer the phase pipeline tests
+   one pre-hoisted ``None`` per decision; no record is built, no string
+   is formatted, nothing allocates.
+2. **Semantics-preserving when attached.**  The tracer only *reads*
+   scheduler/engine state, and the scheduler's decision record is asked
+   for after the timed decision, so tracing never shows up in decision
+   latency; the golden-parity suite pins traced and untraced runs to
+   byte-identical schedules.
 3. **Streaming.**  Records are written (and flushed on close) as the run
    progresses, so a crashed or truncated simulation still leaves a
    readable prefix.
@@ -54,13 +56,6 @@ class DecisionTracer:
     sink:
         Any object with ``append`` (e.g. a list) receiving record dicts
         instead of serialized lines.
-    validate:
-        Validate every record against the schema on emit (cheap; on by
-        default so a malformed producer fails at the source, not in the
-        reader).
-    enabled:
-        Start disabled to pre-wire a tracer without paying for it; the
-        phase pipeline re-reads this every round.
     rotate_mb:
         Size-based rotation threshold in MiB (path mode only; ``None``
         disables rotation).  When the live file reaches the threshold it
@@ -77,8 +72,6 @@ class DecisionTracer:
         path: Union[str, Path, None] = None,
         *,
         sink: Optional[Any] = None,
-        validate: bool = True,
-        enabled: bool = True,
         rotate_mb: Optional[float] = None,
     ):
         if path is not None and sink is not None:
@@ -88,8 +81,6 @@ class DecisionTracer:
                 raise ValueError("rotate_mb requires a path destination")
             if rotate_mb <= 0:
                 raise ValueError(f"rotate_mb must be positive (got {rotate_mb})")
-        self.enabled = enabled
-        self.validate = validate
         self.records_emitted = 0
         self.parts_rotated = 0
         self._sink = sink
@@ -144,12 +135,13 @@ class DecisionTracer:
 
     # -- emission --------------------------------------------------------------
     def emit(self, record: dict) -> None:
-        """Serialize one record (stamping the schema version)."""
-        if not self.enabled:
-            return
+        """Validate and serialize one record (stamping the schema version).
+
+        Every record is checked against the schema here, so a malformed
+        producer fails at the source, not in the reader.
+        """
         record.setdefault("schema", TRACE_SCHEMA_VERSION)
-        if self.validate:
-            validate_record(record)
+        validate_record(record)
         self.records_emitted += 1
         if self._sink is not None:
             self._sink.append(record)

@@ -117,10 +117,10 @@ class SimulationResult:
     """Rounds in which at least one job's allocation changed (Sec. IV-A-5)."""
     hotpath_stats: dict[str, int] = field(default_factory=dict)
     """Per-round scheduler counters summed over every round, for
-    schedulers that publish ``last_round_stats``: Hadar's round-context
-    allocation-engine counters (FIND_ALLOC calls, cache hits,
-    candidate/price evaluations, calibration dirty set), Gavel's matrix
-    solves, Tiresias's demotions.  Published as the metrics registry's
+    schedulers that publish ``last_round_stats`` (behind any wrappers):
+    Hadar's round-context allocation-engine counters (FIND_ALLOC calls,
+    cache hits, candidate/price evaluations, calibration dirty set),
+    Gavel's matrix solves, Tiresias's demotions.  Published as the metrics registry's
     ``repro_hotpath_total`` family."""
     phase_timings: dict[str, float] = field(default_factory=dict)
     """Wall-clock seconds per engine phase (event dispatch, progress
@@ -227,7 +227,7 @@ class SimulationEngine:
     sanitizer: Optional["InvariantSanitizer"] = None
     """Optional per-round invariant checks; see :mod:`repro.analysis.sanitizer`."""
     tracer: Optional["DecisionTracer"] = None
-    """Optional structured decision tracing; when attached and enabled, a
+    """Optional structured decision tracing; when attached, a
     :class:`~repro.sim.phases.TracePhase` emits one schema-versioned JSONL
     record per scheduling round (see :mod:`repro.obs`)."""
     metrics: Optional["MetricsRegistry"] = None
@@ -318,11 +318,13 @@ class SimulationEngine:
         self._ledger = ledger
         trace_phase = TracePhase(self.tracer)
         self._trace_phase = trace_phase
-        tracing = trace_phase.enabled
+        tracing = self.tracer is not None
         self._tracing = tracing
-        if fault_phase is not None and tracing:
+        if tracing:
             assert self.tracer is not None
-            fault_phase.emit = self.tracer.emit
+            self._scheduler_phase.on_decision = trace_phase.capture_decision
+            if fault_phase is not None:
+                fault_phase.emit = self.tracer.emit
         health_phase = None
         if self.metrics is not None:
             from repro.obs.health import ClusterHealthPhase
@@ -335,10 +337,6 @@ class SimulationEngine:
         # The health phase reads the captured decision diff (churn, queue
         # waits), so capturing is armed whenever either consumer is live.
         self._scheduler_phase.capture_changes = tracing or health_phase is not None
-        if hasattr(self.scheduler, "trace_decisions"):
-            # Schedulers exposing the flag (Hadar) build their structured
-            # per-round decision record only while a tracer is live.
-            self.scheduler.trace_decisions = tracing
         trace_phase.emit_meta(
             self.scheduler, self.cluster, self.round_length, len(self.trace)
         )
@@ -411,17 +409,6 @@ class SimulationEngine:
                 "injection (attach a FaultModel to enable live reload)"
             )
         info = self._fault_phase.reload(spec, self._kernel, self._now)
-        if self._tracing:
-            assert self.tracer is not None
-            self.tracer.emit(
-                {
-                    "kind": "faultspec_reloaded",
-                    "t": self._now,
-                    "spec": info["spec"],
-                    "epoch": info["epoch"],
-                    "events": info["events"],
-                }
-            )
         return {**info, "t": self._now}
 
     def note_restore_fallbacks(self, count: int) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.cluster.allocation import Allocation
 from repro.cluster.cluster import Cluster
@@ -31,6 +31,7 @@ __all__ = [
     "Scheduler",
     "SchedulerProtocolError",
     "realized_rate",
+    "unwrap",
     "validate_gang",
 ]
 
@@ -63,6 +64,23 @@ def realized_rate(
         allocation, job.model.model_bytes, 1.0 / bottleneck
     )
     return bottleneck * allocation.total_workers * penalty
+
+
+def unwrap(scheduler: Any, attr: str) -> Any:
+    """The first scheduler in the ``inner`` chain of wrappers exposing ``attr``.
+
+    Wrappers (:class:`~repro.core.estimator.ProfilingScheduler`,
+    :class:`~repro.sim.replay.RecordingScheduler`) hold the scheduler they
+    wrap as ``inner``.  Every observer reads a scheduler's per-round
+    surface (``last_round_stats``, ``decision_record``, Hadar's prices,
+    Gavel's matrix) through this one lookup, so a wrapped scheduler is
+    observed exactly as a bare one.  ``None`` when nothing in the chain
+    has ``attr``.
+    """
+    inner = scheduler
+    while inner is not None and not hasattr(inner, attr):
+        inner = getattr(inner, "inner", None)
+    return inner
 
 
 def validate_gang(job: Job, allocation: Allocation) -> None:

@@ -14,6 +14,11 @@
    recording and decision tracing into the pipeline without being
    inlined in the event loop.
 
+Observers reach a scheduler's per-round surface (``last_round_stats``,
+``decision_record``) through :func:`~repro.sim.interface.unwrap`, so a
+wrapped scheduler is observed exactly as a bare one, and only after the
+timed ``schedule()`` call has returned.
+
 :class:`PhaseTimings` is the wall-clock breakdown across those layers,
 surfaced as :attr:`SimulationResult.phase_timings` and on the
 ``repro_engine_phase_seconds`` gauge so the next engine bottleneck is
@@ -35,6 +40,7 @@ from repro.sim.interface import (
     SchedulerContext,
     SchedulerProtocolError,
     realized_rate,
+    unwrap,
 )
 from repro.sim.kernel import EventKernel
 from repro.sim.progress import JobRuntime, JobState, ProgressLedger
@@ -102,7 +108,7 @@ class SchedulerPhase:
     locals: the ``invocations`` count, ``decision_seconds`` (one entry
     per invocation since the phase was built or restored) and the
     aggregated ``hotpath_stats`` of schedulers that publish
-    ``last_round_stats``.
+    ``last_round_stats`` (wrapped ones included).
     """
 
     def __init__(
@@ -124,6 +130,12 @@ class SchedulerPhase:
         self.on_place = on_place
         """Called for every (re)placed gang — the engine hooks straggler
         fault scheduling here without the phase knowing about faults."""
+        self.on_decision: Optional[Callable[[Scheduler], None]] = None
+        """Called with the scheduler after the decision timer stops and
+        before the diff is validated and applied — the engine hooks the
+        :class:`TracePhase` here when a tracer is attached, so the
+        decision record reads the runtimes the round decided on and its
+        cost stays out of :attr:`decision_seconds`."""
         self.validator = validator if validator is not None else DecisionValidator()
         """Strict by default (malformed decisions raise, the historical
         contract); the engine switches to ``repair`` mode when fault
@@ -163,8 +175,8 @@ class SchedulerPhase:
         ``decision_seconds`` is left out: it measures this process's wall
         clock, no decision reads it, and one float per round would make
         every snapshot larger than the last.
-        ``capture_changes``/``on_place``/``fault_phase`` are wiring the
-        engine reattaches at restore.  ``last_queue_depth`` is captured:
+        ``capture_changes``/``on_place``/``on_decision``/``fault_phase``
+        are wiring the engine reattaches at restore.  ``last_queue_depth`` is captured:
         ``status()`` and the queue-depth gauge read the latest decision's
         depth before the next invocation overwrites it.  ``last_changes``
         and the validator's ``last_rejections`` are per-round transients
@@ -243,11 +255,13 @@ class SchedulerPhase:
         self.decision_seconds.append(elapsed)
         timings.decision_s += elapsed
 
-        round_stats = getattr(self.scheduler, "last_round_stats", None)
-        if round_stats:
+        source = unwrap(self.scheduler, "last_round_stats")
+        if source is not None and source.last_round_stats:
             stats = self.hotpath_stats
-            for counter, value in round_stats.items():
+            for counter, value in source.last_round_stats.items():
                 stats[counter] = stats.get(counter, 0) + value
+        if self.on_decision is not None:
+            self.on_decision(self.scheduler)
 
         # Reject-and-repair (or raise, in strict mode) against a probe at
         # *surviving* capacity — same mask the scheduler planned with.
@@ -406,24 +420,28 @@ class TracePhase:
     """Layer 4c: opt-in structured decision tracing (no-op without a tracer).
 
     Builds one schema-versioned record per scheduling round from what the
-    round already produced — the scheduler's
-    ``last_decision_trace``/``last_round_stats`` introspection surfaces
-    and the :class:`SchedulerPhase`'s captured diff — and hands it to the
-    :class:`~repro.obs.tracer.DecisionTracer`.  Schedulers that publish
-    no decision trace (the baselines) get a generic record: outcomes
-    reconstructed from the applied diff, skipped jobs tagged
-    ``not_traced``.  When no tracer is attached (or it is disabled) every
-    entry point is a single attribute test.
+    round already produced — the scheduler's ``decision_record()`` and
+    ``last_round_stats`` introspection surfaces and the
+    :class:`SchedulerPhase`'s captured diff — and hands it to the
+    :class:`~repro.obs.tracer.DecisionTracer`.  The decision record is
+    taken by :meth:`capture_decision`, which the engine hooks into the
+    scheduler phase between the timed decision and the diff.  Schedulers
+    that publish no decision record (the baselines) get a generic record:
+    outcomes reconstructed from the applied diff, skipped jobs tagged
+    ``not_traced``.  When no tracer is attached every entry point is a
+    single attribute test.
     """
 
-    __slots__ = ("tracer",)
+    __slots__ = ("tracer", "_decision")
 
     def __init__(self, tracer: Optional["DecisionTracer"] = None):
         self.tracer = tracer
+        self._decision: Optional[dict] = None
 
-    @property
-    def enabled(self) -> bool:
-        return self.tracer is not None and self.tracer.enabled
+    def capture_decision(self, scheduler: Scheduler) -> None:
+        """Take the scheduler's decision record for :meth:`after_decision`."""
+        source = unwrap(scheduler, "decision_record")
+        self._decision = None if source is None else source.decision_record()
 
     def emit_meta(
         self,
@@ -432,9 +450,8 @@ class TracePhase:
         round_length: float,
         num_jobs: int,
     ) -> None:
-        if not self.enabled:
+        if self.tracer is None:
             return
-        assert self.tracer is not None
         self.tracer.emit(
             {
                 "kind": "meta",
@@ -458,9 +475,8 @@ class TracePhase:
         scheduler: Scheduler,
         scheduler_phase: SchedulerPhase,
     ) -> None:
-        if not self.enabled:
+        if self.tracer is None:
             return
-        assert self.tracer is not None
         from repro.obs.tracer import placements_list
 
         for rejection in scheduler_phase.last_rejections:
@@ -480,7 +496,7 @@ class TracePhase:
         }
         if scheduler_phase.decision_seconds:
             record["decision_s"] = scheduler_phase.decision_seconds[-1]
-        decision = getattr(scheduler, "last_decision_trace", None)
+        decision, self._decision = self._decision, None
         if decision is not None:
             record["jobs"] = decision["jobs"]
             record["prices"] = decision["prices"]
@@ -488,9 +504,9 @@ class TracePhase:
             record["eta"] = decision["eta"]
         else:
             record["jobs"] = self._generic_jobs(runtimes, scheduler_phase)
-        counters = getattr(scheduler, "last_round_stats", None)
-        if counters:
-            record["counters"] = dict(counters)
+        source = unwrap(scheduler, "last_round_stats")
+        if source is not None and source.last_round_stats:
+            record["counters"] = dict(source.last_round_stats)
         record["changes"] = [
             {
                 "job_id": job_id,
@@ -543,9 +559,8 @@ class TracePhase:
         phase_timings: Mapping[str, float],
         hotpath_stats: Mapping[str, int],
     ) -> None:
-        if not self.enabled:
+        if self.tracer is None:
             return
-        assert self.tracer is not None
         record: dict = {
             "kind": "summary",
             "rounds": rounds,

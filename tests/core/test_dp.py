@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.dp import DPAllocator, DPConfig
 from repro.core.pricing import PriceBook
+from repro.core.round_context import RoundContext
 from repro.core.utility import NormalizedThroughputUtility
 from repro.sim.progress import JobRuntime, JobState
 
@@ -24,10 +25,11 @@ def allocator_for(jobs, cluster, matrix, config=None):
         jobs=jobs, matrix=matrix, utility=utility,
         state=cluster.fresh_state(), now=0.0,
     )
-    return DPAllocator(
+    context = RoundContext(
         prices=prices, matrix=matrix, cluster=cluster, utility=utility,
-        now=0.0, delay_estimator=NO_DELAY, config=config or DPConfig(),
+        now=0.0, delay_estimator=NO_DELAY, state=cluster.fresh_state(),
     )
+    return DPAllocator(context, config or DPConfig())
 
 
 class TestExactDP:
@@ -85,7 +87,7 @@ class TestUtilityBound:
         alloc = allocator_for(jobs, no_comm_cluster, matrix)
         chosen = alloc.allocate(jobs, no_comm_cluster.fresh_state())
         assert set(chosen) == set(range(8))
-        stats = alloc.last_context.stats
+        stats = alloc.context.stats
         assert stats.find_alloc_calls == 20 + 16
         assert stats.dp_prunes == 12
 
@@ -95,7 +97,7 @@ class TestUtilityBound:
             jobs, no_comm_cluster, matrix, DPConfig(branch_objective="cost")
         )
         alloc.allocate(jobs, no_comm_cluster.fresh_state())
-        assert alloc.last_context.stats.dp_prunes == 0
+        assert alloc.context.stats.dp_prunes == 0
 
 
 class TestGreedyFallback:

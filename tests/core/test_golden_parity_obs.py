@@ -44,18 +44,19 @@ OBSERVERS = (
     (TelemetryPhase, "record_utilization"),
     (TelemetryPhase, "record_queue_depth"),
     (TracePhase, "emit_meta"),
+    (TracePhase, "capture_decision"),
     (TracePhase, "after_decision"),
     (TracePhase, "emit_summary"),
     (InvariantSanitizer, "on_round"),
     (ClusterHealthPhase, "after_decision"),
     (ClusterHealthPhase, "collect"),
     (SimulationEngine, "_collect_metrics"),
-    (HadarScheduler, "_build_decision_trace"),
+    (HadarScheduler, "decision_record"),
     (DecisionTracer, "emit"),
 )
 """Every observer entry point: the engine's observer phases, the
-metrics collectors, the scheduler's decision-trace builder and the
-tracer sink."""
+metrics collectors, the scheduler's decision record and the tracer
+sink."""
 
 _WRITES = ("allocate", "release", "fail", "restore", "load_state_dict")
 
@@ -160,12 +161,3 @@ def test_scrape_after_every_step_preserves_outputs(seed, monkeypatch):
     result = engine.stop()
     assert digest(fingerprint(result)) == GOLDEN[f"hadar/{seed}"]["sha256"]
     assert outputs(result) == outputs(unscraped)
-
-
-def test_disabled_tracer_also_preserves_schedules():
-    name, seed = "hadar", SEEDS[0]
-    result = run_scenario(
-        name, seed,
-        engine_kwargs={"tracer": DecisionTracer(sink=[], enabled=False)},
-    )
-    assert digest(fingerprint(result)) == GOLDEN[f"{name}/{seed}"]["sha256"]

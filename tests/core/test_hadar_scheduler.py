@@ -50,16 +50,6 @@ class TestScheduling:
         assert scheduler.last_alpha == 1.0
         assert scheduler.last_prices is None
 
-    def test_no_reallocate_running_mode(self, no_comm_cluster, matrix, tiny_trace):
-        config = HadarConfig(reallocate_running=False)
-        result = simulate(
-            no_comm_cluster, tiny_trace, HadarScheduler(config), matrix=matrix,
-            checkpoint=NoOverheadCheckpoint(),
-        )
-        assert result.all_completed
-        # Running jobs are pinned: no preemptions ever.
-        assert all(rt.preemptions == 0 for rt in result.runtimes.values())
-
     def test_most_rounds_change_free(self, no_comm_cluster, matrix):
         """Stickiness: a lone job must not bounce between placements."""
         trace = Trace([make_job(0, "resnet18", workers=2, epochs=40)])

@@ -1,5 +1,5 @@
 """The DecisionTracer: streaming emission, validation at the source,
-near-free disabled path, and the placement renderer."""
+and the placement renderer."""
 
 import json
 
@@ -35,17 +35,6 @@ class TestEmission:
         tracer = DecisionTracer(sink=[])
         with pytest.raises(SchemaError):
             tracer.emit({"kind": "bogus"})
-
-    def test_validation_can_be_disabled(self):
-        sink = []
-        DecisionTracer(sink=sink, validate=False).emit({"kind": "bogus"})
-        assert sink[0]["kind"] == "bogus"
-
-    def test_disabled_tracer_emits_nothing(self):
-        sink = []
-        tracer = DecisionTracer(sink=sink, enabled=False)
-        tracer.emit(meta())
-        assert sink == [] and tracer.records_emitted == 0
 
     def test_path_and_sink_mutually_exclusive(self, tmp_path):
         with pytest.raises(ValueError, match="not both"):

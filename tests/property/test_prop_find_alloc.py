@@ -152,11 +152,11 @@ def test_find_alloc_invariants(queue, occupied):
 def test_dp_plan_always_feasible(queue):
     """The DP's chosen plan fits capacity jointly and honours gangs."""
     prices = prices_for(queue)
-    allocator = DPAllocator(
-        prices=prices, matrix=MATRIX, cluster=CLUSTER, utility=UTILITY,
-        now=0.0, delay_estimator=NO_DELAY, config=DPConfig(queue_limit=6),
-    )
     state = CLUSTER.fresh_state()
+    allocator = DPAllocator(
+        _round_context(CLUSTER, prices, state, 0.0, delay=NO_DELAY),
+        DPConfig(queue_limit=6),
+    )
     chosen = allocator.allocate(list(queue), state)
     probe = CLUSTER.fresh_state()
     for job_id, cand in chosen.items():
@@ -172,11 +172,11 @@ def test_exact_dp_payoff_dominates_greedy(queue):
     prices = prices_for(queue)
 
     def total_payoff(config):
+        state = CLUSTER.fresh_state()
         allocator = DPAllocator(
-            prices=prices, matrix=MATRIX, cluster=CLUSTER, utility=UTILITY,
-            now=0.0, delay_estimator=NO_DELAY, config=config,
+            _round_context(CLUSTER, prices, state, 0.0, delay=NO_DELAY), config
         )
-        chosen = allocator.allocate(list(queue), CLUSTER.fresh_state())
+        chosen = allocator.allocate(list(queue), state)
         return sum(c.payoff for c in chosen.values())
 
     exact = total_payoff(DPConfig(queue_limit=8))
@@ -184,10 +184,10 @@ def test_exact_dp_payoff_dominates_greedy(queue):
     assert exact >= greedy - 1e-9
 
 
-def _round_context(cluster, prices, state, now, matrix=MATRIX):
+def _round_context(cluster, prices, state, now, matrix=MATRIX, delay=MOVE_DELAY):
     return RoundContext(
         prices=prices, matrix=matrix, cluster=cluster, utility=UTILITY,
-        now=now, delay_estimator=MOVE_DELAY, state=state,
+        now=now, delay_estimator=delay, state=state,
     )
 
 
@@ -345,14 +345,12 @@ def test_exact_dp_matches_brute_force_oracle(cluster, queue, objective, data):
         if taken:
             state.allocate(Allocation({slot: taken}))
     prices = prices_for(queue, cluster)
+    reference = _round_context(cluster, prices, state, 0.0)
     allocator = DPAllocator(
-        prices=prices, matrix=MATRIX, cluster=cluster, utility=UTILITY,
-        now=0.0, delay_estimator=MOVE_DELAY,
-        config=DPConfig(queue_limit=6, branch_objective=objective),
+        _round_context(cluster, prices, state, 0.0),
+        DPConfig(queue_limit=6, branch_objective=objective),
     )
-    _, plan = allocator._solve_exact(
-        queue, state, _round_context(cluster, prices, state, 0.0)
-    )
+    _, plan = allocator._solve_exact(queue, state, allocator.context)
 
     def total(steps):
         value = 0.0
@@ -360,12 +358,11 @@ def test_exact_dp_matches_brute_force_oracle(cluster, queue, objective, data):
             if objective == "payoff":
                 value = value if cand is None else cand.payoff + value
             elif cand is None:
-                value = value + allocator._forgone_utility(rt)
+                value = value + allocator._forgone_utility(reference, rt)
             else:
                 value = cand.cost + value
         return value
 
-    reference = _round_context(cluster, prices, state, 0.0)
     walks = {}
     for vector in product((False, True), repeat=len(queue)):
         walk, steps = state.copy(), []
@@ -413,7 +410,7 @@ def _unbounded_exact(allocator, queue, state, ctx):
         rt = queue[idx]
         skip_value, skip_plan = recurse(idx + 1, branch_state)
         if not maximize:
-            skip_value = skip_value + allocator._forgone_utility(rt)
+            skip_value = skip_value + allocator._forgone_utility(ctx, rt)
         best = (skip_value, skip_plan)
         cand = cached_find_alloc(ctx, rt, branch_state)
         if cand is not None:
@@ -497,12 +494,8 @@ def test_bounded_dp_matches_unbounded_recursion(cluster, utility, objective, dat
             now=now, delay_estimator=MOVE_DELAY, state=state,
         )
 
-    allocator = DPAllocator(
-        prices=prices, matrix=MATRIX, cluster=cluster, utility=utility,
-        now=now, delay_estimator=MOVE_DELAY,
-        config=DPConfig(branch_objective=objective),
-    )
     ctx = context()
+    allocator = DPAllocator(ctx, DPConfig(branch_objective=objective))
     value, plan = allocator._solve_exact(queue, state, ctx)
     ref_value, ref_plan = _unbounded_exact(allocator, queue, state, context())
     if ctx.stats.dp_prunes:
