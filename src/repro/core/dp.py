@@ -209,7 +209,12 @@ class DPAllocator:
             memo[key] = best
             return best
 
-        return recurse(0, state)
+        try:
+            return recurse(0, state)
+        finally:
+            # ``recurse`` reaches itself through its closure cell; breaking
+            # that cycle lets the round's context go by reference counting.
+            del recurse
 
     def _utility_bound(self, ctx: RoundContext, rt: JobRuntime) -> float:
         """An upper bound on every payoff ``FIND_ALLOC`` can return for ``rt``.

@@ -118,6 +118,20 @@ class ThroughputEstimator:
         self._estimates.clear()
         self._counts.clear()
 
+    # -- engine snapshot support ----------------------------------------------
+    def state_dict(self) -> dict:
+        """The estimates and observation counts, insertion-ordered."""
+        return {
+            "estimates": [[m, t, v] for (m, t), v in self._estimates.items()],
+            "counts": [[m, t, n] for (m, t), n in self._counts.items()],
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        self._estimates = {
+            (str(m), str(t)): float(v) for m, t, v in state["estimates"]
+        }
+        self._counts = {(str(m), str(t)): int(n) for m, t, n in state["counts"]}
+
 
 class ProfilingScheduler(Scheduler):
     """Wrap a scheduler so it sees *profiled* throughputs, not ground truth.
@@ -156,6 +170,31 @@ class ProfilingScheduler(Scheduler):
         self.inner.reset()
         self.estimator.reset()
         self._last_seen.clear()
+
+    # ---------------------------------------------------- engine snapshots --
+    def state_dict(self) -> dict:
+        """The wrapped scheduler's state, the estimator's, and the
+        progress each running job had at the last decision."""
+        return {
+            "inner": self.inner.state_dict(),
+            "estimator": self.estimator.state_dict(),
+            "last_seen": [
+                [job_id, t, iters, [[n, ty, c] for (n, ty), c in gang.placements.items()]]
+                for job_id, (t, iters, gang) in self._last_seen.items()
+            ],
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        self.inner.load_state_dict(state["inner"])
+        self.estimator.load_state_dict(state["estimator"])
+        self._last_seen = {
+            int(job_id): (
+                float(t),
+                float(iters),
+                Allocation.from_pairs((int(n), str(ty), int(c)) for n, ty, c in gang),
+            )
+            for job_id, t, iters, gang in state["last_seen"]
+        }
 
     def schedule(self, ctx: SchedulerContext) -> Mapping[int, Allocation]:
         self._ingest_observations(ctx)

@@ -55,14 +55,14 @@ property suites pin this.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import ge, itemgetter, le
 from typing import Callable, Iterable, Optional
 
 from repro.cluster.allocation import Allocation
 from repro.cluster.cluster import Cluster
 from repro.cluster.state import ClusterState
 from repro.core.pricing import PriceBook
-from repro.core.round_context import _MISS, RoundContext
+from repro.core.round_context import _MISS, JobView, RoundContext
 from repro.core.utility import Utility
 from repro.sim.progress import JobRuntime
 from repro.workload.throughput import ThroughputMatrix
@@ -203,6 +203,9 @@ def cached_find_alloc(
     golden-parity and property suites pin this), reorganized so the
     expensive work is shared or skipped:
 
+    * the job's round-frozen inputs (rates, usable order, move delay,
+      age, remaining work, current picks) come from its
+      :class:`~repro.core.round_context.JobView`, built once per round;
     * the job's **current placement**, when it still fits and runs, is
       costed first (delay-free), and returned at once when a
       certificate proves no other gang can beat it — no candidate is
@@ -217,6 +220,14 @@ def cached_find_alloc(
       The current gang is certified when its payoff ``P > 0`` and ``P >
       B_k`` for every tier with ``W`` free devices; exact ties and
       near-ties fall through to the search, which breaks them;
+    * a certificate **carries** to any later state with no more free
+      devices than the certified one on any slot and the same free
+      counts on the job's own slots: ``P`` is unchanged there, and since
+      Eq. (5)'s price never falls as free falls, every ``pmin_k`` only
+      rises, every tier's free count only shrinks, and so every
+      ``B_k`` only falls.  Such a call returns the certified candidate
+      without reading the slot book — the common case in the greedy's
+      allocation walk, which only commits;
     * candidate **generation** is looked up per ``(usable order, rate-tie
       signature, W, state key)`` — every job of the same shape at the
       same free vector reuses it (:func:`_generate_candidates`), already
@@ -228,114 +239,63 @@ def cached_find_alloc(
       rest.
 
     ``state_key`` lets callers that already computed ``state.key()`` (the
-    DP memo does) skip recomputing it.
+    DP memo does) skip recomputing it.  A kept current gang is returned
+    as the runtime's own ``rt.allocation``.
     """
     stats = ctx.stats
     stats.find_alloc_calls += 1
-    job = rt.job
-    model = job.model.name
-    w = job.num_workers
-
-    rate_of = ctx.rates_for(model)
-    usable_desc = ctx.usable_desc(model)
+    view = ctx.view(rt)
+    usable_desc = view.usable_desc
     if not usable_desc:
         return None
     if state_key is None:
         state_key = state.key()
-    move_delay = ctx.move_delay_for(rt)
-
-    model_bytes = job.model.model_bytes
-    comm = ctx.cluster.comm
-    now = ctx.now
-    utility = ctx.utility
-    age = now - job.arrival_time
-    if age < 0.0:
-        age = 0.0
-    remaining = rt.remaining_iterations
-    memo = ctx.candidate_memo[rt.job_id]
-    phys_memo = ctx.physics_memo[model, w]
-
-    def evaluate(picks: _Picks, frees: tuple[int, ...], is_current: bool):
-        """Cost one candidate cold: shared physics, per-job economics."""
-        stats.candidate_evals += 1
-        pkey = (picks, frees)
-        phys = phys_memo.get(pkey, _MISS)
-        if phys is _MISS:
-            stats.physics_evals += 1
-            bottleneck = min(
-                rate_of.get(t) or ctx.matrix.rate(model, t) for _, t, _ in picks
-            )
-            if bottleneck <= 0.0:
-                phys = None
-            else:
-                multi_node = len({n for n, _, _ in picks}) > 1
-                penalty = comm.throughput_penalty_n(
-                    w, multi_node, model_bytes, 1.0 / bottleneck
-                )
-                base_rate = bottleneck * w * penalty
-                # Identical accumulation order to the reference's
-                # sum-over-picks with the same Eq. (5) price values.
-                price = ctx.price
-                base_cost = sum(
-                    price((n, t), f) * c for (n, t, c), f in zip(picks, frees)
-                )
-                phys = (base_cost / penalty, base_rate, multi_node)
-            phys_memo[pkey] = phys
-        else:
-            stats.physics_hits += 1
-        cached = None
-        if phys is not None:
-            cost, rate, multi_node = phys
-            if is_current:
-                # Keeping a straggling gang keeps its degradation; a fresh
-                # placement starts with healthy workers (straggler awareness).
-                if rt.slowdown < 1.0:
-                    rate = rate * rt.slowdown
-                delay = 0.0
-            else:
-                delay = move_delay
-            jct = age + delay + remaining / rate
-            u = utility.value_for(rt, jct, now)
-            payoff = u - cost
-            if payoff > 0.0:
-                cached = (cost, u, payoff, rate, jct, multi_node)
-        memo[picks, frees, is_current] = cached
-        return cached
+    memo = view.memo
 
     best_key: Optional[tuple] = None
     best: Optional[tuple] = None
 
     # -- the current placement, when it still fits and runs (per-job) ----------
-    current_picks: Optional[_Picks] = None
-    if rt.allocation and state.can_fit(rt.allocation):
-        picks = tuple(sorted((n, t, c) for (n, t), c in rt.allocation.placements.items()))
-        if all(
-            (rate_of.get(t) or ctx.matrix.rate(model, t)) > 0.0 for _, t, _ in picks
+    current = view.current
+    if current is not None:
+        frees = tuple([state_key[i] for i in view.current_at])
+        certified = view.certified
+        if (
+            certified is not None
+            and frees == certified[1]
+            and all(map(le, state_key, certified[0]))
         ):
-            current_picks = picks
-            frees = tuple([state.free(n, t) for n, t, _ in picks])
-            best = memo.get((picks, frees, True), _MISS)
+            # The carried certificate: what the search below would find,
+            # a memo hit on the same costing and every bound passed.
+            stats.candidate_hits += 1
+            stats.current_certified += 1
+            return certified[2]
+        if all(map(ge, frees, view.current_counts)):
+            best = memo.get((current, frees, True), _MISS)
             if best is _MISS:
-                best = evaluate(picks, frees, True)
+                best = view.evaluate(ctx, current, frees, True)
             else:
                 stats.candidate_hits += 1
             if best is not None:
-                best_key = (-best[2], best[0], best[5], picks)
-                if w < _CERTIFIED_W and _current_wins(
-                    ctx, rt, best[2], age + move_delay, rate_of,
-                    ctx.tier_floors(usable_desc, state_key),
+                best_key = (-best[2], best[0], best[5], current)
+                if view.w < _CERTIFIED_W and _current_wins(
+                    ctx, view, best[2], ctx.tier_floors(usable_desc, state_key)
                 ):
                     stats.current_certified += 1
-                    return _candidate(picks, best)
+                    cand = _candidate(rt.allocation, best)
+                    view.certified = (state_key, frees, cand)
+                    return cand
+        else:
+            current = None
 
     # -- everything else: generated, pruned, costed through the memos ----------
-    pairs = _generate_candidates(ctx, model, w, usable_desc, state_key)
+    pairs = _generate_candidates(ctx, view.model, view.w, usable_desc, state_key)
     for picks, frees in pairs:
-        if picks == current_picks:
+        if picks == current:
             continue  # costed above, delay-free
         cached = memo.get((picks, frees, False), _MISS)
         if cached is _MISS:
-            cached = evaluate(picks, frees, False)
+            cached = view.evaluate(ctx, picks, frees, False)
         else:
             stats.candidate_hits += 1
         if cached is None:
@@ -347,15 +307,16 @@ def cached_find_alloc(
 
     if best is None:
         return None
-    return _candidate(best_key[3], best)
+    picks = best_key[3]
+    return _candidate(
+        rt.allocation if picks == current else Allocation.from_pairs(picks), best
+    )
 
 
 def _current_wins(
     ctx: RoundContext,
-    rt: JobRuntime,
+    view: JobView,
     payoff: float,
-    head: float,
-    rate_of: dict[str, float],
     tiers: tuple[tuple[str, float, int], ...],
 ) -> bool:
     """The current-placement certificate (see :func:`cached_find_alloc`).
@@ -367,8 +328,11 @@ def _current_wins(
     age plus the move delay, so the JCT is summed in the search's own
     order, ``(age + delay) + remaining / rate``.
     """
-    w = rt.job.num_workers
-    remaining = rt.remaining_iterations
+    w = view.w
+    rt = view.rt
+    rate_of = view.rate_of
+    head = view.age + view.move_delay
+    remaining = view.remaining
     value_for = ctx.utility.value_for
     now = ctx.now
     for t, pmin, free in tiers:
@@ -379,10 +343,10 @@ def _current_wins(
     return True
 
 
-def _candidate(picks: _Picks, costed: tuple) -> AllocationCandidate:
+def _candidate(allocation: Allocation, costed: tuple) -> AllocationCandidate:
     cost, u, payoff, rate, jct, _ = costed
     return AllocationCandidate(
-        allocation=Allocation.from_pairs(picks),
+        allocation=allocation,
         cost=cost,
         utility=u,
         payoff=payoff,
@@ -475,6 +439,7 @@ def explain_alloc(
         utility = ctx.utility
         age = max(now - job.arrival_time, 0.0)
         remaining = rt.remaining_iterations
+        move_delay = ctx.delay_estimator(rt)
 
         consolidated_payoff: Optional[float] = None
         scattered_payoff: Optional[float] = None
@@ -496,10 +461,7 @@ def explain_alloc(
             if is_current and rt.slowdown < 1.0:
                 rate *= rt.slowdown
             cost = sum(price_of[(n, t)] * c for n, t, c in picks) / penalty
-            if is_current:
-                delay = 0.0
-            else:
-                delay = ctx.move_delay_for(rt)
+            delay = 0.0 if is_current else move_delay
             jct = age + delay + remaining / rate
             u = utility.value_for(rt, jct, now)
             payoff = u - cost

@@ -192,16 +192,27 @@ class PriceCalibrator:
     keeps the resulting book byte-identical to a from-scratch
     :meth:`PriceBook.calibrate` of the same queue.
 
-    The calibrator assumes the slot universe and the throughput matrix
-    are immutable for its lifetime (both hold during a simulation);
-    :meth:`reset` clears everything for a new run.
+    A record is also a function of the model's rates, so the records
+    and the per-model rate cache hold for one throughput matrix.  Handed
+    another matrix object — on the first call after a restore, or every
+    round under a wrapper that re-estimates rates
+    (:class:`~repro.core.estimator.ProfilingScheduler`) — the calibrator
+    re-derives every record and keeps those whose values did not move;
+    only the moved ones count as dirty, so a restored run counts what
+    the uninterrupted one does.  The slot universe is assumed fixed for
+    the calibrator's lifetime; :meth:`reset` clears everything for a new
+    run.
     """
 
-    __slots__ = ("config", "_types", "_model_rates", "_records", "last_jobs", "last_dirty")
+    __slots__ = (
+        "config", "_types", "_matrix", "_model_rates", "_records", "last_jobs", "last_dirty",
+    )
 
     def __init__(self, config: PricingConfig = PricingConfig()):
         self.config = config
         self._types: list[str] | None = None
+        self._matrix: ThroughputMatrix | None = None
+        """The matrix ``_model_rates`` and ``_records`` were derived from."""
         # model -> (rate-by-type, min supported rate or None)
         self._model_rates: dict[str, tuple[dict[str, float], float | None]] = {}
         # job_id -> (remaining, W, t_max, {type: t_min_r})
@@ -213,6 +224,7 @@ class PriceCalibrator:
 
     def reset(self) -> None:
         self._types = None
+        self._matrix = None
         self._model_rates.clear()
         self._records.clear()
         self.last_jobs = 0
@@ -223,10 +235,11 @@ class PriceCalibrator:
         """The cross-round Eq. (8) record cache, insertion-ordered.
 
         ``_model_rates`` is deliberately *not* captured: it is a pure
-        deterministic cache over the immutable throughput matrix and
-        repopulates identically on demand after restore
-        (``tests/core/test_chaos_snapshot.py`` checks that a restored run
-        reproduces every output of the uninterrupted one).
+        deterministic cache over the throughput matrix, and a restored
+        calibrator re-derives it, and re-checks every record, against the
+        first matrix it is handed (``tests/core/test_chaos_snapshot.py``
+        checks that a restored run reproduces every output of the
+        uninterrupted one).
         """
         return {
             "types": None if self._types is None else list(self._types),
@@ -241,6 +254,7 @@ class PriceCalibrator:
     def load_state_dict(self, state: dict) -> None:
         types = state["types"]
         self._types = None if types is None else [str(t) for t in types]
+        self._matrix = None
         self._model_rates.clear()
         self._records = {
             int(job_id): (
@@ -283,18 +297,22 @@ class PriceCalibrator:
             return PriceBook(u_min=zero, u_max=dict(zero), eta=1.0)
 
         # t_j^min / t_j^max per job (Eq. 8), restricted to present types.
-        # Records carry over while (remaining, W) is unchanged; rebuilding
-        # the mapping each round drops records of departed jobs.
+        # Records carry over while (remaining, W) and the matrix are
+        # unchanged; rebuilding the mapping each round drops records of
+        # departed jobs.
+        new_matrix = matrix is not self._matrix
+        if new_matrix:
+            self._matrix = matrix
+            self._model_rates.clear()
         records = self._records
         fresh: dict[int, tuple[float, int, float, dict[str, float]]] = {}
-        t_max: dict[int, float] = {}
+        kept: list[tuple[JobRuntime, tuple[float, int, float, dict[str, float]]]] = []
         for rt in usable:
             job = rt.job
             remaining = rt.remaining_iterations
             w = job.num_workers
             rec = records.get(rt.job_id)
-            if rec is None or rec[0] != remaining or rec[1] != w:
-                self.last_dirty += 1
+            if rec is None or rec[0] != remaining or rec[1] != w or new_matrix:
                 model = job.model.name
                 by_type, min_rate = self._rates_for(matrix, model, types)
                 if min_rate is None:
@@ -306,12 +324,15 @@ class PriceCalibrator:
                     for r, rate in by_type.items()
                     if rate > 0.0
                 }
-                rec = (remaining, w, remaining / (w * min_rate), t_min)
+                derived = (remaining, w, remaining / (w * min_rate), t_min)
+                if derived != rec:
+                    self.last_dirty += 1
+                    rec = derived
             fresh[rt.job_id] = rec
-            t_max[rt.job_id] = rec[2]
+            kept.append((rt, rec))
         self._records = fresh
 
-        horizon = now + config.horizon_slack * sum(t_max.values())
+        horizon = now + config.horizon_slack * sum(rec[2] for _, rec in kept)
 
         # η (auto): smallest value satisfying Σ_h Σ_r c_h^r / η ≤ t_j^max W_j ∀j.
         if config.eta is not None:
@@ -319,35 +340,41 @@ class PriceCalibrator:
         else:
             total_capacity = state.total_capacity()
             eta = max(
-                (
-                    total_capacity / (t_max[rt.job_id] * rt.job.num_workers)
-                    for rt in usable
-                ),
+                (total_capacity / (rec[2] * rec[1]) for _, rec in kept),
                 default=1.0,
             )
             eta = max(eta, 1.0)
 
+        # Eqs. (6)-(7) in one pass over the jobs: each type's max/min fold
+        # still sees the jobs in queue order, so every fold — and the book —
+        # is the per-type loop's bit for bit (``value_for`` is pure).
+        value_for = utility.value_for
+        hi_of = dict.fromkeys(types, 0.0)
+        lo_of = dict.fromkeys(types, math.inf)
+        for rt, (_, w, t_max_j, t_min) in kept:
+            arrival = rt.job.arrival_time
+            age = now - arrival
+            if age < 0.0:
+                age = 0.0
+            late = horizon - arrival
+            spread = t_max_j * w
+            # Fastest completion *using type r*: full gang of type r (absent
+            # from the record when the type is unusable).
+            for r, t_min_r in t_min.items():
+                jct_best = age + t_min_r
+                hi = value_for(rt, jct_best, now) / w
+                if hi > hi_of[r]:
+                    hi_of[r] = hi
+                # Smallest utility: the job drags on until the horizon.
+                lo = value_for(rt, jct_best if jct_best > late else late, now) / spread
+                if lo < lo_of[r]:
+                    lo_of[r] = lo
+
         u_max: dict[str, float] = {}
         u_min: dict[str, float] = {}
         for r in types:
-            hi = 0.0
-            lo = math.inf
-            for rt in usable:
-                job = rt.job
-                # Fastest completion *using type r*: full gang of type r
-                # (absent from the record when the type is unusable).
-                t_min_r = fresh[rt.job_id][3].get(r)
-                if t_min_r is None:
-                    continue
-                jct_best = max(now - job.arrival_time, 0.0) + t_min_r
-                hi = max(hi, utility.value_for(rt, jct_best, now) / job.num_workers)
-                # Smallest utility: the job drags on until the horizon.
-                jct_worst = max(horizon - job.arrival_time, jct_best)
-                lo = min(
-                    lo,
-                    utility.value_for(rt, jct_worst, now)
-                    / (t_max[job.job_id] * job.num_workers),
-                )
+            hi = hi_of[r]
+            lo = lo_of[r]
             if hi <= 0.0 or not math.isfinite(lo):
                 u_max[r] = 0.0
                 u_min[r] = 0.0

@@ -10,9 +10,14 @@ every ``find_alloc`` call in that round.  It provides
 
 * frozen per-round lookup tables — per-model rate vectors
   (:meth:`rates_for`), the fastest-first usable-type order driving the
-  bottleneck tiers (:meth:`usable_desc`), the rate-tie structure
-  (:meth:`rate_rank`), and the per-job reallocation delay
-  (:meth:`move_delay_for`);
+  bottleneck tiers (:meth:`usable_desc`) and the rate-tie structure
+  (:meth:`rate_rank`);
+* a **job view** per job (:class:`JobView`, :meth:`view`) — everything
+  a search reads of one job that cannot change within the round: model,
+  gang size, rate table, usable order, the reallocation-delay estimate,
+  age, remaining work and current picks, plus handles on the job's
+  candidate memo and its ``(model, W)`` physics memo.  Built on the
+  job's first search, reused by every later one;
 * per-tier **price floors** (:meth:`tier_floors`) — for each
   bottleneck tier of a type order, the cheapest free slot at or above
   it and the free devices there, per free-capacity vector; the
@@ -45,12 +50,39 @@ every ``find_alloc`` call in that round.  It provides
   - **physics** — a gang's bottleneck rate, comm penalty and price cost,
     shared by every job of one ``(model, W)`` (:attr:`physics_memo`);
   - **candidate** — a job's costed payoff per ``(picks, picked free
-    counts)`` (:attr:`candidate_memo`);
+    counts)`` (:attr:`JobView.memo`);
 
 * instrumentation counters (:class:`RoundStats`) surfaced per
   simulation through
   :attr:`repro.sim.engine.SimulationResult.hotpath_stats` and the
   ``repro_hotpath_total`` metric family.
+
+Each view also carries the job's **current-placement certificate**
+(:attr:`JobView.certified`) down a walk that only commits.  A job
+certified at state ``S`` stays certified, with the same candidate, at
+any state ``S'`` with no more free devices than ``S`` on any slot and
+the same free counts as ``S`` on the job's own slots:
+
+* the own slots give the current gang the same price cost, hence the
+  same payoff ``P``;
+* Eq. (5)'s price ``lo * (hi / lo) ** (γ / cap)`` never falls as a
+  slot's free count falls.  ``PriceBook`` requires ``lo <= hi`` and
+  calibration makes ``hi / lo`` at least ``min_ratio > 1``.  In floats
+  ``γ / cap`` and the product round monotonically, and the power's
+  values at consecutive ``γ`` differ by the factor ``(hi / lo) ** (1 /
+  cap)``, far beyond ``pow``'s error at any calibrated ratio.  A type
+  no queued job can use is priced 0 at every occupancy;
+* every free slot of ``S'`` is free at ``S`` too, so each tier's
+  cheapest free price only rises from ``S`` to ``S'``, each tier's free
+  count only shrinks, and a tier listed at ``S'`` is listed at ``S``;
+* each bound ``B_k`` therefore only falls, in floats as well:
+  ``value_for`` sees the same JCT and ``W * pmin * (1 - 2**-40)``
+  rounds monotonically.  ``P`` beat every ``B_k`` at ``S`` and beats
+  every one at ``S'``.
+
+The greedy's allocation walk is such a walk: a job certified at the
+ranking state whose slots no earlier commit touched is kept without
+reading the slot book again.
 
 The caches have no off switch.  The uncached specification is
 :func:`repro.core.find_alloc.explain_alloc`, which recomputes every
@@ -63,7 +95,12 @@ The caches assume what the rest of the round machinery already assumes:
 ``delay_estimator``'s output for a given job are frozen while the context
 lives.  The estimator takes only the job: a move's pause does not depend
 on the gang moved to (:meth:`~repro.sim.checkpoint.CheckpointModel.move_delay`),
-so one value serves every non-current candidate of the round.
+so one value per view serves every non-current candidate of the round.
+
+Nothing the context holds refers back to it — not the slot book, not a
+view (:meth:`JobView.evaluate` is handed the context) — so a round's
+context and its memos are freed by reference counting as the round
+ends, not left for a cyclic garbage collection.
 """
 
 from __future__ import annotations
@@ -77,13 +114,13 @@ from typing import TYPE_CHECKING, Iterator, Optional
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cluster import Cluster
     from repro.cluster.state import ClusterState
-    from repro.core.find_alloc import DelayEstimator
+    from repro.core.find_alloc import AllocationCandidate, DelayEstimator
     from repro.core.pricing import PriceBook
     from repro.core.utility import Utility
     from repro.sim.progress import JobRuntime
     from repro.workload.throughput import ThroughputMatrix
 
-__all__ = ["RoundContext", "RoundStats", "SlotBook"]
+__all__ = ["JobView", "RoundContext", "RoundStats", "SlotBook"]
 
 _MISS = object()
 """Sentinel distinguishing 'not cached' from a cached ``None`` result."""
@@ -224,6 +261,133 @@ class SlotBook:
         return len(diff)
 
 
+class JobView:
+    """One job's round-frozen search inputs (see the module docstring).
+
+    ``current`` is the job's current gang as sorted picks — ``None`` when
+    it holds none, when a picked type is unusable for its model, or when
+    it names a slot outside the round's universe (such a gang never
+    fits).  ``current_at`` holds the picks' positions in a state key and
+    ``current_counts`` their worker counts, so a search reads the picked
+    free counts off the key it is handed.  ``certified`` is ``(state
+    key, picked free counts, candidate)`` of the job's latest
+    current-placement certificate, or ``None``.
+    """
+
+    __slots__ = (
+        "rt",
+        "model",
+        "w",
+        "model_bytes",
+        "rate_of",
+        "usable_desc",
+        "move_delay",
+        "age",
+        "remaining",
+        "current",
+        "current_at",
+        "current_counts",
+        "memo",
+        "physics",
+        "certified",
+    )
+
+    def __init__(self, ctx: "RoundContext", rt: "JobRuntime"):
+        job = rt.job
+        self.rt = rt
+        model = self.model = job.model.name
+        w = self.w = job.num_workers
+        self.model_bytes = job.model.model_bytes
+        rate_of = self.rate_of = ctx.rates_for(model)
+        self.usable_desc = ctx.usable_desc(model)
+        # A job no type can run is never searched past its usable order.
+        self.move_delay = ctx.delay_estimator(rt) if self.usable_desc else 0.0
+        age = ctx.now - job.arrival_time
+        self.age = age if age > 0.0 else 0.0
+        self.remaining = rt.remaining_iterations
+        self.current = self.current_at = self.current_counts = None
+        if rt.allocation:
+            picks = tuple(
+                sorted((n, t, c) for (n, t), c in rt.allocation.placements.items())
+            )
+            index = ctx.slot_index
+            if all((n, t) in index for n, t, _ in picks) and all(
+                (rate_of.get(t) or ctx.matrix.rate(model, t)) > 0.0
+                for _, t, _ in picks
+            ):
+                self.current = picks
+                self.current_at = tuple([index[n, t] for n, t, _ in picks])
+                self.current_counts = tuple([c for _, _, c in picks])
+        # (picks, picked free counts, is_current) → costing, or None.
+        self.memo: dict[tuple, Optional[tuple]] = {}
+        self.physics: dict[tuple, Optional[tuple]] = ctx.physics_memo[model, w]
+        self.certified: Optional[
+            tuple[tuple[int, ...], tuple[int, ...], "AllocationCandidate"]
+        ] = None
+
+    def evaluate(
+        self,
+        ctx: "RoundContext",
+        picks: tuple[tuple[int, str, int], ...],
+        frees: tuple[int, ...],
+        is_current: bool,
+    ) -> Optional[tuple]:
+        """Cost one candidate cold: shared physics, per-job economics.
+
+        Returns ``(cost, utility, payoff, rate, jct, multi_node)`` when the
+        payoff is positive, else ``None``, and files it in :attr:`memo`.
+        Every float expression mirrors ``find_alloc.explain_alloc``.
+        """
+        stats = ctx.stats
+        stats.candidate_evals += 1
+        pkey = (picks, frees)
+        phys = self.physics.get(pkey, _MISS)
+        if phys is _MISS:
+            stats.physics_evals += 1
+            rate_of, model = self.rate_of, self.model
+            bottleneck = min(
+                rate_of.get(t) or ctx.matrix.rate(model, t) for _, t, _ in picks
+            )
+            if bottleneck <= 0.0:
+                phys = None
+            else:
+                w = self.w
+                multi_node = len({n for n, _, _ in picks}) > 1
+                penalty = ctx.cluster.comm.throughput_penalty_n(
+                    w, multi_node, self.model_bytes, 1.0 / bottleneck
+                )
+                base_rate = bottleneck * w * penalty
+                # Identical accumulation order to the reference's
+                # sum-over-picks with the same Eq. (5) price values.
+                price = ctx.price
+                base_cost = sum(
+                    price((n, t), f) * c for (n, t, c), f in zip(picks, frees)
+                )
+                phys = (base_cost / penalty, base_rate, multi_node)
+            self.physics[pkey] = phys
+        else:
+            stats.physics_hits += 1
+        cached = None
+        if phys is not None:
+            cost, rate, multi_node = phys
+            rt = self.rt
+            if is_current:
+                # Keeping a straggling gang keeps its degradation; a fresh
+                # placement starts with healthy workers (straggler awareness).
+                if rt.slowdown < 1.0:
+                    rate = rate * rt.slowdown
+                delay = 0.0
+            else:
+                delay = self.move_delay
+            jct = self.age + delay + self.remaining / rate
+            u = ctx.utility.value_for(rt, jct, ctx.now)
+            payoff = u - cost
+            if payoff > 0.0:
+                cached = (cost, u, payoff, rate, jct, multi_node)
+        self.memo[picks, frees, is_current] = cached
+        return cached
+
+
 class RoundContext:
     """Shared per-round lookup tables and caches (see the module docstring)."""
 
@@ -241,8 +405,8 @@ class RoundContext:
         "_rates",
         "_usable",
         "_rate_rank",
-        "_move_delay",
-        "candidate_memo",
+        "slot_index",
+        "_views",
         "physics_memo",
         "class_walks",
         "_gen_cache",
@@ -280,9 +444,11 @@ class RoundContext:
         self._rates: dict[str, dict[str, float]] = {}
         self._usable: dict[str, tuple[str, ...]] = {}
         self._rate_rank: dict[str, tuple[dict[str, int], tuple[int, ...]]] = {}
-        self._move_delay: dict[int, float] = {}
-        # Job id → (picks, picked free counts, is_current) → costing.
-        self.candidate_memo: defaultdict[int, dict] = defaultdict(dict)
+        # Each slot's position in a state key (the canonical slot order).
+        self.slot_index: dict[tuple[int, str], int] = {
+            slot: i for i, slot in enumerate(self._caps)
+        }
+        self._views: dict[int, JobView] = {}
         # (model, W) → (picks, picked free counts) → (cost, rate,
         # multi_node), or None for an unusable gang: no job economics.
         self.physics_memo: defaultdict[tuple[str, int], dict] = defaultdict(dict)
@@ -383,18 +549,12 @@ class RoundContext:
             self._rate_rank[model] = hit
         return hit
 
-    def move_delay_for(self, rt: "JobRuntime") -> float:
-        """The reallocation pause charged to every non-current candidate.
-
-        A move's pause depends on the job, not on the gang it moves to,
-        so one value per job serves every call in the round — including
-        the current-placement certificate, which needs it before any
-        other gang exists.
-        """
-        delay = self._move_delay.get(rt.job_id)
-        if delay is None:
-            delay = self._move_delay[rt.job_id] = self.delay_estimator(rt)
-        return delay
+    def view(self, rt: "JobRuntime") -> JobView:
+        """The job's :class:`JobView`, built on its first search this round."""
+        view = self._views.get(rt.job_id)
+        if view is None:
+            view = self._views[rt.job_id] = JobView(self, rt)
+        return view
 
     def slot_book(self, state_key: tuple[int, ...]) -> SlotBook:
         """The round's :class:`SlotBook`, moved to free vector ``state_key``."""

@@ -91,6 +91,31 @@ class RecordingScheduler(Scheduler):
         self.inner.reset()
         self.decisions.clear()
 
+    def state_dict(self) -> dict:
+        """The wrapped scheduler's state and every decision recorded so far."""
+        return {
+            "inner": self.inner.state_dict(),
+            "decisions": [
+                [
+                    [job_id, [[n, t, c] for (n, t), c in alloc.placements.items()]]
+                    for job_id, alloc in decision.items()
+                ]
+                for decision in self.decisions
+            ],
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        self.inner.load_state_dict(state["inner"])
+        self.decisions = [
+            {
+                int(job_id): Allocation.from_pairs(
+                    (int(n), str(t), int(c)) for n, t, c in gang
+                )
+                for job_id, gang in decision
+            }
+            for decision in state["decisions"]
+        ]
+
     def schedule(self, ctx: SchedulerContext) -> Mapping[int, Allocation]:
         target = dict(self.inner.schedule(ctx))
         self.decisions.append(dict(target))

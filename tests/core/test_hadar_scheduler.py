@@ -102,3 +102,48 @@ def test_core_imports_no_clock():
             if "time" in names:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders
+
+
+@pytest.mark.parametrize(
+    "num_jobs, queue_limit", [(14, 0), (8, 10)], ids=["greedy", "exact"]
+)
+def test_a_round_leaves_its_context_to_reference_counting(num_jobs, queue_limit):
+    """With the cyclic collector off, a live round's ``RoundContext`` is
+    gone once ``schedule`` returns: nothing it holds — views, the slot
+    book, the DP's recursion — refers back to it, so its memos are freed
+    at once instead of waiting for a gen-2 collection."""
+    import gc
+
+    from repro.cluster.cluster import simulated_cluster
+    from repro.core.round_context import RoundContext
+    from repro.sim.engine import SimulationEngine
+    from repro.workload.philly import PhillyTraceConfig, generate_philly_trace
+
+    found = []
+
+    class Probe(HadarScheduler):
+        def schedule(self, ctx):
+            if found or len(ctx.running) < 3:
+                return super().schedule(ctx)
+            gc.collect()
+            gc.disable()
+            try:
+                target = super().schedule(ctx)
+                found.append(
+                    sum(isinstance(o, RoundContext) for o in gc.get_objects())
+                )
+                # The round runs the path under test.
+                found.append(len(ctx.active) > queue_limit)
+            finally:
+                gc.enable()
+            return target
+
+    engine = SimulationEngine(
+        cluster=simulated_cluster(),
+        trace=generate_philly_trace(PhillyTraceConfig(num_jobs=num_jobs, seed=1)),
+        scheduler=Probe(HadarConfig(dp=DPConfig(queue_limit=queue_limit))),
+    )
+    engine.start()
+    while not found and engine.step():
+        pass
+    assert found == [0, queue_limit == 0]

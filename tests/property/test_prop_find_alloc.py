@@ -558,18 +558,16 @@ def _shuffled(rng, seq):
     return [seq[i] for i in rng.permutation(len(seq))]
 
 
-def _certificate_round(rng):
-    """One round of running jobs searched on one context, as the greedy
-    searches them: returns each search's outcome.
+def _running_round(rng):
+    """A drawn round of running jobs: ``(queue, state, held, context)``,
+    or ``None`` when no job's gang fits the drawn cluster.
 
     The cluster, utility and checkpoint model are drawn; every job runs
     on a current gang, on one server or spread over several, some
-    straggling, part done.  Other gangs take part of the current gangs'
-    slots — sometimes so much that a current gang no longer fits.  Each
-    search must equal ``explain_alloc``'s best, and it must be answered
-    by the certificate exactly when :func:`_certifies` holds.  Between
-    searches the reference's gang may be committed, so the tier floors
-    are read at several states.
+    straggling, part done.  Other gangs (``held``, one per slot) take
+    part of the current gangs' slots — sometimes so much that a current
+    gang no longer fits.  ``context()`` builds a fresh context for the
+    round on the state as it stands.
     """
     nodes = []
     for _ in range(_int(rng, 1, 3)):
@@ -619,13 +617,15 @@ def _certificate_round(rng):
         rt.allocation = Allocation(gang)
         queue.append(rt)
     if not queue:
-        return []
+        return None
 
     state = cluster.fresh_state()
+    held = []
     for slot in slots:
-        held = _pick(rng, [0, 0, _int(rng, 0, caps[slot])])
-        if held:
-            state.allocate(Allocation({slot: held}))
+        taken = _pick(rng, [0, 0, _int(rng, 0, caps[slot])])
+        if taken:
+            held.append(Allocation({slot: taken}))
+            state.allocate(held[-1])
     now = max(rt.job.arrival_time for rt in queue) + float(rng.uniform(1.0, 7200.0))
     prices = PriceBook.calibrate(queue, MATRIX, utility, cluster.fresh_state(), now)
 
@@ -636,6 +636,22 @@ def _certificate_round(rng):
             delay_estimator=lambda rt: checkpoint.move_delay(rt.job, rt.allocation),
         )
 
+    return queue, state, held, context
+
+
+def _certificate_round(rng):
+    """One round of running jobs searched on one context, as the greedy
+    searches them: returns each search's outcome.
+
+    Each search must equal ``explain_alloc``'s best, and it must be
+    answered by the certificate exactly when :func:`_certifies` holds.
+    Between searches the reference's gang may be committed, so the tier
+    floors are read at several states and certificates are carried.
+    """
+    drawn = _running_round(rng)
+    if drawn is None:
+        return []
+    queue, state, _, context = drawn
     ctx = context()
     outcomes = []
     for rt in _shuffled(rng, queue) * 2:
@@ -650,6 +666,56 @@ def _certificate_round(rng):
         if explanation.best is not None and rng.random() < 0.5:
             state.allocate(explanation.best.allocation)
     return outcomes
+
+
+def _carried_round(rng):
+    """Certify one job at a state ``S``, move the state one way, search
+    again; returns which move was made, or ``None`` when nothing could
+    be tried.
+
+    * ``"elsewhere"`` — a commit on slots the job's gang does not use
+      (the state falls, the job's own slots keep their free counts): the
+      certified candidate itself must come back, no bound re-read;
+    * ``"own slot"`` — a commit of one device on a slot of the job's
+      gang: the gang's cost moves, so the certificate must not be reused;
+    * ``"above"`` — a release of another gang, off the job's slots: the
+      state rises above ``S`` on a slot, and a cheaper gang may have
+      opened there, so the certificate must not be reused.
+
+    Every search equals ``explain_alloc(...).best`` at its state.
+    """
+    drawn = _running_round(rng)
+    if drawn is None:
+        return None
+    queue, state, held, context = drawn
+    for rt in _shuffled(rng, queue):  # the first job certified at S
+        ctx = context()
+        first = cached_find_alloc(ctx, rt, state)
+        assert first == explain_alloc(context(), rt, state).best
+        if ctx.stats.current_certified:
+            break
+    else:
+        return None
+    own = set(rt.allocation.placements)
+    free = [(slot, f) for slot, f in state.free_slots()]
+    moves = {
+        "elsewhere": [s for s, _ in free if s not in own],
+        "own slot": [s for s, _ in free if s in own],
+        "above": [a for a in held if not own & set(a.placements)],
+    }
+    choices = [m for m, options in moves.items() if options]
+    if not choices:
+        return None
+    move = _pick(rng, choices)
+    target = _pick(rng, moves[move])
+    if move == "above":
+        state.release(target)
+    else:
+        state.allocate(Allocation({target: _int(rng, 1, state.free(*target))}))
+    found = cached_find_alloc(ctx, rt, state)
+    assert found == explain_alloc(context(), rt, state).best
+    assert (found is first) == (move == "elsewhere")
+    return move
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -669,6 +735,22 @@ def test_current_certificate_fires_and_falls_through():
         outcomes.update(_certificate_round(np.random.default_rng(seed)))
     assert outcomes["certified"] > 0
     assert outcomes["searched"] > 0
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=600, deadline=None)
+def test_carried_certificate_matches_reference(seed):
+    """A certificate carries to a lower state that keeps the job's own
+    free counts, and only there."""
+    move = _carried_round(np.random.default_rng(seed))
+    event(f"moved: {move}")
+
+
+def test_carried_certificate_sweep_tries_every_move():
+    """Over a fixed sweep of rounds each move is tried: the carried
+    certificate is reused and refused."""
+    moves = Counter(_carried_round(np.random.default_rng(seed)) for seed in range(200))
+    assert moves["elsewhere"] and moves["own slot"] and moves["above"]
 
 
 def _two_server_round(rt, checkpoint, types=("V100", "V100")):
