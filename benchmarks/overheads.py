@@ -6,7 +6,8 @@ costs, on the 14-job Hadar scenario of the golden-parity suite (seeds
 cycling 1-3):
 
 * ``tracing_live`` — a ``DecisionTracer`` attached: each round's record
-  is built (Hadar's explain pass over every queued job) and validated;
+  is built (Hadar's explain pass over every queued job, through the
+  round's own search context) and validated;
 * ``faults_disabled`` — an all-rates-zero ``FaultModel`` (repair-mode
   validator, fault phase, empty schedule);
 * ``metrics_live`` — a ``MetricsRegistry`` attached: each decision
@@ -62,10 +63,13 @@ LIMIT_PCT = 3.0
 """The limit of the off-path and cheap-observer gates."""
 GATE_LIMIT_PCT = {"tracing_live": 200.0}
 """Gates whose limit differs from ``LIMIT_PCT``.  ``tracing_live`` pays
-Hadar's explain pass and per-record schema validation; on a 2-vCPU AMD
-EPYC VM three runs read medians of +146-162% (q3 up to +174%; about
-+170/+95/+150% on seeds 1/2/3), so 200% sits above that spread and
-fails a regression of about a third in tracing's cost."""
+Hadar's explain pass and per-record schema validation.  With the record
+built on the round's own context (one candidate generation, shared
+memos) and table-driven validation, four runs on a 2-vCPU AMD EPYC
+VM read medians of +86.6% to +98.2% (q3 up to +107%), against +202% to
++216% when the explain pass re-ran a straight-line search on a fresh
+context.  The limit stays at 200%: it fails a regression that doubles
+tracing's cost."""
 SNAPSHOT_EVERY = 25
 
 ATTACHED: dict[str, Callable[[int], dict]] = {

@@ -22,14 +22,10 @@ minus the price-book cost (line 29).  Keeping a running job's existing
 placement is always a candidate (with no reallocation delay), which is
 what makes allocations sticky when nothing better appears.
 
-The module holds one search and one reference:
+The module holds one search and its explanation:
 
-* :func:`explain_alloc` is the straight-line specification — generate
-  both families at one state, cost every candidate, keep the best.  It
-  recomputes everything per call and also reports each family's best
-  payoff, which is what the decision tracer shows.
 * :func:`cached_find_alloc` (and its standalone wrapper
-  :func:`find_alloc`) runs the same computation through the shared
+  :func:`find_alloc`) runs the search through the shared
   :class:`~repro.core.round_context.RoundContext` memos: candidate
   generation per job shape and free vector, gang physics per
   ``(model, W)``, costings per job, and Eq. (5) prices per slot.  It
@@ -44,12 +40,17 @@ The module holds one search and one reference:
   returned outright when a per-tier payoff bound proves that no other
   gang can beat it — the common case, since moves pay the checkpoint
   pause and the current gang does not.
+* :func:`explain_alloc` is what the decision tracer shows: the same
+  generation and costings at one free vector, with each family's best
+  payoff whatever its sign and the reason no gang survived.
 
-Every float expression of the search mirrors one in the reference, and
-pruning only drops candidates that cannot be the reference's best, so
-``cached_find_alloc(ctx, rt, state)`` equals
-``explain_alloc(ctx, rt, state).best`` bit for bit; the golden-parity and
-property suites pin this.
+Every float expression of the search mirrors one in the straight-line
+specification kept test-side (``tests/core/reference_find_alloc.py``),
+which generates and costs every candidate afresh, and pruning only
+drops candidates that cannot be its best, so ``cached_find_alloc(ctx,
+rt, state)`` equals the specification's best bit for bit; the
+golden-parity and property suites pin this, and pin
+:func:`explain_alloc` to the specification's whole explanation.
 """
 
 from __future__ import annotations
@@ -110,20 +111,16 @@ class AllocationCandidate:
     """Realized gang iterations/second (bottleneck × W × comm penalty)."""
     estimated_jct: float
 
-    @property
-    def is_admittable(self) -> bool:
-        return self.payoff > 0.0
-
 
 @dataclass(frozen=True, slots=True)
 class AllocationExplanation:
     """Why ``FIND_ALLOC`` would (not) place one job at one state.
 
-    Produced by :func:`explain_alloc` for the decision tracer — never on
-    the hot path.  The family payoffs are the *best payoff within each
-    candidate family regardless of sign* (the search itself discards
-    non-positive payoffs), so a trace can show how far underwater the
-    losing family was:
+    Produced by :func:`explain_alloc` for the decision tracer — never
+    inside the timed decision.  The family payoffs are the *best payoff
+    within each candidate family regardless of sign* (the search itself
+    discards non-positive payoffs), so a trace can show how far
+    underwater the losing family was:
 
     * ``consolidated_payoff`` — best single-server gang (line 24);
     * ``scattered_payoff`` — best cross-server gang (line 25), comm
@@ -199,7 +196,7 @@ def cached_find_alloc(
 ) -> Optional[AllocationCandidate]:
     """The candidate search through the round's shared memo layers.
 
-    Byte-identical to ``explain_alloc(ctx, rt, state).best`` (the
+    Byte-identical to the straight-line specification's best (the
     golden-parity and property suites pin this), reorganized so the
     expensive work is shared or skipped:
 
@@ -271,12 +268,13 @@ def cached_find_alloc(
             stats.current_certified += 1
             return certified[2]
         if all(map(ge, frees, view.current_counts)):
-            best = memo.get((current, frees, True), _MISS)
-            if best is _MISS:
-                best = view.evaluate(ctx, current, frees, True)
+            kept = memo.get((current, frees, True), _MISS)
+            if kept is _MISS:
+                kept = view.evaluate(ctx, current, frees, True)
             else:
                 stats.candidate_hits += 1
-            if best is not None:
+            if kept is not None and kept[2] > 0.0:
+                best = kept
                 best_key = (-best[2], best[0], best[5], current)
                 if view.w < _CERTIFIED_W and _current_wins(
                     ctx, view, best[2], ctx.tier_floors(usable_desc, state_key)
@@ -298,7 +296,7 @@ def cached_find_alloc(
             cached = view.evaluate(ctx, picks, frees, False)
         else:
             stats.candidate_hits += 1
-        if cached is None:
+        if cached is None or not cached[2] > 0.0:
             continue
         key = (-cached[2], cached[0], cached[5], picks)
         if best_key is None or key < best_key:
@@ -356,141 +354,74 @@ def _candidate(allocation: Allocation, costed: tuple) -> AllocationCandidate:
 
 
 def explain_alloc(
-    ctx: RoundContext, rt: JobRuntime, state: ClusterState
+    ctx: RoundContext, rt: JobRuntime, state_key: tuple[int, ...]
 ) -> AllocationExplanation:
-    """``FIND_ALLOC`` for one job at one state, straight-line, with diagnostics.
+    """``FIND_ALLOC`` for one job at free vector ``state_key``, with diagnostics.
 
-    This is the reference specification of the search: every candidate
-    of both families (plus the current placement) is generated and costed
-    afresh, and ``best`` is what :func:`cached_find_alloc` must return at
-    the same state, bit for bit.  On top of that it keeps the best payoff
-    of *every* family regardless of sign (the search discards
-    non-positive payoffs outright) and names the reason no gang survived.
+    Built from the search's own parts — the job's
+    :class:`~repro.core.round_context.JobView`, its current placement
+    costed delay-free when it still fits, and :func:`_generate_candidates`
+    at ``state_key`` — so ``best`` is what :func:`cached_find_alloc`
+    returns there.  On top of that it keeps the best payoff of each family
+    whatever its sign (the search skips non-positive payoffs) and names
+    the reason no gang survived.  Pruning keeps every family's best: a
+    pruning group (span, bottleneck rate-tie group) orders its non-current
+    members' payoffs by base cost alone, and keeps its cheapest member
+    plus a second one for when the current gang is the cheapest.
 
     The decision record (``HadarScheduler.decision_record``) calls this
-    once per job per traced round, at the post-decision state, on a fresh
-    context after the timed decision.  It reads the frozen tables and
-    price memo through ``ctx`` (all value-preserving) but touches
-    neither the generation/candidate memos nor,
-    thanks to :meth:`~repro.core.round_context.RoundContext.suspend_stats`,
-    the round's hot-path counters.
+    once per queued job on the round's own context, after the timed
+    decision and after its counters were copied; every memo it reads or
+    fills is value-preserving.
     """
-    job = rt.job
-    model = job.model.name
-    w = job.num_workers
-    with ctx.suspend_stats():
-        rate_of = ctx.rates_for(model)
-        usable_desc = ctx.usable_desc(model)
-        if not usable_desc:
-            return AllocationExplanation(None, "no_usable_type")
+    view = ctx.view(rt)
+    usable_desc = view.usable_desc
+    if not usable_desc:
+        return AllocationExplanation(None, "no_usable_type")
+    memo = view.memo
 
-        free_of = dict(state.free_slots())
-        price_of = {slot: ctx.price(slot, free) for slot, free in free_of.items()}
-        usable = [(n, t, f) for (n, t), f in free_of.items() if rate_of[t] > 0.0]
-        # Each walk below follows a capacity check on exactly the slots it
-        # may take from, so every take fills the gang.
-        candidates: set[_Picks] = set()
+    def costed(picks: _Picks, frees: tuple[int, ...], is_current: bool) -> tuple:
+        hit = memo.get((picks, frees, is_current), _MISS)
+        return view.evaluate(ctx, picks, frees, is_current) if hit is _MISS else hit
 
-        # Consolidated family (line 24): whole gang on one server.
-        per_node: dict[int, list[tuple[int, str, int]]] = {}
-        for slot in usable:
-            per_node.setdefault(slot[0], []).append(slot)
-        for slots in per_node.values():
-            if sum(free for *_, free in slots) < w:
-                continue
-            fast = sorted(slots, key=lambda s: (-rate_of[s[1]], s[1]))
-            candidates.add(_greedy_take(fast, w))
-            cheap = sorted(slots, key=lambda s: (price_of[(s[0], s[1])], s[1]))
-            candidates.add(_greedy_take(cheap, w))
+    # Every gang below has a usable rate, so no costing is ``None``.
+    options: list[tuple[_Picks, tuple]] = []
+    current = view.current
+    current_payoff: Optional[float] = None
+    if current is not None:
+        frees = tuple([state_key[i] for i in view.current_at])
+        if all(map(ge, frees, view.current_counts)):
+            options.append((current, costed(current, frees, True)))
+            current_payoff = options[0][1][2]
+        else:
+            current = None
+    for picks, frees in _generate_candidates(
+        ctx, view.model, view.w, usable_desc, state_key
+    ):
+        if picks != current:
+            options.append((picks, costed(picks, frees, False)))
+    if not options:
+        return AllocationExplanation(None, "insufficient_free")
 
-        # Cross-server family (line 25): one candidate pair per bottleneck tier.
-        for i in range(len(usable_desc)):
-            allowed = set(usable_desc[: i + 1])
-            slots = [s for s in usable if s[1] in allowed]
-            if sum(free for *_, free in slots) < w:
-                continue
-            cheap = sorted(
-                slots, key=lambda s: (price_of[(s[0], s[1])], -rate_of[s[1]], s[0])
-            )
-            candidates.add(_greedy_take(cheap, w))
-            fast = sorted(
-                slots, key=lambda s: (-rate_of[s[1]], price_of[(s[0], s[1])], s[0])
-            )
-            candidates.add(_greedy_take(fast, w))
-
-        # The current placement, when it still fits and runs.
-        current_picks: Optional[_Picks] = None
-        if rt.allocation and state.can_fit(rt.allocation):
-            picks = tuple(sorted((n, t, c) for (n, t), c in rt.allocation.placements.items()))
-            if all(
-                (rate_of.get(t) or ctx.matrix.rate(model, t)) > 0.0
-                for _, t, _ in picks
-            ):
-                current_picks = picks
-                candidates.add(picks)
-
-        if not candidates:
-            return AllocationExplanation(None, "insufficient_free")
-
-        # Evaluate every candidate; keep family bests at any payoff sign.
-        model_bytes = job.model.model_bytes
-        comm = ctx.cluster.comm
-        now = ctx.now
-        utility = ctx.utility
-        age = max(now - job.arrival_time, 0.0)
-        remaining = rt.remaining_iterations
-        move_delay = ctx.delay_estimator(rt)
-
-        consolidated_payoff: Optional[float] = None
-        scattered_payoff: Optional[float] = None
-        current_payoff: Optional[float] = None
-        best_key: Optional[tuple] = None
-        best: Optional[AllocationCandidate] = None
-        for picks in candidates:  # repro-lint: disable=REP004
-            bottleneck = min(
-                rate_of.get(t) or ctx.matrix.rate(model, t) for _, t, _ in picks
-            )
-            if bottleneck <= 0.0:
-                continue
-            is_current = picks == current_picks
-            multi_node = len({n for n, _, _ in picks}) > 1
-            penalty = comm.throughput_penalty_n(
-                w, multi_node, model_bytes, 1.0 / bottleneck
-            )
-            rate = bottleneck * w * penalty
-            if is_current and rt.slowdown < 1.0:
-                rate *= rt.slowdown
-            cost = sum(price_of[(n, t)] * c for n, t, c in picks) / penalty
-            delay = 0.0 if is_current else move_delay
-            jct = age + delay + remaining / rate
-            u = utility.value_for(rt, jct, now)
-            payoff = u - cost
-            if is_current and (current_payoff is None or payoff > current_payoff):
-                current_payoff = payoff
-            if multi_node:
-                if scattered_payoff is None or payoff > scattered_payoff:
-                    scattered_payoff = payoff
-            elif consolidated_payoff is None or payoff > consolidated_payoff:
-                consolidated_payoff = payoff
-            if payoff <= 0.0:
-                continue
-            key = (-payoff, cost, multi_node, picks)
+    family: dict[bool, float] = {}  # multi_node → the family's best payoff
+    best_key: Optional[tuple] = None
+    best: Optional[tuple] = None
+    for picks, c in options:
+        payoff, multi_node = c[2], c[5]
+        if multi_node not in family or payoff > family[multi_node]:
+            family[multi_node] = payoff
+        if payoff > 0.0:
+            key = (-payoff, c[0], multi_node, picks)
             if best_key is None or key < best_key:
-                best_key = key
-                best = AllocationCandidate(
-                    allocation=Allocation.from_pairs(picks),
-                    cost=cost,
-                    utility=u,
-                    payoff=payoff,
-                    rate=rate,
-                    estimated_jct=jct,
-                )
-
+                best_key, best = key, c
+    if best_key is not None:
+        picks = best_key[3]
+        allocation = rt.allocation if picks == current else Allocation.from_pairs(picks)
     return AllocationExplanation(
-        best=best,
+        best=None if best is None else _candidate(allocation, best),
         reason="" if best is not None else "negative_payoff",
-        consolidated_payoff=consolidated_payoff,
-        scattered_payoff=scattered_payoff,
+        consolidated_payoff=family.get(False),
+        scattered_payoff=family.get(True),
         current_payoff=current_payoff,
     )
 
@@ -505,7 +436,7 @@ def _generate_candidates(
     """The job-independent candidate families at one free-capacity vector.
 
     Produces the consolidated (line 24) and cross-server (line 25) pick
-    sets of :func:`explain_alloc`, minus the dominated ones — the
+    sets of the straight-line specification, minus the dominated ones — the
     current-placement candidate is per-job and added by the caller.  The
     result is memoized per ``(usable_desc, rate-tie signature, W,
     state_key)``: rates enter only through the rate-tie ranks
@@ -550,8 +481,9 @@ def _generate_candidates(
     needed because the job's current placement (costed delay-free and
     with its straggler slowdown) may be the cheapest, and the band
     covers base costs that become equal after the division by the
-    penalty.  The dropped candidates can never be the best, so the
-    search still equals :func:`explain_alloc`, which prunes nothing.
+    penalty.  The dropped candidates can never be the best, nor any
+    family's best payoff, so the search and :func:`explain_alloc` still
+    equal the specification, which prunes nothing.
 
     Returns the kept candidates sorted, each paired with its picked
     slots' free counts.

@@ -84,32 +84,41 @@ The greedy's allocation walk is such a walk: a job certified at the
 ranking state whose slots no earlier commit touched is kept without
 reading the slot book again.
 
-The caches have no off switch.  The uncached specification is
-:func:`repro.core.find_alloc.explain_alloc`, which recomputes every
+The caches have no off switch.  The uncached specification is the
+straight-line ``FIND_ALLOC`` kept test-side
+(``tests/core/reference_find_alloc.py``), which recomputes every
 candidate per call; the golden-parity suite in
 ``tests/core/test_hotpath_parity.py`` runs whole simulations through it
 and proves the cached search emits byte-identical schedules.
 
+Hadar keeps a round's context after the decision for its decision
+record (``HadarScheduler.decision_record``), which explains every job
+through the same memos (:func:`repro.core.find_alloc.explain_alloc`)
+once the round's counters have been copied out; the next round drops
+it before building its own.
+
 The caches assume what the rest of the round machinery already assumes:
 ``prices``, ``now``, every job's runtime snapshot, and the
 ``delay_estimator``'s output for a given job are frozen while the context
-lives.  The estimator takes only the job: a move's pause does not depend
+is in use — for Hadar, its round's searches and then its decision
+record, which the engine asks for before it applies the round's
+changes.  The estimator takes only the job: a move's pause does not depend
 on the gang moved to (:meth:`~repro.sim.checkpoint.CheckpointModel.move_delay`),
 so one value per view serves every non-current candidate of the round.
 
 Nothing the context holds refers back to it — not the slot book, not a
 view (:meth:`JobView.evaluate` is handed the context) — so a round's
-context and its memos are freed by reference counting as the round
-ends, not left for a cyclic garbage collection.
+context and its memos are freed by reference counting as soon as its
+last holder lets go (for Hadar, the next round or a reset), not left
+for a cyclic garbage collection.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cluster import Cluster
@@ -318,7 +327,8 @@ class JobView:
                 self.current = picks
                 self.current_at = tuple([index[n, t] for n, t, _ in picks])
                 self.current_counts = tuple([c for _, _, c in picks])
-        # (picks, picked free counts, is_current) → costing, or None.
+        # (picks, picked free counts, is_current) → costing (any payoff
+        # sign), or None for a gang with no usable rate.
         self.memo: dict[tuple, Optional[tuple]] = {}
         self.physics: dict[tuple, Optional[tuple]] = ctx.physics_memo[model, w]
         self.certified: Optional[
@@ -334,9 +344,11 @@ class JobView:
     ) -> Optional[tuple]:
         """Cost one candidate cold: shared physics, per-job economics.
 
-        Returns ``(cost, utility, payoff, rate, jct, multi_node)`` when the
-        payoff is positive, else ``None``, and files it in :attr:`memo`.
-        Every float expression mirrors ``find_alloc.explain_alloc``.
+        Returns ``(cost, utility, payoff, rate, jct, multi_node)`` whatever
+        the payoff's sign — ``None`` only for a gang with no usable rate —
+        and files it in :attr:`memo`; the search skips payoffs ``<= 0``.
+        Every float expression mirrors the straight-line specification
+        (``tests/core/reference_find_alloc.py``).
         """
         stats = ctx.stats
         stats.candidate_evals += 1
@@ -381,9 +393,7 @@ class JobView:
                 delay = self.move_delay
             jct = self.age + delay + self.remaining / rate
             u = ctx.utility.value_for(rt, jct, ctx.now)
-            payoff = u - cost
-            if payoff > 0.0:
-                cached = (cost, u, payoff, rate, jct, multi_node)
+            cached = (cost, u, u - cost, rate, jct, multi_node)
         self.memo[picks, frees, is_current] = cached
         return cached
 
@@ -412,6 +422,7 @@ class RoundContext:
         "_gen_cache",
         "_tiers",
         "_book",
+        "__weakref__",  # lets a test watch a kept context go
     )
 
     def __init__(
@@ -460,25 +471,6 @@ class RoundContext:
         self._gen_cache: dict[tuple[int, ...], dict[tuple, tuple]] = {}
         self._tiers: dict[tuple[int, ...], dict[tuple, tuple]] = {}
         self._book: Optional[SlotBook] = None
-
-    # -- instrumentation ------------------------------------------------------
-    @contextmanager
-    def suspend_stats(self) -> Iterator[None]:
-        """Swap in throwaway counters for the duration of the block.
-
-        Diagnostics passes (``explain_alloc`` re-derivations, such as the
-        decision record's) read a context's caches without
-        perturbing the :class:`RoundStats` the benchmarks and traces
-        report — the hot-path counters must describe the *decision*, not
-        the explanation of it.  Cache contents written inside the block
-        persist; every entry is value-preserving, so that is invisible.
-        """
-        saved = self.stats
-        self.stats = RoundStats()
-        try:
-            yield
-        finally:
-            self.stats = saved
 
     # -- incremental pricing ------------------------------------------------
     def price(self, slot: tuple[int, str], free: int) -> float:

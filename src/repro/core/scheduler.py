@@ -32,7 +32,6 @@ from repro.core.round_context import RoundContext
 from repro.core.utility import NormalizedThroughputUtility, Utility
 from repro.sim.checkpoint import CheckpointModel, FixedDelayCheckpoint
 from repro.sim.interface import Scheduler, SchedulerContext
-from repro.sim.progress import JobRuntime
 
 __all__ = ["HadarConfig", "HadarScheduler", "RoundAudit"]
 
@@ -94,10 +93,13 @@ class HadarScheduler(Scheduler):
         them into :attr:`SimulationResult.hotpath_stats`."""
         self.audit: list[RoundAudit] = []
         """Per-round primal/dual records (populated when record_audit)."""
-        self._round: Optional[tuple[SchedulerContext, ClusterState]] = None
-        """The most recent round's context and post-decision state, kept
-        for :meth:`decision_record`; ``None`` after a round with an empty
-        queue."""
+        self._round: Optional[
+            tuple[SchedulerContext, ClusterState, RoundContext]
+        ] = None
+        """The most recent round's context, post-decision state and round
+        context, kept for :meth:`decision_record`; ``None`` after a round
+        with an empty queue.  Each :meth:`schedule` call drops it first,
+        so no two rounds' memos are alive at once."""
         self._calibrator: Optional[PriceCalibrator] = None
         """Persistent across rounds: reuses each job's Eq. (8) record
         until its remaining work moves."""
@@ -168,11 +170,11 @@ class HadarScheduler(Scheduler):
 
     # ------------------------------------------------------------------ API --
     def schedule(self, ctx: SchedulerContext) -> Mapping[int, Allocation]:
+        self._round = None
         cfg = self.config
         queue = ctx.active
         if not queue:
             self.last_chosen = {}
-            self._round = None
             return {}
         state = ctx.fresh_state()
 
@@ -189,13 +191,24 @@ class HadarScheduler(Scheduler):
         self.last_prices = prices
         self.last_alpha = prices.alpha()
 
-        round_ctx = self._round_context(ctx, state)
+        # The estimator closes over the checkpoint model, not the scheduler:
+        # the kept round must not refer back to its holder.
+        checkpoint = cfg.checkpoint
+        round_ctx = RoundContext(
+            prices=prices,
+            matrix=ctx.matrix,
+            cluster=ctx.cluster,
+            utility=cfg.utility,
+            now=ctx.now,
+            delay_estimator=lambda rt: checkpoint.move_delay(rt.job, rt.allocation),
+            state=state,
+        )
         chosen = DPAllocator(round_ctx, cfg.dp).allocate(queue, state)
         self.last_chosen = dict(chosen)
         round_ctx.stats.calib_jobs = calibrator.last_jobs
         round_ctx.stats.calib_dirty = calibrator.last_dirty
         self.last_round_stats = round_ctx.stats.as_dict()
-        self._round = (ctx, state)
+        self._round = (ctx, state, round_ctx)
 
         if cfg.record_audit:
             fresh = ctx.fresh_state()
@@ -223,24 +236,6 @@ class HadarScheduler(Scheduler):
 
         return {job_id: cand.allocation for job_id, cand in chosen.items()}
 
-    # ---------------------------------------------------------------- internal --
-    def _estimate_delay(self, rt: JobRuntime) -> float:
-        return self.config.checkpoint.move_delay(rt.job, rt.allocation)
-
-    def _round_context(
-        self, ctx: SchedulerContext, state: ClusterState
-    ) -> RoundContext:
-        assert self.last_prices is not None
-        return RoundContext(
-            prices=self.last_prices,
-            matrix=ctx.matrix,
-            cluster=ctx.cluster,
-            utility=self.config.utility,
-            now=ctx.now,
-            delay_estimator=self._estimate_delay,
-            state=state,
-        )
-
     def decision_record(self) -> Optional[dict]:
         """The most recent round's structured decision record.
 
@@ -252,16 +247,17 @@ class HadarScheduler(Scheduler):
         the diff is applied: the record reads the runtimes as the round
         saw them (current gangs, slowdowns, move delays).
 
-        Every quantity is re-derived at the round's *post-decision* state
-        (``DP_allocation`` mutated it with the admitted gangs) through a
-        fresh :class:`RoundContext` on the round's prices — every context
-        memo is value-preserving, so the values are the decision's own.
-        The prices are the end-of-round Eq. (5) values the next arrival
-        would face.  For each admitted job the consolidated-vs-scattered
-        breakdown is leave-one-out: its own gang is released on a
-        throwaway probe copy and the families are costed there — "given
-        everyone else's final placement, what did this job's
-        alternatives pay?".  The kept state itself is never written
+        Every quantity is derived at the round's *post-decision* state
+        (``DP_allocation`` mutated it with the admitted gangs) through the
+        round's own :class:`RoundContext`, after its counters were copied
+        to :attr:`last_round_stats` — every context memo is
+        value-preserving, so the values are the decision's own.  The
+        prices are the end-of-round Eq. (5) values the next arrival would
+        face.  For each admitted job the consolidated-vs-scattered
+        breakdown is leave-one-out: it is costed at the post-decision free
+        vector with the job's own gang added back — "given everyone
+        else's final placement, what did this job's alternatives pay?".
+        The kept state itself is never written
         (``tests/core/test_golden_parity_obs.py`` fails on any write to
         it, balanced or not).
         """
@@ -269,10 +265,11 @@ class HadarScheduler(Scheduler):
             return None
         from repro.obs.tracer import placements_list
 
-        ctx, state = self._round
+        ctx, state, round_ctx = self._round
         prices = self.last_prices
         assert prices is not None
-        round_ctx = self._round_context(ctx, state)
+        final_key = state.key()
+        index = round_ctx.slot_index
         chosen = self.last_chosen
         jobs: list[dict] = []
         for rt in ctx.active:
@@ -283,9 +280,10 @@ class HadarScheduler(Scheduler):
             }
             cand = chosen.get(rt.job_id)
             if cand is not None:
-                probe = state.copy()
-                probe.release(cand.allocation)
-                explanation = explain_alloc(round_ctx, rt, probe)
+                probe = list(final_key)
+                for slot, count in cand.allocation.placements.items():
+                    probe[index[slot]] += count
+                explanation = explain_alloc(round_ctx, rt, tuple(probe))
                 record["outcome"] = (
                     "kept" if cand.allocation == rt.allocation else "admitted"
                 )
@@ -304,7 +302,7 @@ class HadarScheduler(Scheduler):
                     "current_payoff": explanation.current_payoff,
                 }
             else:
-                explanation = explain_alloc(round_ctx, rt, state)
+                explanation = explain_alloc(round_ctx, rt, final_key)
                 record["outcome"] = "skipped"
                 # A positive-payoff gang existed at the final prices yet
                 # the DP left the job out: the branch value said skip.

@@ -60,7 +60,7 @@ version; renaming/removing/retyping a field bumps
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 __all__ = [
     "TRACE_SCHEMA_VERSION",
@@ -137,140 +137,292 @@ def _is_placement_list(x: Any) -> bool:
     return True
 
 
-_Field = tuple[Callable[[Any], bool], str]
+def _is_bool(x: Any) -> bool:
+    return isinstance(x, bool)
 
 
-def _check(
-    record: Mapping[str, Any],
-    where: str,
-    required: Mapping[str, _Field],
-    optional: Mapping[str, _Field] = {},  # read-only  # repro-lint: disable=REP003
-) -> None:
-    for key, (pred, expect) in required.items():
-        if key not in record:
-            raise SchemaError(f"{where}: missing required field {key!r}")
-        if not pred(record[key]):
-            raise SchemaError(
-                f"{where}: field {key!r} must be {expect}, "
-                f"got {record[key]!r}"
-            )
-    for key, (pred, expect) in optional.items():
-        if key in record and not pred(record[key]):
-            raise SchemaError(
-                f"{where}: field {key!r} must be {expect}, "
-                f"got {record[key]!r}"
-            )
+def _is_list(x: Any) -> bool:
+    return isinstance(x, list)
 
 
-def _validate_prices(prices: Any, where: str) -> None:
-    if not isinstance(prices, list):
-        raise SchemaError(f"{where}: 'prices' must be a list of slot prices")
-    for i, entry in enumerate(prices):
-        if not isinstance(entry, Mapping):
-            raise SchemaError(f"{where}: prices[{i}] must be an object")
-        _check(
-            entry,
-            f"{where}: prices[{i}]",
-            {
-                "node": (_is_int, "an int node id"),
-                "gpu_type": (_is_str, "a string"),
-                "price": (_is_number, "a number"),
-                "free": (_is_int, "an int"),
-                "capacity": (_is_int, "an int"),
-            },
+def _is_object(x: Any) -> bool:
+    return isinstance(x, Mapping)
+
+
+def _is_number_or_none(x: Any) -> bool:
+    return x is None or _is_number(x)
+
+
+def _is_non_negative(x: Any) -> bool:
+    return _is_number(x) and x >= 0
+
+
+_Table = tuple[tuple[tuple[str, Callable[[Any], bool], str, frozenset], ...], ...]
+"""``(required, optional)`` fields of one record part, each a tuple of
+``(name, predicate, what the value must be, exact types)``.  A value of
+one of the exact types passes without a call to the predicate, which
+accepts every such value."""
+
+
+def _table(required: Mapping[str, tuple], optional: Mapping[str, tuple]) -> _Table:
+    """Field specs ``name → (predicate, expectation, *exact types)`` as a table."""
+    return tuple(
+        tuple(
+            (key, pred, expect, frozenset(exact))
+            for key, (pred, expect, *exact) in fields.items()
         )
-
-
-def _validate_job(job: Any, where: str) -> None:
-    if not isinstance(job, Mapping):
-        raise SchemaError(f"{where} must be an object")
-    _check(
-        job,
-        where,
-        {
-            "job_id": (_is_int, "an int"),
-            "outcome": (
-                lambda x: x in ("admitted", "skipped", "kept"),
-                "'admitted', 'kept', or 'skipped'",
-            ),
-        },
-        optional={
-            "model": (_is_str, "a string"),
-            "num_workers": (_is_int, "an int"),
-        },
+        for fields in (required, optional)
     )
-    outcome = job["outcome"]
-    if outcome in ("admitted", "kept"):
-        _check(
-            job,
-            where,
-            {
-                "allocation": (_is_placement_list, "[[node, type, count], ...]"),
-            },
-            optional={
-                "mu": (_is_number, "a number (the payoff μ_j)"),
-                "cost": (_is_number, "a number"),
-                "utility": (_is_number, "a number"),
-                "rate": (_is_number, "a number"),
-                "estimated_jct": (_is_number, "a number"),
-                "consolidated": (lambda x: isinstance(x, bool), "a bool"),
-                "breakdown": (lambda x: isinstance(x, Mapping), "an object"),
-            },
-        )
+
+
+_INT = (_is_int, "an int", int)
+_NUMBER = (_is_number, "a number", int, float)
+_STR = (_is_str, "a string", str)
+_BOOL = (_is_bool, "a bool", bool)
+_OBJECT = (_is_object, "an object", dict)
+_LIST = (_is_list, "a list", list)
+_SECONDS = (_is_number, "simulated seconds", int, float)
+_ROUND = (_is_int, "an int round index", int)
+_NODE = (_is_int, "an int node id", int)
+_GANG = (_is_placement_list, "[[node, type, count], ...]")
+_JOB_IDS = (_is_int_list, "a list of int job ids")
+_NODE_IDS = (_is_int_list, "a list of int node ids")
+_NON_NEGATIVE = (_is_non_negative, "a non-negative number")
+_PAYOFF = (_is_number_or_none, "a number or null", int, float, type(None))
+
+_KINDS: dict[str, _Table] = {
+    "meta": _table(
+        {"scheduler": _STR, "round_length_s": _NUMBER, "cluster": _OBJECT},
+        {"num_jobs": _INT},
+    ),
+    "round": _table(
+        {"round": _ROUND, "t": _SECONDS, "jobs": _LIST, "changes": _LIST},
+        {
+            "prices": _LIST,
+            "alpha": _NUMBER,
+            "eta": _NUMBER,
+            "decision_s": _NUMBER,
+            "counters": _OBJECT,
+            "queued": _INT,
+            "running": _INT,
+        },
+    ),
+    "summary": _table(
+        {"rounds": _INT, "completed": _INT, "end_time": _NUMBER},
+        {
+            "makespan": _NUMBER,
+            "truncated": _BOOL,
+            "phase_timings": _OBJECT,
+            "hotpath_stats": _OBJECT,
+        },
+    ),
+    "gpu_failed": _table(
+        {
+            "t": _SECONDS,
+            "fault_id": _INT,
+            "node": _NODE,
+            "scope": (lambda x: x in ("node", "gpu"), "'node' or 'gpu'"),
+            "permanent": _BOOL,
+            "slots": _GANG,
+        },
+        {"preempted": _JOB_IDS},
+    ),
+    "gpu_recovered": _table(
+        {"t": _SECONDS, "fault_id": _INT, "node": _NODE, "slots": _GANG},
+        {},
+    ),
+    "job_rollback": _table(
+        {
+            "t": _SECONDS,
+            "job_id": _INT,
+            "fault_id": _INT,
+            "lost_iterations": _NON_NEGATIVE,
+            "lost_seconds": _NON_NEGATIVE,
+        },
+        {},
+    ),
+    "decision_rejected": _table(
+        {
+            "round": _ROUND,
+            "t": _SECONDS,
+            "job_id": _INT,
+            "reason": (lambda x: x in REJECT_REASONS, f"one of {REJECT_REASONS}"),
+            "repaired": _BOOL,
+        },
+        {"detail": _STR},
+    ),
+    "network_partition": _table(
+        {
+            "t": _SECONDS,
+            "fault_id": _INT,
+            "domain": (_is_int, "an int failure-domain index"),
+            "nodes": _NODE_IDS,
+            "policy": (lambda x: x in ("stall", "preempt"), "'stall' or 'preempt'"),
+            "stalled": _JOB_IDS,
+            "preempted": _JOB_IDS,
+        },
+        {},
+    ),
+    "partition_healed": _table(
+        {
+            "t": _SECONDS,
+            "fault_id": _INT,
+            "domain": (_is_int, "an int failure-domain index"),
+            "nodes": _NODE_IDS,
+            "resumed": _JOB_IDS,
+        },
+        {},
+    ),
+    "node_degraded": _table(
+        {
+            "t": _SECONDS,
+            "fault_id": _INT,
+            "node": _NODE,
+            "factor": (
+                lambda x: _is_number(x) and 0.0 < x <= 1.0, "a number in (0, 1]"
+            ),
+            "jobs": _JOB_IDS,
+        },
+        {"ended": _BOOL, "healing": _BOOL},
+    ),
+    "storage_lost": _table(
+        {
+            "t": _SECONDS,
+            "fault_id": _INT,
+            "tier": (_is_int, "an int storage tier"),
+            "jobs": _JOB_IDS,
+            "lost_iterations": _NON_NEGATIVE,
+        },
+        {},
+    ),
+    "faultspec_reloaded": _table(
+        {
+            "t": _SECONDS,
+            "spec": (_is_str, "the reloaded fault-spec string"),
+            "epoch": (lambda x: _is_int(x) and x >= 1, "an int >= 1"),
+            "events": (lambda x: _is_int(x) and x >= 0, "a non-negative int"),
+        },
+        {},
+    ),
+}
+"""Every record kind's own fields; a round's nested parts follow."""
+
+_PRICE = _table(
+    {
+        "node": _NODE,
+        "gpu_type": _STR,
+        "price": _NUMBER,
+        "free": _INT,
+        "capacity": _INT,
+    },
+    {},
+)
+_JOB = _table(
+    {
+        "job_id": _INT,
+        "outcome": (
+            lambda x: x in ("admitted", "skipped", "kept"),
+            "'admitted', 'kept', or 'skipped'",
+        ),
+    },
+    {"model": _STR, "num_workers": _INT},
+)
+_PLACED_JOB = _table(
+    {"allocation": _GANG},
+    {
+        "mu": (_is_number, "a number (the payoff μ_j)", int, float),
+        "cost": _NUMBER,
+        "utility": _NUMBER,
+        "rate": _NUMBER,
+        "estimated_jct": _NUMBER,
+        "consolidated": _BOOL,
+        "breakdown": _OBJECT,
+    },
+)
+_BREAKDOWN = _table(
+    {},
+    {
+        "consolidated_payoff": _PAYOFF,
+        "scattered_payoff": _PAYOFF,
+        "current_payoff": _PAYOFF,
+    },
+)
+_CHANGE = _table(
+    {
+        "job_id": _INT,
+        "change": (
+            lambda x: x in ("place", "migrate", "preempt"),
+            "'place', 'migrate', or 'preempt'",
+        ),
+        "old": _GANG,
+        "new": _GANG,
+    },
+    {},
+)
+
+
+def _check(record: Mapping[str, Any], table: _Table, where: str, *args: Any) -> None:
+    """Check ``record`` against ``table``; ``where`` names it in errors.
+
+    ``where`` is a format string filled with ``args`` only when a check
+    fails, so a valid record formats nothing.
+    """
+    required, optional = table
+    for key, pred, expect, exact in required:
+        if key not in record:
+            raise SchemaError(
+                f"{where.format(*args)}: missing required field {key!r}"
+            )
+        value = record[key]
+        if type(value) not in exact and not pred(value):
+            raise SchemaError(
+                f"{where.format(*args)}: field {key!r} must be {expect}, "
+                f"got {value!r}"
+            )
+    for key, pred, expect, exact in optional:
+        if key not in record:
+            continue
+        value = record[key]
+        if type(value) not in exact and not pred(value):
+            raise SchemaError(
+                f"{where.format(*args)}: field {key!r} must be {expect}, "
+                f"got {value!r}"
+            )
+
+
+def _validate_round(record: Mapping[str, Any]) -> None:
+    """A round record's prices, jobs and changes (its own fields are checked)."""
+    if "prices" in record:
+        for i, entry in enumerate(record["prices"]):
+            if not isinstance(entry, Mapping):
+                raise SchemaError(f"round record: prices[{i}] must be an object")
+            _check(entry, _PRICE, "round record: prices[{}]", i)
+    for i, job in enumerate(record["jobs"]):
+        if not isinstance(job, Mapping):
+            raise SchemaError(f"round record: jobs[{i}] must be an object")
+        _check(job, _JOB, "round record: jobs[{}]", i)
+        outcome = job["outcome"]
+        if outcome == "skipped":
+            reason = job.get("reason")
+            if reason not in SKIP_REASONS:
+                raise SchemaError(
+                    f"round record: jobs[{i}]: skipped job needs 'reason' in "
+                    f"{SKIP_REASONS}, got {reason!r}"
+                )
+            continue
+        _check(job, _PLACED_JOB, "round record: jobs[{}]", i)
         if outcome == "admitted" and "mu" in job and job["mu"] <= 0.0:
             raise SchemaError(
-                f"{where}: admitted job carries non-positive payoff "
-                f"mu={job['mu']!r} (violates the μ_j > 0 admission gate)"
+                f"round record: jobs[{i}]: admitted job carries non-positive "
+                f"payoff mu={job['mu']!r} (violates the μ_j > 0 admission gate)"
             )
         breakdown = job.get("breakdown")
         if breakdown is not None:
-            _check(
-                breakdown,
-                f"{where}: breakdown",
-                {},
-                optional={
-                    "consolidated_payoff": (
-                        lambda x: x is None or _is_number(x),
-                        "a number or null",
-                    ),
-                    "scattered_payoff": (
-                        lambda x: x is None or _is_number(x),
-                        "a number or null",
-                    ),
-                    "current_payoff": (
-                        lambda x: x is None or _is_number(x),
-                        "a number or null",
-                    ),
-                },
-            )
-    elif outcome == "skipped":
-        reason = job.get("reason")
-        if reason not in SKIP_REASONS:
-            raise SchemaError(
-                f"{where}: skipped job needs 'reason' in {SKIP_REASONS}, "
-                f"got {reason!r}"
-            )
-
-
-def _validate_changes(changes: Any, where: str) -> None:
-    if not isinstance(changes, list):
-        raise SchemaError(f"{where}: 'changes' must be a list")
-    for i, entry in enumerate(changes):
+            _check(breakdown, _BREAKDOWN, "round record: jobs[{}]: breakdown", i)
+    for i, entry in enumerate(record["changes"]):
         if not isinstance(entry, Mapping):
-            raise SchemaError(f"{where}: changes[{i}] must be an object")
-        _check(
-            entry,
-            f"{where}: changes[{i}]",
-            {
-                "job_id": (_is_int, "an int"),
-                "change": (
-                    lambda x: x in ("place", "migrate", "preempt"),
-                    "'place', 'migrate', or 'preempt'",
-                ),
-                "old": (_is_placement_list, "[[node, type, count], ...]"),
-                "new": (_is_placement_list, "[[node, type, count], ...]"),
-            },
-        )
+            raise SchemaError(f"round record: changes[{i}] must be an object")
+        _check(entry, _CHANGE, "round record: changes[{}]", i)
 
 
 def validate_record(record: Mapping[str, Any]) -> str:
@@ -290,202 +442,17 @@ def validate_record(record: Mapping[str, Any]) -> str:
             f"version {TRACE_SCHEMA_VERSION}"
         )
     kind = record.get("kind")
-    if kind == "meta":
-        _check(
-            record,
-            "meta record",
-            {
-                "scheduler": (_is_str, "a string"),
-                "round_length_s": (_is_number, "a number"),
-                "cluster": (lambda x: isinstance(x, Mapping), "an object"),
-            },
-            optional={"num_jobs": (_is_int, "an int")},
-        )
-    elif kind == "round":
-        _check(
-            record,
-            "round record",
-            {
-                "round": (_is_int, "an int round index"),
-                "t": (_is_number, "simulated seconds"),
-                "jobs": (lambda x: isinstance(x, list), "a list"),
-                "changes": (lambda x: isinstance(x, list), "a list"),
-            },
-            optional={
-                "prices": (lambda x: isinstance(x, list), "a list"),
-                "alpha": (_is_number, "a number"),
-                "eta": (_is_number, "a number"),
-                "decision_s": (_is_number, "a number"),
-                "counters": (lambda x: isinstance(x, Mapping), "an object"),
-                "queued": (_is_int, "an int"),
-                "running": (_is_int, "an int"),
-            },
-        )
-        if "prices" in record:
-            _validate_prices(record["prices"], "round record")
-        for i, job in enumerate(record["jobs"]):
-            _validate_job(job, f"round record: jobs[{i}]")
-        _validate_changes(record["changes"], "round record")
-    elif kind == "summary":
-        _check(
-            record,
-            "summary record",
-            {
-                "rounds": (_is_int, "an int"),
-                "completed": (_is_int, "an int"),
-                "end_time": (_is_number, "a number"),
-            },
-            optional={
-                "makespan": (_is_number, "a number"),
-                "truncated": (lambda x: isinstance(x, bool), "a bool"),
-                "phase_timings": (lambda x: isinstance(x, Mapping), "an object"),
-                "hotpath_stats": (lambda x: isinstance(x, Mapping), "an object"),
-            },
-        )
-    elif kind == "gpu_failed":
-        _check(
-            record,
-            "gpu_failed record",
-            {
-                "t": (_is_number, "simulated seconds"),
-                "fault_id": (_is_int, "an int"),
-                "node": (_is_int, "an int node id"),
-                "scope": (lambda x: x in ("node", "gpu"), "'node' or 'gpu'"),
-                "permanent": (lambda x: isinstance(x, bool), "a bool"),
-                "slots": (_is_placement_list, "[[node, type, count], ...]"),
-            },
-            optional={
-                "preempted": (
-                    lambda x: isinstance(x, list) and all(_is_int(j) for j in x),
-                    "a list of int job ids",
-                ),
-            },
-        )
-    elif kind == "gpu_recovered":
-        _check(
-            record,
-            "gpu_recovered record",
-            {
-                "t": (_is_number, "simulated seconds"),
-                "fault_id": (_is_int, "an int"),
-                "node": (_is_int, "an int node id"),
-                "slots": (_is_placement_list, "[[node, type, count], ...]"),
-            },
-        )
-    elif kind == "job_rollback":
-        _check(
-            record,
-            "job_rollback record",
-            {
-                "t": (_is_number, "simulated seconds"),
-                "job_id": (_is_int, "an int"),
-                "fault_id": (_is_int, "an int"),
-                "lost_iterations": (
-                    lambda x: _is_number(x) and x >= 0, "a non-negative number"
-                ),
-                "lost_seconds": (
-                    lambda x: _is_number(x) and x >= 0, "a non-negative number"
-                ),
-            },
-        )
-    elif kind == "decision_rejected":
-        _check(
-            record,
-            "decision_rejected record",
-            {
-                "round": (_is_int, "an int round index"),
-                "t": (_is_number, "simulated seconds"),
-                "job_id": (_is_int, "an int"),
-                "reason": (
-                    lambda x: x in REJECT_REASONS,
-                    f"one of {REJECT_REASONS}",
-                ),
-                "repaired": (lambda x: isinstance(x, bool), "a bool"),
-            },
-            optional={"detail": (_is_str, "a string")},
-        )
-    elif kind == "network_partition":
-        _check(
-            record,
-            "network_partition record",
-            {
-                "t": (_is_number, "simulated seconds"),
-                "fault_id": (_is_int, "an int"),
-                "domain": (_is_int, "an int failure-domain index"),
-                "nodes": (_is_int_list, "a list of int node ids"),
-                "policy": (
-                    lambda x: x in ("stall", "preempt"),
-                    "'stall' or 'preempt'",
-                ),
-                "stalled": (_is_int_list, "a list of int job ids"),
-                "preempted": (_is_int_list, "a list of int job ids"),
-            },
-        )
-    elif kind == "partition_healed":
-        _check(
-            record,
-            "partition_healed record",
-            {
-                "t": (_is_number, "simulated seconds"),
-                "fault_id": (_is_int, "an int"),
-                "domain": (_is_int, "an int failure-domain index"),
-                "nodes": (_is_int_list, "a list of int node ids"),
-                "resumed": (_is_int_list, "a list of int job ids"),
-            },
-        )
-    elif kind == "node_degraded":
-        _check(
-            record,
-            "node_degraded record",
-            {
-                "t": (_is_number, "simulated seconds"),
-                "fault_id": (_is_int, "an int"),
-                "node": (_is_int, "an int node id"),
-                "factor": (
-                    lambda x: _is_number(x) and 0.0 < x <= 1.0,
-                    "a number in (0, 1]",
-                ),
-                "jobs": (_is_int_list, "a list of int job ids"),
-            },
-            optional={
-                "ended": (lambda x: isinstance(x, bool), "a bool"),
-                "healing": (lambda x: isinstance(x, bool), "a bool"),
-            },
-        )
-    elif kind == "storage_lost":
-        _check(
-            record,
-            "storage_lost record",
-            {
-                "t": (_is_number, "simulated seconds"),
-                "fault_id": (_is_int, "an int"),
-                "tier": (_is_int, "an int storage tier"),
-                "jobs": (_is_int_list, "a list of int job ids"),
-                "lost_iterations": (
-                    lambda x: _is_number(x) and x >= 0, "a non-negative number"
-                ),
-            },
-        )
-    elif kind == "faultspec_reloaded":
-        _check(
-            record,
-            "faultspec_reloaded record",
-            {
-                "t": (_is_number, "simulated seconds"),
-                "spec": (_is_str, "the reloaded fault-spec string"),
-                "epoch": (lambda x: _is_int(x) and x >= 1, "an int >= 1"),
-                "events": (
-                    lambda x: _is_int(x) and x >= 0, "a non-negative int"
-                ),
-            },
-        )
-    else:
+    table = _KINDS.get(kind) if isinstance(kind, str) else None
+    if table is None:
         raise SchemaError(
             "record 'kind' must be 'meta', 'round', 'summary', 'gpu_failed', "
             "'gpu_recovered', 'job_rollback', 'decision_rejected', "
             "'network_partition', 'partition_healed', 'node_degraded', "
             f"'storage_lost', or 'faultspec_reloaded', got {kind!r}"
         )
+    _check(record, table, "{} record", kind)
+    if kind == "round":
+        _validate_round(record)
     return kind
 
 

@@ -121,10 +121,6 @@ class JobRuntime:
     def is_running(self) -> bool:
         return self.state is JobState.RUNNING
 
-    @property
-    def is_waiting(self) -> bool:
-        return self.state is JobState.QUEUED
-
     # -- prediction -------------------------------------------------------------
     def predicted_completion(self, now: float) -> Optional[float]:
         """When the job will finish at the current rate (None if stalled)."""

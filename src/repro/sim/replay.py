@@ -159,6 +159,22 @@ class ReplayScheduler(Scheduler):
         self.exhausted = False
         self.divergences.clear()
 
+    def state_dict(self) -> dict:
+        """Where the replay stands: the next decision's index, whether it
+        ran out, and the divergences reported so far.  The decisions
+        themselves are the replay's input, so a restore needs a replay
+        built over the same sequence."""
+        return {
+            "cursor": self._cursor,
+            "exhausted": self.exhausted,
+            "divergences": [dict(d) for d in self.divergences],
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        self._cursor = int(state["cursor"])
+        self.exhausted = bool(state["exhausted"])
+        self.divergences = [dict(d) for d in state["divergences"]]
+
     def _diverge(
         self, invocation: int, job_id: Optional[int], reason: str, detail: str
     ) -> None:

@@ -10,7 +10,6 @@ from repro.cluster.node import Node
 from repro.core.find_alloc import (
     _generate_candidates,
     cached_find_alloc,
-    explain_alloc,
     find_alloc,
 )
 from repro.core.pricing import PriceBook
@@ -20,6 +19,7 @@ from repro.sim.progress import JobRuntime, JobState
 from repro.workload.throughput import ThroughputMatrix
 
 from tests.conftest import make_job
+from tests.core.reference_find_alloc import reference_explain
 
 
 def queued(job):
@@ -220,7 +220,7 @@ def search_and_reference(rt, state, prices, matrix, cluster, utility, delay):
 
     ctx = context()
     cand = cached_find_alloc(ctx, rt, state)
-    return cand, ctx.stats, explain_alloc(context(), rt, state).best
+    return cand, ctx.stats, reference_explain(context(), rt, state).best
 
 
 class TestDominancePruning:
@@ -348,7 +348,7 @@ class TestDominancePruning:
         strict = queued(make_job(1, "resnet50", workers=2))
         shared = context()
         for rt, best in ((tied, (1, "V100")), (strict, (0, "K80"))):
-            reference = explain_alloc(context(), rt, state).best
+            reference = reference_explain(context(), rt, state).best
             assert reference.allocation == Allocation({best: 2})
             assert cached_find_alloc(shared, rt, state) == reference
 
@@ -377,7 +377,7 @@ class TestSlotBookClasses:
 
         def search(rt):
             cand = cached_find_alloc(shared, rt, state)
-            assert cand == explain_alloc(context(), rt, state).best
+            assert cand == reference_explain(context(), rt, state).best
             return cand.allocation
 
         # Free counts 3,3,3 | 1,1,1 | 4,4,4: the idle servers are cheapest,
@@ -460,14 +460,14 @@ class TestClassTemplates:
             )
 
         shared = context()
-        reference = explain_alloc(context(), rt, state).best
+        reference = reference_explain(context(), rt, state).best
         assert reference.allocation == Allocation({(2, "V100"): 2})
         assert cached_find_alloc(shared, rt, state) == reference
         (templates,) = shared.class_walks.values()
         assert len(templates) == 4  # servers 3 and 4 share one class
 
         state.allocate(Allocation({(4, "V100"): 2}))
-        reference = explain_alloc(context(), rt, state).best
+        reference = reference_explain(context(), rt, state).best
         assert cached_find_alloc(shared, rt, state) == reference
         assert len(templates) == 5  # only server 4's new class was walked
 
@@ -503,7 +503,7 @@ class TestClassTemplates:
                                     (1, "resnet50", (0, "K80"))):
             rt = queued(make_job(job_id, model, workers=2, epochs=1,
                                  iters_per_epoch=100))
-            reference = explain_alloc(context(), rt, state).best
+            reference = reference_explain(context(), rt, state).best
             assert reference.allocation == Allocation({best: 2})
             assert cached_find_alloc(shared, rt, state) == reference
 

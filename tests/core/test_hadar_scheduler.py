@@ -107,33 +107,55 @@ def test_core_imports_no_clock():
 @pytest.mark.parametrize(
     "num_jobs, queue_limit", [(14, 0), (8, 10)], ids=["greedy", "exact"]
 )
-def test_a_round_leaves_its_context_to_reference_counting(num_jobs, queue_limit):
-    """With the cyclic collector off, a live round's ``RoundContext`` is
-    gone once ``schedule`` returns: nothing it holds — views, the slot
-    book, the DP's recursion — refers back to it, so its memos are freed
-    at once instead of waiting for a gen-2 collection."""
+def test_a_round_leaves_its_context_to_reference_counting(
+    num_jobs, queue_limit, monkeypatch
+):
+    """With the cyclic collector off, the one ``RoundContext`` alive once
+    ``schedule`` returns is the round's own, kept for its decision
+    record.  Nothing it holds — views, the slot book, the DP's recursion,
+    the delay estimator — refers back to it or to the scheduler, so the
+    next ``schedule`` call frees it by reference counting before building
+    its own context, and so does ``reset()``."""
     import gc
+    import weakref
 
+    import repro.core.scheduler as hadar_module
     from repro.cluster.cluster import simulated_cluster
     from repro.core.round_context import RoundContext
     from repro.sim.engine import SimulationEngine
     from repro.workload.philly import PhillyTraceConfig, generate_philly_trace
 
-    found = []
+    previous = []
+
+    def watched(**kwargs):
+        # The next round's context is built only after the kept one is gone.
+        assert all(ref() is None for ref in previous)
+        return RoundContext(**kwargs)
+
+    monkeypatch.setattr(hadar_module, "RoundContext", watched)
+    probed = []
 
     class Probe(HadarScheduler):
         def schedule(self, ctx):
-            if found or len(ctx.running) < 3:
+            if probed or len(ctx.running) < 3:
                 return super().schedule(ctx)
             gc.collect()
             gc.disable()
             try:
                 target = super().schedule(ctx)
-                found.append(
-                    sum(isinstance(o, RoundContext) for o in gc.get_objects())
-                )
+                kept = self._round[2]
+                alive = [o for o in gc.get_objects() if isinstance(o, RoundContext)]
+                assert len(alive) == 1 and alive[0] is kept
                 # The round runs the path under test.
-                found.append(len(ctx.active) > queue_limit)
+                assert (len(ctx.active) > queue_limit) == (queue_limit == 0)
+                previous.append(weakref.ref(kept))
+                del kept, alive
+                super().schedule(ctx)
+                assert previous[0]() is None
+                previous.append(weakref.ref(self._round[2]))
+                self.reset()
+                assert previous[1]() is None
+                probed.append(True)
             finally:
                 gc.enable()
             return target
@@ -144,6 +166,40 @@ def test_a_round_leaves_its_context_to_reference_counting(num_jobs, queue_limit)
         scheduler=Probe(HadarConfig(dp=DPConfig(queue_limit=queue_limit))),
     )
     engine.start()
-    while not found and engine.step():
+    while not probed and engine.step():
         pass
-    assert found == [0, queue_limit == 0]
+    assert probed
+
+
+def test_traced_run_explains_every_job_as_the_reference_does(monkeypatch):
+    """In a traced 14-job seed-1 run, every explanation the decision
+    record asks for is the straight-line reference's, all five fields
+    bit for bit, at the state the record means: the post-decision state,
+    with an admitted job's own gang released (its leave-one-out probe)."""
+    import repro.core.scheduler as hadar_module
+    from repro.obs import DecisionTracer
+
+    from tests.core._hotpath_fingerprint import run_scheduler
+    from tests.core.reference_find_alloc import explanation_fields, reference_explain
+
+    hadar = HadarScheduler()
+    explain = hadar_module.explain_alloc
+    calls = []
+
+    def checked(ctx, rt, key):
+        got = explain(ctx, rt, key)
+        _, final, round_ctx = hadar._round
+        assert ctx is round_ctx
+        state = final.copy()
+        cand = hadar.last_chosen.get(rt.job_id)
+        if cand is not None:
+            state.release(cand.allocation)
+        assert key == state.key()
+        want = reference_explain(ctx, rt, state)
+        assert explanation_fields(got) == explanation_fields(want)
+        calls.append(rt.job_id)
+        return got
+
+    monkeypatch.setattr(hadar_module, "explain_alloc", checked)
+    run_scheduler(hadar, 1, {"tracer": DecisionTracer(sink=[])})
+    assert calls

@@ -6,7 +6,7 @@ work: every test here pins the cached search to **byte-identical** scheduling de
 against ``tests/core/golden_hotpath.json``, a fingerprint file captured
 from the pre-``RoundContext`` implementation, and against whole
 simulations driven by the straight-line reference
-(:func:`~repro.core.find_alloc.explain_alloc`) in place of the search.
+(``tests/core/reference_find_alloc.py``) in place of the search.
 
 Also covers the unit-level cache contracts: Eq. (5) price memoization
 keyed on free counts (so ``allocate``/``release`` "invalidate" exactly
@@ -24,7 +24,6 @@ import pytest
 import repro.core.dp as dp_module
 from repro.cluster.allocation import Allocation
 from repro.cluster.state import ClusterState
-from repro.core.find_alloc import explain_alloc
 from repro.core.pricing import PriceBook
 from repro.core.round_context import RoundContext
 from repro.core.scheduler import HadarScheduler
@@ -40,6 +39,7 @@ from tests.core._hotpath_fingerprint import (
     run_scenario,
     run_scheduler,
 )
+from tests.core.reference_find_alloc import reference_explain
 
 GOLDEN_PATH = Path(__file__).with_name("golden_hotpath.json")
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -68,7 +68,7 @@ def _run(name: str, seed: int):
 def _reference_find_alloc(ctx, rt, state, state_key=None):
     """The DP's ``FIND_ALLOC`` hook answered by the straight-line reference."""
     ctx.stats.find_alloc_calls += 1
-    return explain_alloc(ctx, rt, state).best
+    return reference_explain(ctx, rt, state).best
 
 
 class _FullRescanHadar(HadarScheduler):
@@ -104,7 +104,7 @@ def test_cached_path_matches_golden(name: str, seed: int, monkeypatch) -> None:
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_reference_mode_matches_golden(seed: int) -> None:
-    """Every DP ``FIND_ALLOC`` call answered by ``explain_alloc`` — no
+    """Every DP ``FIND_ALLOC`` call answered by the straight-line reference — no
     generation, physics or candidate cache — lands on the
     identical schedule, through the same logical calls (only Hadar
     exercises the DP hot path)."""

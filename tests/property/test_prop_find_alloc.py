@@ -8,10 +8,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
+
+import repro.core.dp as dp_module
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.allocation import Allocation
+from repro.cluster.allocation import EMPTY_ALLOCATION, Allocation
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
 from repro.cluster.topology import CommunicationModel
@@ -34,6 +36,12 @@ from repro.sim.progress import JobRuntime, JobState
 from repro.workload.models import model_spec
 from repro.workload.job import Job
 from repro.workload.throughput import ThroughputMatrix, default_throughput_matrix
+
+from tests.core.reference_find_alloc import (
+    explanation_fields,
+    reference_explain,
+    state_at,
+)
 
 MATRIX = default_throughput_matrix()
 UTILITY = NormalizedThroughputUtility()
@@ -230,7 +238,7 @@ def _walked_tiers(ctx, rt, book):
 )
 @settings(max_examples=80, deadline=None)
 def test_search_matches_straight_line_reference(cluster, matrix, queue, data, now):
-    """The cached search equals ``explain_alloc``'s best, bit for bit.
+    """The cached search equals the straight-line reference's best, bit for bit.
 
     One context serves a chain of searches while the state moves under
     it both ways, as the exact DP's backtracking moves it: after each
@@ -275,7 +283,7 @@ def test_search_matches_straight_line_reference(cluster, matrix, queue, data, no
     for _ in range(data.draw(st.integers(len(queue), 4 * len(queue)))):
         rt = data.draw(st.sampled_from(queue))
         before = json.dumps(state.state_dict())
-        reference = explain_alloc(
+        reference = reference_explain(
             _round_context(cluster, prices, state, now, matrix), rt, state
         ).best
         if _pruned(cluster, prices, state, now, rt, matrix):
@@ -330,7 +338,7 @@ def test_exact_dp_matches_brute_force_oracle(cluster, queue, objective, data):
     """``_solve_exact`` finds the best of every include/exclude vector.
 
     The oracle enumerates all 2^n vectors in queue order.  An included
-    job takes ``explain_alloc(...).best`` at the walk's current state and
+    job takes ``reference_explain(...).best`` at the walk's current state and
     commits it; the vector is infeasible when that is ``None``.  As in
     the recursion, a full cluster ends the walk.  A vector's total
     accumulates from the back as the recursion's branch values do: the
@@ -369,7 +377,7 @@ def test_exact_dp_matches_brute_force_oracle(cluster, queue, objective, data):
         for rt, include in zip(queue, vector):
             if walk.is_full():
                 break
-            cand = explain_alloc(reference, rt, walk).best if include else None
+            cand = reference_explain(reference, rt, walk).best if include else None
             if include and cand is None:
                 steps = None
                 break
@@ -643,7 +651,7 @@ def _certificate_round(rng):
     """One round of running jobs searched on one context, as the greedy
     searches them: returns each search's outcome.
 
-    Each search must equal ``explain_alloc``'s best, and it must be
+    Each search must equal the straight-line reference's best, and it must be
     answered by the certificate exactly when :func:`_certifies` holds.
     Between searches the reference's gang may be committed, so the tier
     floors are read at several states and certificates are carried.
@@ -655,7 +663,7 @@ def _certificate_round(rng):
     ctx = context()
     outcomes = []
     for rt in _shuffled(rng, queue) * 2:
-        explanation = explain_alloc(context(), rt, state)
+        explanation = reference_explain(context(), rt, state)
         certified = ctx.stats.current_certified
         assert cached_find_alloc(ctx, rt, state) == explanation.best
         certified = ctx.stats.current_certified > certified
@@ -682,7 +690,7 @@ def _carried_round(rng):
       state rises above ``S`` on a slot, and a cheaper gang may have
       opened there, so the certificate must not be reused.
 
-    Every search equals ``explain_alloc(...).best`` at its state.
+    Every search equals ``reference_explain(...).best`` at its state.
     """
     drawn = _running_round(rng)
     if drawn is None:
@@ -691,7 +699,7 @@ def _carried_round(rng):
     for rt in _shuffled(rng, queue):  # the first job certified at S
         ctx = context()
         first = cached_find_alloc(ctx, rt, state)
-        assert first == explain_alloc(context(), rt, state).best
+        assert first == reference_explain(context(), rt, state).best
         if ctx.stats.current_certified:
             break
     else:
@@ -713,7 +721,7 @@ def _carried_round(rng):
     else:
         state.allocate(Allocation({target: _int(rng, 1, state.free(*target))}))
     found = cached_find_alloc(ctx, rt, state)
-    assert found == explain_alloc(context(), rt, state).best
+    assert found == reference_explain(context(), rt, state).best
     assert (found is first) == (move == "elsewhere")
     return move
 
@@ -785,7 +793,7 @@ def test_exact_tie_reaches_the_full_search():
     rt = _running("resnet18", {(1, "V100"): 1})
     state, context = _two_server_round(rt, NoOverheadCheckpoint())
     ctx = context()
-    explanation = explain_alloc(context(), rt, state)
+    explanation = reference_explain(context(), rt, state)
     assert explanation.current_payoff == explanation.best.payoff
     assert explanation.best.allocation == Allocation({(0, "V100"): 1})
     assert cached_find_alloc(ctx, rt, state) == explanation.best
@@ -803,8 +811,89 @@ def test_move_delay_enters_the_bound():
         rt, FixedDelayCheckpoint(), types=("V100", "K80")
     )
     ctx = context()
-    explanation = explain_alloc(context(), rt, state)
+    explanation = reference_explain(context(), rt, state)
     assert explanation.best.allocation == rt.allocation
     assert cached_find_alloc(ctx, rt, state) == explanation.best
     assert ctx.stats.current_certified == 1
     assert ctx.stats.generation_runs == 0
+
+
+# -- the decision record's explanation -----------------------------------------
+
+
+@given(
+    cluster=clusters(),
+    matrix=st.one_of(st.just(MATRIX), tied_matrices()),
+    utility=st.sampled_from(UTILITIES),
+    checkpoint=st.sampled_from(CHECKPOINTS),
+    queue_limit=st.sampled_from([0, 8]),
+    data=st.data(),
+)
+@settings(max_examples=120, deadline=None)
+def test_explanation_matches_straight_line_reference(
+    cluster, matrix, utility, checkpoint, queue_limit, data
+):
+    """``explain_alloc`` on a round's own warm context reports all five
+    fields of the straight-line reference's explanation, floats as
+    ``float.hex``.
+
+    The round runs the DP (exact or greedy) on a context; then every job
+    is explained on that context at states the DP's walks searched it at,
+    at the post-decision state and, for an admitted job, at its
+    leave-one-out probe (the post-decision state with its own gang
+    released).  Clusters with runs of identical servers and tied matrices
+    fill the pruning groups.  Some jobs already run on the gang the
+    search would give them — the cheapest member of its pruning group,
+    whose runner-up must survive pruning — at full rate or straggling.
+    """
+    queue = data.draw(live_queues(cluster))
+    now = max(rt.job.arrival_time for rt in queue) + data.draw(
+        st.floats(1.0, 7200.0)
+    )
+    state = cluster.fresh_state()
+    for slot in sorted(state.slots):
+        taken = data.draw(st.integers(0, state.capacity(*slot)))
+        if taken:
+            state.allocate(Allocation({slot: taken}))
+    prices = PriceBook.calibrate(queue, matrix, utility, cluster.fresh_state(), now)
+
+    def context():
+        return RoundContext(
+            prices=prices, matrix=matrix, cluster=cluster, utility=utility,
+            now=now, state=state,
+            delay_estimator=lambda rt: checkpoint.move_delay(rt.job, rt.allocation),
+        )
+
+    for rt in queue:
+        if data.draw(st.booleans()):
+            rt.allocation = EMPTY_ALLOCATION
+            pick = reference_explain(context(), rt, state).best
+            if pick is not None:
+                rt.state = JobState.RUNNING
+                rt.allocation = pick.allocation
+                rt.slowdown = data.draw(st.sampled_from([1.0, 0.6]))
+                event("a job runs on the search's own pick")
+
+    ctx = context()
+    searched = {}
+
+    def recording(ctx, rt, branch_state, state_key=None):
+        searched.setdefault((rt.job_id, branch_state.key()), rt)
+        return cached_find_alloc(ctx, rt, branch_state, state_key)
+
+    with mock.patch.object(dp_module, "cached_find_alloc", recording):
+        chosen = DPAllocator(ctx, DPConfig(queue_limit=queue_limit)).allocate(
+            queue, state
+        )
+    cases = [(rt, key) for (_, key), rt in searched.items()]
+    cases = cases[:: max(1, len(cases) // 16)]
+    for rt in queue:
+        probe = state.copy()
+        if rt.job_id in chosen:
+            probe.release(chosen[rt.job_id].allocation)
+        cases.append((rt, probe.key()))
+    for rt, key in cases:
+        got = explain_alloc(ctx, rt, key)
+        want = reference_explain(context(), rt, state_at(state, key))
+        assert explanation_fields(got) == explanation_fields(want)
+        event(f"reason: {want.reason or 'placed'}")

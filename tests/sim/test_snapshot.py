@@ -26,7 +26,7 @@ from repro.faults import FaultModel
 from repro.obs import MetricsRegistry, parse_exposition, render
 from repro.sim.engine import SimulationEngine, simulate
 from repro.sim.progress import JobRuntime
-from repro.sim.replay import RecordingScheduler
+from repro.sim.replay import RecordingScheduler, ReplayScheduler
 from repro.sim.snapshot import (
     SNAPSHOT_VERSION,
     SnapshotCache,
@@ -235,8 +235,9 @@ class TestRoundTrip:
 
 class TestWrappedSchedulerRestore:
     """A wrapping scheduler snapshots the scheduler it wraps plus its own
-    state: a run restored at round 100 of the 14-job seed-1 scenario
-    gives every output of the uninterrupted run."""
+    state, and a replay snapshots where it stands in its decisions: a run
+    restored at round 100 of the 14-job seed-1 scenario gives every
+    output of the uninterrupted run."""
 
     @staticmethod
     def engine(scheduler) -> SimulationEngine:
@@ -263,6 +264,26 @@ class TestWrappedSchedulerRestore:
         assert outputs(restored.run()) == outputs(reference)
         if wrap is RecordingScheduler:
             assert scheduler.decisions == uninterrupted.decisions
+
+    def test_replay_restore_at_round_100_continues_the_replay(self):
+        """A strict replay of the recorded Hadar run, restored at round
+        100, re-issues decision 100 next: no :class:`ReplayDiverged`, and
+        the uninterrupted replay's outputs."""
+        recording = RecordingScheduler(HadarScheduler())
+        self.engine(recording).run()
+        decisions = recording.decisions
+        uninterrupted = ReplayScheduler(decisions)
+        reference = self.engine(uninterrupted).run()
+        engine = self.engine(ReplayScheduler(decisions))
+        engine.start()
+        while engine.scheduling_invocations < 100:
+            assert engine.step()
+        blob = SnapshotCodec().dumps(engine.snapshot())
+        replay = ReplayScheduler(decisions)
+        restored = self.engine(replay)
+        restored.restore(SnapshotCodec().loads(blob))
+        assert outputs(restored.run()) == outputs(reference)
+        assert replay.state_dict() == uninterrupted.state_dict()
 
 
 class TestSnapshotSize:
