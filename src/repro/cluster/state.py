@@ -11,9 +11,21 @@ The slot universe is fixed at construction, so the canonical slot order
 (and each type's positions in it) is computed once and shared by every
 copy: :meth:`allocate` / :meth:`release` update the free-count vector in
 ``O(slots touched)`` and :meth:`key` never re-sorts — it just freezes
-(and caches) the maintained vector.  This is what keeps the DP
-recursion's per-node memo lookups flat as the cluster grows (see
-``docs/performance.md``).
+(and caches) the maintained vector.
+
+A key is a :class:`StateKey`: the free vector's tuple with its own
+hash, so a memo probe costs ``O(1)`` however large the cluster is, and
+equality still compares the whole vector, on a hit only.  The hash is
+``Σ free[i] · R[i] mod 2**61 − 1`` with fixed per-slot weights ``R``:
+it depends on the vector alone, so one vector reached along two branch
+orders hits one memo entry.  A state records the positions its
+mutations touched since its last key, so a new key's hash costs those
+positions and not the cluster (mutations outnumber keys: the engine and
+the validator apply every gang without keying the state, so the sum is
+updated per key, not per mutation).  The key names its *base* — the key
+it was derived from — and those positions, which lets the round's slot
+book follow a commit by re-filing them only (see
+``docs/performance.md``, "State identity at per-gang cost").
 """
 
 from __future__ import annotations
@@ -25,7 +37,74 @@ from repro.cluster.allocation import Allocation
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import Cluster
 
-__all__ = ["ClusterState"]
+__all__ = ["ClusterState", "StateKey"]
+
+_MODULUS = (1 << 61) - 1
+"""A Mersenne prime: the key hash lives in ``[0, 2**61 - 1)``, which is
+also the range CPython hashes an ``int`` into."""
+
+_WEIGHTS: list[int] = []
+
+
+def _slot_weights(n: int) -> tuple[int, ...]:
+    """The fixed hash weights of the first ``n`` slot positions.
+
+    A splitmix64 stream from a constant seed, reduced mod ``2**61 - 1``:
+    the same for every state and every process, so equal vectors hash
+    equally wherever they were built.
+    """
+    while len(_WEIGHTS) < n:
+        z = (len(_WEIGHTS) + 1) * 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
+        _WEIGHTS.append((z ^ (z >> 31)) % _MODULUS)
+    return tuple(_WEIGHTS[:n])
+
+
+class StateKey:
+    """A free vector in canonical slot order that carries its hash.
+
+    ``vec`` is the tuple of free counts and ``h`` the state's weighted
+    sum, so a memo probe reads one int however large the cluster is, and
+    equality compares ``vec`` — on a hash hit only.  A key equals other
+    keys only, never a plain tuple (whose hash differs).
+
+    ``base`` is the key this one was derived from, or ``None``, and
+    ``moved`` holds (as a dict's keys) the positions where the two may
+    differ.  They are a hint that only the slot book reads; a key clears
+    its base's ``base`` when it is derived, so a walk never chains its
+    keys together.  A slotted object rather than a tuple subclass, so a
+    key costs one plain tuple copy and no attribute dict.
+    """
+
+    __slots__ = ("vec", "h", "base", "moved")
+
+    def __hash__(self) -> int:
+        return self.h
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not StateKey:
+            return NotImplemented
+        return self.vec == other.vec
+
+    def __repr__(self) -> str:
+        return f"StateKey{self.vec!r}"
+
+    @classmethod
+    def of(
+        cls, counts: Iterable[int], weights: Optional[tuple[int, ...]] = None
+    ) -> "StateKey":
+        """The key of ``counts``, hashed afresh, with no base."""
+        key = _new(cls)
+        vec = key.vec = tuple(counts)
+        if weights is None:
+            weights = _slot_weights(len(vec))
+        key.h = sum(map(int.__mul__, vec, weights)) % _MODULUS
+        key.base = key.moved = None
+        return key
+
+
+_new = object.__new__
 
 
 class ClusterState:
@@ -38,6 +117,7 @@ class ClusterState:
 
     __slots__ = (
         "_capacity", "_free", "_order", "_index", "_by_type", "_vec", "_key_cache",
+        "_weights", "_base", "_touched",
     )
 
     def __init__(self, capacity: dict[tuple[int, str], int]):
@@ -61,7 +141,13 @@ class ClusterState:
         # Free counts in canonical order; maintained incrementally so
         # key() needs no sort (and no dict walk).
         self._vec: list[int] = [self._free[slot] for slot in self._order]
-        self._key_cache: Optional[tuple[int, ...]] = tuple(self._vec)
+        self._weights = _slot_weights(len(self._order))
+        # The last key handed out (or None after a mutation), the key the
+        # next one derives from, and the positions touched since it.
+        key = StateKey.of(self._vec, self._weights)
+        self._key_cache: Optional[StateKey] = key
+        self._base: StateKey = key
+        self._touched: dict[int, None] = {}
 
     @classmethod
     def from_cluster(cls, cluster: "Cluster") -> "ClusterState":
@@ -149,7 +235,9 @@ class ClusterState:
             raise ValueError(f"allocation does not fit free capacity: {allocation}")
         for slot, count in allocation.placements.items():
             self._free[slot] -= count
-            self._vec[self._index[slot]] -= count
+            i = self._index[slot]
+            self._vec[i] -= count
+            self._touched[i] = None
         self._key_cache = None
 
     def release(self, allocation: Allocation) -> None:
@@ -163,7 +251,9 @@ class ClusterState:
                 )
         for slot, count in allocation.placements.items():
             self._free[slot] += count
-            self._vec[self._index[slot]] += count
+            i = self._index[slot]
+            self._vec[i] += count
+            self._touched[i] = None
         self._key_cache = None
 
     # -- fault capacity ---------------------------------------------------
@@ -189,7 +279,9 @@ class ClusterState:
         self._capacity = dict(self._capacity)
         self._capacity[slot] -= count
         self._free[slot] = free - count
-        self._vec[self._index[slot]] -= count
+        i = self._index[slot]
+        self._vec[i] -= count
+        self._touched[i] = None
         self._key_cache = None
 
     def restore(self, node_id: int, type_name: str, count: int) -> None:
@@ -208,7 +300,9 @@ class ClusterState:
         self._capacity = dict(self._capacity)
         self._capacity[slot] = self._capacity.get(slot, 0) + count
         self._free[slot] = self._free.get(slot, 0) + count
-        self._vec[self._index[slot]] += count
+        i = self._index[slot]
+        self._vec[i] += count
+        self._touched[i] = None
         self._key_cache = None
 
     # -- copies / keys ----------------------------------------------------
@@ -221,14 +315,33 @@ class ClusterState:
         clone._by_type = self._by_type
         clone._vec = list(self._vec)
         clone._key_cache = self._key_cache
+        clone._weights = self._weights
+        clone._base = self._base
+        clone._touched = dict(self._touched)
         return clone
 
-    def key(self) -> tuple[int, ...]:
-        """Canonical hashable snapshot of free counts (for DP memoization)."""
-        cached = self._key_cache
-        if cached is None:
-            cached = self._key_cache = tuple(self._vec)
-        return cached
+    def key(self) -> StateKey:
+        """Canonical hashable snapshot of free counts (for memoization).
+
+        Cached until the next mutation.  A new key's hash is its base's
+        plus the weighted change at the touched positions, and the key
+        names that base and those positions (see :class:`StateKey`).
+        """
+        key = self._key_cache
+        if key is None:
+            base, vec, weights = self._base, self._vec, self._weights
+            was, moved = base.vec, self._touched
+            h = base.h
+            for i in moved:
+                h += (vec[i] - was[i]) * weights[i]
+            key = _new(StateKey)
+            key.vec = tuple(vec)
+            key.h = h % _MODULUS
+            key.base, key.moved = base, moved
+            base.base = None
+            self._key_cache = self._base = key
+            self._touched = {}
+        return key
 
     # -- engine snapshot support ----------------------------------------------
     def state_dict(self) -> dict:
@@ -240,7 +353,7 @@ class ClusterState:
         The list preserves ``_capacity``'s insertion order because
         ``free_by_type``/``used_by_type`` walk the dicts and downstream
         consumers serialize their output order.  The derived members
-        (``_vec``/``_key_cache``) rebuild from the two dicts.
+        (``_vec`` and the key with its hash) rebuild from the two dicts.
         """
         return {
             "slots": [
@@ -262,7 +375,8 @@ class ClusterState:
             (int(n), str(t)): int(free) for n, t, _, free in state["slots"]
         }
         self._vec = [self._free[slot] for slot in self._order]
-        self._key_cache = tuple(self._vec)
+        self._key_cache = self._base = StateKey.of(self._vec, self._weights)
+        self._touched = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClusterState):

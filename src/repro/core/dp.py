@@ -120,25 +120,25 @@ class DPAllocator:
         if not queue:
             return {}
         ctx = self.context
-        if len(queue) <= self.config.queue_limit:
-            try:
-                _, chosen = self._solve_exact(queue, state, ctx)
-            except _MemoOverflow:
-                ctx.stats.state_limit_hits += 1
-                chosen = self._solve_greedy(queue, state.copy(), ctx)
-            else:
-                if self.config.branch_objective == "payoff":
-                    # The recursion explores jobs in queue order; the greedy
-                    # reorders by payoff density and occasionally finds a
-                    # better packing.  Both are cheap at this queue size —
-                    # keep whichever earns more.
-                    alt = self._solve_greedy(queue, state.copy(), ctx)
-                    if sum(c.payoff for c in alt.values()) > sum(
-                        c.payoff for c in chosen.values()
-                    ):
-                        chosen = alt
-        else:
-            chosen = self._solve_greedy(queue, state.copy(), ctx)
+        # The greedy alone commits its gangs into ``state`` as it goes; the
+        # exact DP leaves ``state`` as it found it, and its plan is applied.
+        if len(queue) > self.config.queue_limit:
+            return self._solve_greedy(queue, state, ctx)
+        try:
+            _, chosen = self._solve_exact(queue, state, ctx)
+        except _MemoOverflow:
+            ctx.stats.state_limit_hits += 1
+            return self._solve_greedy(queue, state, ctx)
+        if self.config.branch_objective == "payoff":
+            # The recursion explores jobs in queue order; the greedy
+            # reorders by payoff density and occasionally finds a better
+            # packing.  Both are cheap at this queue size — keep whichever
+            # earns more.
+            alt = self._solve_greedy(queue, state.copy(), ctx)
+            if sum(c.payoff for c in alt.values()) > sum(
+                c.payoff for c in chosen.values()
+            ):
+                chosen = alt
         for cand in chosen.values():
             state.allocate(cand.allocation)
         return chosen
@@ -255,7 +255,10 @@ class DPAllocator:
 
         The allocation walk drops each state's generations as it commits
         past it: it only commits, so it never returns, and it is the
-        round's last search.
+        round's last search.  A commit costs its gang: the new key's hash
+        adds the touched slots' change, its step hands the slot book
+        those slots, and the drop is one probe of the carried hash.
+        Only the key's tuple itself is still copied whole.
         """
         # Rank once on round-initial prices: payoff per requested worker.
         ranked: list[tuple[float, int, JobRuntime]] = []

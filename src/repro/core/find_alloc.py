@@ -255,12 +255,13 @@ def cached_find_alloc(
     # -- the current placement, when it still fits and runs (per-job) ----------
     current = view.current
     if current is not None:
-        frees = tuple([state_key[i] for i in view.current_at])
+        vec = state_key.vec
+        frees = tuple([vec[i] for i in view.current_at])
         certified = view.certified
         if (
             certified is not None
             and frees == certified[1]
-            and all(map(le, state_key, certified[0]))
+            and all(map(le, vec, certified[0].vec))
         ):
             # The carried certificate: what the search below would find,
             # a memo hit on the same costing and every bound passed.
@@ -389,7 +390,8 @@ def explain_alloc(
     current = view.current
     current_payoff: Optional[float] = None
     if current is not None:
-        frees = tuple([state_key[i] for i in view.current_at])
+        vec = state_key.vec
+        frees = tuple([vec[i] for i in view.current_at])
         if all(map(ge, frees, view.current_counts)):
             options.append((current, costed(current, frees, True)))
             current_payoff = options[0][1][2]
@@ -491,8 +493,9 @@ def _generate_candidates(
     stats = ctx.stats
     rank, rank_sig = ctx.rate_rank(model)
     shape = (usable_desc, rank_sig, w)
-    gen = ctx.generation_get(shape, state_key)
-    if gen is not _MISS:
+    generations = ctx.generations(state_key)
+    gen = generations.get(shape)
+    if gen is not None:
         stats.generation_hits += 1
         return gen
     stats.generation_runs += 1
@@ -512,7 +515,7 @@ def _generate_candidates(
         template = templates.get(ck)
         if template is None:
             template = templates[ck] = _class_template(
-                ck, nodes[0], book.price_of, rank, w
+                book.inventories[ck[0]], ck[1], nodes[0], book.price_of, rank, w
             )
         for tc, carried in template:
             for node_id in nodes[:2]:
@@ -576,12 +579,13 @@ def _generate_candidates(
     # every state this generation is reused for.
     kept.sort()
     gen = tuple([(p, candidates[p][2]) for p in kept])
-    ctx.generation_put(shape, state_key, gen)
+    generations[shape] = gen
     return gen
 
 
 def _class_template(
-    class_key: tuple,
+    inventory: tuple[tuple[str, int], ...],
+    frees: tuple[int, ...],
     node_id: int,
     price_of: dict[tuple[int, str], float],
     rank: dict[str, int],
@@ -589,14 +593,14 @@ def _class_template(
 ) -> tuple:
     """A server class's distinct consolidated walks, as node-free templates.
 
-    ``class_key`` is the slot book's ``(inventory, free vector)``; prices
-    are read at ``node_id``, one member, and are the same at every
-    member.  Each walk becomes ``((type, count), ...)`` in the type order
-    :func:`_greedy_take` sorts one node's picks into, paired with its
-    base price cost, pruning group and picked free counts.
+    A class is an inventory ``((type, capacity), ...)`` and its free
+    counts ``frees``; prices are read at ``node_id``, one member, and are
+    the same at every member.  Each walk becomes ``((type, count), ...)``
+    in the type order :func:`_greedy_take` sorts one node's picks into,
+    paired with its base price cost, pruning group and picked free
+    counts.
     Empty when the class cannot host the gang.
     """
-    inventory, frees = class_key
     slots = [(t, f) for (t, _), f in zip(inventory, frees) if f and t in rank]
     if sum(f for _, f in slots) < w:
         return ()

@@ -28,9 +28,14 @@ every ``find_alloc`` call in that round.  It provides
   price (line 25), and servers grouped into classes of identical
   inventory and free vector (line 24).  It is built once per round and
   follows every state a search is handed by re-filing only the slots
-  whose free count changed, so the greedy's commits and the exact DP's
-  depth-first moves each cost a gang's slots, not the cluster's;
-* five memo layers, each kept because it measurably hits:
+  whose free count changed.  A state key names the slots touched since
+  the key it was derived from, so the greedy's commits, the exact DP's
+  steps into a branch and the decision record's probes each cost their
+  gangs' slots, not the cluster's;
+* five memo layers, each kept because it measurably hits.  The
+  per-state ones are keyed by :class:`~repro.cluster.state.StateKey`,
+  which carries its hash, so a probe costs the same at any cluster
+  size:
 
   - **price** — Eq. (5)'s price is a pure function of a slot's committed
     fraction, so :meth:`price` memoizes it per ``(slot, free count)``; an
@@ -41,10 +46,10 @@ every ``find_alloc`` call in that round.  It provides
     at one free-capacity vector, already pruned to the candidates that
     can win (``find_alloc._generate_candidates``), shared by every job
     whose model has the same type order and gang size
-    (:meth:`generation_get`).  A walk that never returns to a state it
+    (:meth:`generations`).  A walk that never returns to a state it
     left drops that state's entries (:meth:`leave_state`);
   - **class walk** — a server class's consolidated walks as node-free
-    ``(type, count)`` templates per job shape and ``(inventory, free
+    ``(type, count)`` templates per job shape and ``(inventory id, free
     vector)`` (:attr:`class_walks`), shared across states: a generation
     miss re-walks only the classes the state change created;
   - **physics** — a gang's bottleneck rate, comm penalty and price cost,
@@ -120,6 +125,8 @@ from collections import defaultdict
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional
 
+from repro.cluster.state import StateKey
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cluster import Cluster
     from repro.cluster.state import ClusterState
@@ -191,7 +198,7 @@ class SlotBook:
     """The round's free slots, kept in the orders candidate generation walks.
 
     One book serves a round.  It starts empty (every slot at zero free)
-    and :meth:`sync` moves it to whatever free vector it is handed by
+    and :meth:`sync` moves it to whatever state key it is handed by
     re-filing only the slots whose free count differs — all of them the
     first time, at most a gang's slots after a commit or release:
 
@@ -200,55 +207,76 @@ class SlotBook:
       moved slot leaves and re-enters its list by bisection;
     * ``type_free[t]`` — the free devices of type ``t``;
     * ``price_of`` — each free slot's current price;
-    * ``classes`` — ``(inventory, free vector)`` → the node ids in that
-      class, ascending.  Nodes of one class offer the same consolidated
-      gangs at the same prices.
+    * ``classes`` — ``(inventory id, free vector)`` → the node ids in
+      that server class, ascending; ``inventories[id]`` is the class's
+      ``((type, capacity), ...)``.  Nodes of one class offer the same
+      consolidated gangs at the same prices.  A flat int stands for the
+      inventory, so regrouping a node hashes its free counts only.
+
+    The book learns which slots to re-file from the keys themselves: a
+    key derived from the book's key (its
+    :class:`~repro.cluster.state.StateKey` ``base``) names the positions
+    its commits and releases touched, so the greedy's commits, the exact
+    DP's steps into a branch and the decision record's leave-one-out
+    probes cost their gangs' slots.  Any other jump — the first fill, the
+    exact DP returning from a branch — diffs the whole vector, in blocks
+    of 32 compared in C.
     """
 
     __slots__ = ("key", "order", "type_free", "price_of", "classes",
-                 "_slots", "_span", "_class_of")
+                 "inventories", "_slots", "_span", "_class_of")
 
     def __init__(self, caps: dict[tuple[int, str], int], types: tuple[str, ...]):
         self._slots = tuple(caps)  # canonical (sorted) slot order
-        self.key = (0,) * len(self._slots)
+        self.key = StateKey.of((0,) * len(self._slots))
         self.order: dict[str, list[tuple[float, int, int]]] = {t: [] for t in types}
         self.type_free = dict.fromkeys(types, 0)
         self.price_of: dict[tuple[int, str], float] = {}
-        self.classes: dict[tuple, list[int]] = {}
-        self._span: dict[int, tuple[tuple, int, int]] = {}
-        self._class_of: dict[int, tuple] = {}
+        self.classes: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+        self.inventories: list[tuple[tuple[str, int], ...]] = []
+        self._span: dict[int, tuple[int, int, int]] = {}
+        self._class_of: dict[int, tuple[int, tuple[int, ...]]] = {}
         # Canonical slot order is by node, so each node's slots are a run.
         runs: dict[int, list[int]] = {}
         for i, (node_id, _) in enumerate(self._slots):
             runs.setdefault(node_id, [i, i])[1] = i + 1
+        ids: dict[tuple, int] = {}
         for node_id, (lo, hi) in runs.items():
             inventory = tuple((s[1], caps[s]) for s in self._slots[lo:hi])
-            self._span[node_id] = (inventory, lo, hi)
-            ck = self._class_of[node_id] = (inventory, self.key[lo:hi])
+            inv = ids.get(inventory)
+            if inv is None:
+                inv = ids[inventory] = len(self.inventories)
+                self.inventories.append(inventory)
+            self._span[node_id] = (inv, lo, hi)
+            ck = self._class_of[node_id] = (inv, self.key.vec[lo:hi])
             self.classes.setdefault(ck, []).append(node_id)
 
-    def sync(self, key: tuple[int, ...], price) -> int:
-        """Move the book to free vector ``key``; returns the slots moved.
+    def sync(self, key: StateKey, price) -> int:
+        """Move the book to state key ``key``; returns the slots moved.
 
         Moved slots are priced with ``price(slot, free)``, passed in so
         the book holds no reference back to its context.
         """
-        old = self.key
-        if key is old:
+        if key is self.key:
             return 0
+        moved = _moved_between(self.key, key)
+        self.key, old, new = key, self.key.vec, key.vec
+        if moved is None:
+            # Blocks of 32 compare in C; only a differing block is read by entry.
+            diff = [
+                i
+                for lo in range(0, len(new), 32)
+                if new[lo : lo + 32] != old[lo : lo + 32]
+                for i in range(lo, min(lo + 32, len(new)))
+                if new[i] != old[i]
+            ]
+        else:
+            diff = [i for i in moved if new[i] != old[i]]
         order, price_of, nodes = self.order, self.price_of, {}
-        # Blocks of 32 compare in C; only a differing block is read by entry.
-        diff = [
-            i
-            for lo in range(0, len(key), 32)
-            if key[lo : lo + 32] != old[lo : lo + 32]
-            for i in range(lo, min(lo + 32, len(key)))
-            if key[i] != old[i]
-        ]
         for i in diff:
             slot = self._slots[i]
             node_id, t = slot
-            was, now = old[i], key[i]
+            was, now = old[i], new[i]
             if was:
                 entries = order[t]
                 del entries[bisect_left(entries, (price_of.pop(slot), node_id))]
@@ -257,17 +285,22 @@ class SlotBook:
                 insort(order[t], (p, node_id, now))
             self.type_free[t] += now - was
             nodes[node_id] = None
-        self.key = key
-        classes = self.classes
+        classes, class_of = self.classes, self._class_of
         for node_id in nodes:
-            inventory, lo, hi = self._span[node_id]
-            members = classes[self._class_of[node_id]]
+            members = classes[class_of[node_id]]
             del members[bisect_left(members, node_id)]
             if not members:
-                del classes[self._class_of[node_id]]
-            ck = self._class_of[node_id] = (inventory, key[lo:hi])
+                del classes[class_of[node_id]]
+            inv, lo, hi = self._span[node_id]
+            ck = class_of[node_id] = (inv, new[lo:hi])
             insort(classes.setdefault(ck, []), node_id)
         return len(diff)
+
+
+def _moved_between(old: StateKey, key: StateKey) -> Optional[dict[int, None]]:
+    """Positions where ``key`` may differ from ``old`` when it was derived
+    from ``old``, else ``None``."""
+    return key.moved if key.base is old else None
 
 
 class JobView:
@@ -419,8 +452,7 @@ class RoundContext:
         "_views",
         "physics_memo",
         "class_walks",
-        "_gen_cache",
-        "_tiers",
+        "_at",
         "_book",
         "__weakref__",  # lets a test watch a kept context go
     )
@@ -463,13 +495,13 @@ class RoundContext:
         # (model, W) → (picks, picked free counts) → (cost, rate,
         # multi_node), or None for an unusable gang: no job economics.
         self.physics_memo: defaultdict[tuple[str, int], dict] = defaultdict(dict)
-        # Shape → server class ``(inventory, free vector)`` → the class's
+        # Shape → server class ``(inventory id, free vector)`` → the class's
         # consolidated walk templates (``find_alloc._class_template``).
         self.class_walks: defaultdict[tuple, dict] = defaultdict(dict)
-        # State key → shape → generation, and state key → type order →
-        # tier floors: one state's entries drop together (:meth:`leave_state`).
-        self._gen_cache: dict[tuple[int, ...], dict[tuple, tuple]] = {}
-        self._tiers: dict[tuple[int, ...], dict[tuple, tuple]] = {}
+        # State key → (shape → generation, type order → tier floors): one
+        # state's entries sit in one record and drop together
+        # (:meth:`leave_state`).
+        self._at: dict[StateKey, tuple[dict[tuple, tuple], dict[tuple, tuple]]] = {}
         self._book: Optional[SlotBook] = None
 
     # -- incremental pricing ------------------------------------------------
@@ -548,8 +580,8 @@ class RoundContext:
             view = self._views[rt.job_id] = JobView(self, rt)
         return view
 
-    def slot_book(self, state_key: tuple[int, ...]) -> SlotBook:
-        """The round's :class:`SlotBook`, moved to free vector ``state_key``."""
+    def slot_book(self, state_key: StateKey) -> SlotBook:
+        """The round's :class:`SlotBook`, moved to ``state_key``."""
         book = self._book
         if book is None:
             book = self._book = SlotBook(self._caps, self._types)
@@ -557,7 +589,7 @@ class RoundContext:
         return book
 
     def tier_floors(
-        self, usable_desc: tuple[str, ...], state_key: tuple[int, ...]
+        self, usable_desc: tuple[str, ...], state_key: StateKey
     ) -> tuple[tuple[str, float, int], ...]:
         """``(t_k, pmin_k, free_k)`` per bottleneck tier at ``state_key``.
 
@@ -568,9 +600,10 @@ class RoundContext:
         slowest type.  Memoized per ``(usable_desc, state_key)``, so every
         job of one type order shares it at each state.
         """
-        by_order = self._tiers.get(state_key)
-        if by_order is None:
-            by_order = self._tiers[state_key] = {}
+        at = self._at.get(state_key)
+        if at is None:
+            at = self._at[state_key] = ({}, {})
+        by_order = at[1]
         tiers = by_order.get(usable_desc)
         if tiers is None:
             book = self.slot_book(state_key)
@@ -589,37 +622,32 @@ class RoundContext:
         return tiers
 
     # -- memo layers ----------------------------------------------------------
-    def generation_get(self, shape: tuple, state_key: tuple[int, ...]):
-        """Cached shared candidate generation, or the sentinel on a miss.
+    def generations(self, state_key: StateKey) -> dict[tuple, tuple]:
+        """The shared candidate generations memoized at ``state_key``, per shape.
 
         Candidate *generation* (the consolidated and cross-server gang
         families of Algorithm 2, lines 24-25, and their dominance pruning)
         reads the model's rates only through order comparisons — the
         usable-type order and its rate-tie structure (:meth:`rate_rank`)
         — plus the gang size, the free vector, and the round-frozen
-        prices; never the job's identity or the rate *values*.  ``shape`` is ``(usable_desc, rank_sig, W)``,
-        so even different models share one generation per reachable state
-        when their type orders agree.
+        prices; never the job's identity or the rate *values*.  A shape is
+        ``(usable_desc, rank_sig, W)``, so even different models share one
+        generation per reachable state when their type orders agree.  One
+        probe of the key's carried hash serves the lookup and the fill.
         """
-        by_shape = self._gen_cache.get(state_key)
-        if by_shape is None:
-            return _MISS
-        return by_shape.get(shape, _MISS)
+        at = self._at.get(state_key)
+        if at is None:
+            at = self._at[state_key] = ({}, {})
+        return at[0]
 
-    def generation_put(
-        self, shape: tuple, state_key: tuple[int, ...], value: tuple
-    ) -> None:
-        self._gen_cache.setdefault(state_key, {})[shape] = value
-
-    def leave_state(self, state_key: tuple[int, ...]) -> None:
+    def leave_state(self, state_key: StateKey) -> None:
         """Drop the generations and tier floors memoized at ``state_key``.
 
         For walks that never return to a state they left — the greedy
         allocation pass only ever commits — the entries are dead weight:
         each key is a tuple over the whole slot universe, and a cold
-        8,192-job decision reached thousands of them.  Value-preserving
-        like every memo here: an entry dropped and needed again would
-        only be recomputed.
+        8,192-job decision reached thousands of them.  One probe of the
+        key's carried hash drops both.  Value-preserving like every memo
+        here: an entry dropped and needed again would only be recomputed.
         """
-        self._gen_cache.pop(state_key, None)
-        self._tiers.pop(state_key, None)
+        self._at.pop(state_key, None)

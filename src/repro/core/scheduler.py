@@ -268,9 +268,26 @@ class HadarScheduler(Scheduler):
         ctx, state, round_ctx = self._round
         prices = self.last_prices
         assert prices is not None
-        final_key = state.key()
-        index = round_ctx.slot_index
         chosen = self.last_chosen
+        # Skipped jobs first, at the final state; then each admitted job at
+        # its probe.  One copy of the final state serves every probe:
+        # releasing a gang and claiming it back costs the gang's slots, and
+        # each probe's key derives from the previous probe's, naming the
+        # gang claimed back and the gang released, so the slot book follows
+        # by those slots too.  Every value is the same in any order.
+        final_key = state.key()
+        explained = {
+            rt.job_id: explain_alloc(round_ctx, rt, final_key)
+            for rt in ctx.active
+            if rt.job_id not in chosen
+        }
+        probe = state.copy() if chosen else None
+        for rt in ctx.active:
+            cand = chosen.get(rt.job_id)
+            if cand is not None:
+                probe.release(cand.allocation)
+                explained[rt.job_id] = explain_alloc(round_ctx, rt, probe.key())
+                probe.allocate(cand.allocation)
         jobs: list[dict] = []
         for rt in ctx.active:
             record: dict = {
@@ -279,11 +296,8 @@ class HadarScheduler(Scheduler):
                 "num_workers": rt.job.num_workers,
             }
             cand = chosen.get(rt.job_id)
+            explanation = explained[rt.job_id]
             if cand is not None:
-                probe = list(final_key)
-                for slot, count in cand.allocation.placements.items():
-                    probe[index[slot]] += count
-                explanation = explain_alloc(round_ctx, rt, tuple(probe))
                 record["outcome"] = (
                     "kept" if cand.allocation == rt.allocation else "admitted"
                 )
@@ -302,7 +316,6 @@ class HadarScheduler(Scheduler):
                     "current_payoff": explanation.current_payoff,
                 }
             else:
-                explanation = explain_alloc(round_ctx, rt, final_key)
                 record["outcome"] = "skipped"
                 # A positive-payoff gang existed at the final prices yet
                 # the DP left the job out: the branch value said skip.

@@ -22,6 +22,7 @@ from unittest import mock
 import pytest
 
 import repro.core.dp as dp_module
+import repro.core.round_context as round_context_module
 from repro.cluster.allocation import Allocation
 from repro.cluster.state import ClusterState
 from repro.core.pricing import PriceBook
@@ -187,6 +188,33 @@ def test_cold_fig7_generation_reads_flat_per_call() -> None:
     assert per_call[1024] <= 1.5 * per_call[256]
 
 
+def test_cold_fig7_commits_move_the_slot_book_by_their_gangs() -> None:
+    """In a cold 1024-job decision (480 slots, greedy only) the slot book
+    diffs the whole vector once, to fill itself from empty.  Every later
+    move is handed by the keys' steps and examines only the slots the
+    commits since the book's last move touched, so the walk's moves
+    examine at most the committed gangs' slots."""
+    handed: list[int] = []
+    full = [0]
+    between = round_context_module._moved_between
+
+    def moved_between(old, key):
+        moved = between(old, key)
+        if moved is None:
+            full[0] += 1
+        else:
+            handed.append(len(moved))
+        return moved
+
+    scheduler = HadarScheduler()
+    with mock.patch.object(round_context_module, "_moved_between", moved_between):
+        target = scheduler.schedule(fig7_context(1024, seed=1))
+    committed = sum(len(alloc.placements) for alloc in target.values())
+    assert full[0] == 1
+    assert len(handed) > 800  # every generation miss after the first
+    assert sum(handed) <= committed
+
+
 def test_cache_layers_actually_engage() -> None:
     cached = _run("hadar", SEEDS[0]).hotpath_stats
     for counter in (
@@ -283,7 +311,7 @@ class TestIncrementalStateKey:
 
     def test_tracks_allocate_and_release(self, small_cluster):
         state = ClusterState.from_cluster(small_cluster)
-        assert state.key() == self._reference_key(state)
+        assert state.key().vec == self._reference_key(state)
         moves = [
             Allocation.from_pairs([(0, "V100", 2), (0, "K80", 1)]),
             Allocation.from_pairs([(1, "P100", 1)]),
@@ -291,10 +319,10 @@ class TestIncrementalStateKey:
         ]
         for alloc in moves:
             state.allocate(alloc)
-            assert state.key() == self._reference_key(state)
+            assert state.key().vec == self._reference_key(state)
         for alloc in reversed(moves):
             state.release(alloc)
-            assert state.key() == self._reference_key(state)
+            assert state.key().vec == self._reference_key(state)
 
     def test_copies_diverge_independently(self, small_cluster):
         state = ClusterState.from_cluster(small_cluster)
@@ -304,7 +332,7 @@ class TestIncrementalStateKey:
         assert clone.key() == parent_key
         clone.allocate(Allocation.from_pairs([(1, "V100", 2)]))
         assert state.key() == parent_key  # parent unaffected
-        assert clone.key() == self._reference_key(clone)
+        assert clone.key().vec == self._reference_key(clone)
         assert clone.key() != parent_key
 
     def test_key_is_a_stable_snapshot(self, small_cluster):
@@ -312,7 +340,7 @@ class TestIncrementalStateKey:
         previously returned key (DP memo entries rely on this)."""
         state = ClusterState.from_cluster(small_cluster)
         before = state.key()
-        snapshot = tuple(before)
+        snapshot = tuple(before.vec)
         state.allocate(Allocation.from_pairs([(0, "V100", 2)]))
-        assert before == snapshot
+        assert before.vec == snapshot
         assert state.key() != before

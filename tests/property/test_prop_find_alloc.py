@@ -894,6 +894,6 @@ def test_explanation_matches_straight_line_reference(
         cases.append((rt, probe.key()))
     for rt, key in cases:
         got = explain_alloc(ctx, rt, key)
-        want = reference_explain(context(), rt, state_at(state, key))
+        want = reference_explain(context(), rt, state_at(state, key.vec))
         assert explanation_fields(got) == explanation_fields(want)
         event(f"reason: {want.reason or 'placed'}")
