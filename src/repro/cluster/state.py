@@ -344,6 +344,13 @@ class ClusterState:
         return key
 
     # -- engine snapshot support ----------------------------------------------
+    def snapshot_token(self) -> tuple[dict, tuple[int, ...]]:
+        """``(capacity map, free vector)``: what :meth:`state_dict` is
+        built from.  The capacity map is rebound, never changed in place,
+        whenever capacity moves, so two tokens with the same map object
+        and equal free vectors have equal :meth:`state_dict` values."""
+        return self._capacity, tuple(self._vec)
+
     def state_dict(self) -> dict:
         """Capacity and free counts per slot, in dict insertion order.
 

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import ge, itemgetter, le
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from repro.cluster.allocation import Allocation
 from repro.cluster.cluster import Cluster
@@ -99,9 +99,12 @@ _TIE_BAND = 2.0**-30
 the division by the comm penalty (one rounding step is 2**-53)."""
 
 
-@dataclass(frozen=True, slots=True)
-class AllocationCandidate:
-    """One costed gang proposal."""
+class AllocationCandidate(NamedTuple):
+    """One costed gang proposal.
+
+    A named tuple: a search builds one per result, and a tuple is built
+    in C where a frozen dataclass runs ``object.__setattr__`` per field.
+    """
 
     allocation: Allocation
     cost: float
@@ -307,9 +310,7 @@ def cached_find_alloc(
     if best is None:
         return None
     picks = best_key[3]
-    return _candidate(
-        rt.allocation if picks == current else Allocation.from_pairs(picks), best
-    )
+    return _candidate(rt.allocation if picks == current else ctx.allocation(picks), best)
 
 
 def _current_wins(
@@ -344,14 +345,7 @@ def _current_wins(
 
 def _candidate(allocation: Allocation, costed: tuple) -> AllocationCandidate:
     cost, u, payoff, rate, jct, _ = costed
-    return AllocationCandidate(
-        allocation=allocation,
-        cost=cost,
-        utility=u,
-        payoff=payoff,
-        rate=rate,
-        estimated_jct=jct,
-    )
+    return AllocationCandidate(allocation, cost, u, payoff, rate, jct)
 
 
 def explain_alloc(
@@ -418,7 +412,7 @@ def explain_alloc(
                 best_key, best = key, c
     if best_key is not None:
         picks = best_key[3]
-        allocation = rt.allocation if picks == current else Allocation.from_pairs(picks)
+        allocation = rt.allocation if picks == current else ctx.allocation(picks)
     return AllocationExplanation(
         best=None if best is None else _candidate(allocation, best),
         reason="" if best is not None else "negative_payoff",

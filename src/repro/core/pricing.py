@@ -347,7 +347,9 @@ class PriceCalibrator:
 
         # Eqs. (6)-(7) in one pass over the jobs: each type's max/min fold
         # still sees the jobs in queue order, so every fold — and the book —
-        # is the per-type loop's bit for bit (``value_for`` is pure).
+        # is the per-type loop's bit for bit.  ``value_for`` is pure, so each
+        # job's utility at the horizon is computed once, not once per type,
+        # and a type's utility at its best JCT serves both folds.
         value_for = utility.value_for
         hi_of = dict.fromkeys(types, 0.0)
         lo_of = dict.fromkeys(types, math.inf)
@@ -358,15 +360,17 @@ class PriceCalibrator:
                 age = 0.0
             late = horizon - arrival
             spread = t_max_j * w
+            # Smallest utility: the job drags on until the horizon.
+            at_horizon = value_for(rt, late, now) / spread
             # Fastest completion *using type r*: full gang of type r (absent
             # from the record when the type is unusable).
             for r, t_min_r in t_min.items():
                 jct_best = age + t_min_r
-                hi = value_for(rt, jct_best, now) / w
+                best = value_for(rt, jct_best, now)
+                hi = best / w
                 if hi > hi_of[r]:
                     hi_of[r] = hi
-                # Smallest utility: the job drags on until the horizon.
-                lo = value_for(rt, jct_best if jct_best > late else late, now) / spread
+                lo = best / spread if jct_best > late else at_horizon
                 if lo < lo_of[r]:
                     lo_of[r] = lo
 

@@ -16,8 +16,14 @@ every ``find_alloc`` call in that round.  It provides
   a search reads of one job that cannot change within the round: model,
   gang size, rate table, usable order, the reallocation-delay estimate,
   age, remaining work and current picks, plus handles on the job's
-  candidate memo and its ``(model, W)`` physics memo.  Built on the
-  job's first search, reused by every later one;
+  candidate memo and its ``(model, W)`` physics memo.  Handed out on the
+  job's first search, reused by every later one.  A view handed in from
+  an earlier round (``views``) is refreshed rather than rebuilt when it
+  was built for the same runtime object and the same ``rt.allocation``
+  object (:meth:`JobView.refresh`);
+* one :class:`~repro.cluster.allocation.Allocation` per picks tuple
+  (:meth:`allocation`), shared by every search result that names those
+  picks;
 * per-tier **price floors** (:meth:`tier_floors`) — for each
   bottleneck tier of a type order, the cheapest free slot at or above
   it and the free devices there, per free-capacity vector; the
@@ -102,6 +108,15 @@ through the same memos (:func:`repro.core.find_alloc.explain_alloc`)
 once the round's counters have been copied out; the next round drops
 it before building its own.
 
+Views outlive their round only through their holder: Hadar keeps the
+views of its latest round and hands them to the next context while the
+matrix object, the slot universe and the checkpoint model are the ones
+they were built for (``HadarScheduler.schedule``).  What a view keeps
+from its build — model, gang size, model size, current picks and move
+delay — is a pure function of those three, the job spec and
+``rt.allocation``; what moves between rounds (age, remaining work, the
+round's rate table, usable order and memos) is refreshed.
+
 The caches assume what the rest of the round machinery already assumes:
 ``prices``, ``now``, every job's runtime snapshot, and the
 ``delay_estimator``'s output for a given job are frozen while the context
@@ -125,6 +140,7 @@ from collections import defaultdict
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional
 
+from repro.cluster.allocation import Allocation
 from repro.cluster.state import StateKey
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -311,13 +327,15 @@ class JobView:
     it names a slot outside the round's universe (such a gang never
     fits).  ``current_at`` holds the picks' positions in a state key and
     ``current_counts`` their worker counts, so a search reads the picked
-    free counts off the key it is handed.  ``certified`` is ``(state
-    key, picked free counts, candidate)`` of the job's latest
+    free counts off the key it is handed.  ``held`` is the
+    ``rt.allocation`` object the view was built for.  ``certified`` is
+    ``(state key, picked free counts, candidate)`` of the job's latest
     current-placement certificate, or ``None``.
     """
 
     __slots__ = (
         "rt",
+        "held",
         "model",
         "w",
         "model_bytes",
@@ -337,6 +355,7 @@ class JobView:
     def __init__(self, ctx: "RoundContext", rt: "JobRuntime"):
         job = rt.job
         self.rt = rt
+        self.held = rt.allocation
         model = self.model = job.model.name
         w = self.w = job.num_workers
         self.model_bytes = job.model.model_bytes
@@ -367,6 +386,25 @@ class JobView:
         self.certified: Optional[
             tuple[tuple[int, ...], tuple[int, ...], "AllocationCandidate"]
         ] = None
+
+    def refresh(self, ctx: "RoundContext") -> None:
+        """Bring a view built in an earlier round up to ``ctx``'s round.
+
+        Valid only for the runtime and ``rt.allocation`` objects it was
+        built for, under the matrix object, slot universe and checkpoint
+        model of its build: the fields kept are then the ones a fresh
+        build computes, and every other field is set here with the
+        constructor's own expression.
+        """
+        model = self.model
+        age = ctx.now - self.rt.job.arrival_time
+        self.age = age if age > 0.0 else 0.0
+        self.remaining = self.rt.remaining_iterations
+        self.rate_of = ctx.rates_for(model)
+        self.usable_desc = ctx.usable_desc(model)
+        self.memo = {}
+        self.physics = ctx.physics_memo[model, self.w]
+        self.certified = None
 
     def evaluate(
         self,
@@ -449,7 +487,9 @@ class RoundContext:
         "_usable",
         "_rate_rank",
         "slot_index",
-        "_views",
+        "views",
+        "_carried",
+        "_allocations",
         "physics_memo",
         "class_walks",
         "_at",
@@ -467,6 +507,7 @@ class RoundContext:
         now: float,
         delay_estimator: "DelayEstimator",
         state: "ClusterState",
+        views: Optional[dict[int, JobView]] = None,
     ):
         self.prices = prices
         self.matrix = matrix
@@ -491,7 +532,12 @@ class RoundContext:
         self.slot_index: dict[tuple[int, str], int] = {
             slot: i for i, slot in enumerate(self._caps)
         }
-        self._views: dict[int, JobView] = {}
+        # This round's views by job id; ``views`` are an earlier round's,
+        # refreshed on first use (:meth:`view`).
+        self.views: dict[int, JobView] = {}
+        self._carried: dict[int, JobView] = views if views is not None else {}
+        # Picks → the round's one Allocation of them (:meth:`allocation`).
+        self._allocations: dict[tuple, Allocation] = {}
         # (model, W) → (picks, picked free counts) → (cost, rate,
         # multi_node), or None for an unusable gang: no job economics.
         self.physics_memo: defaultdict[tuple[str, int], dict] = defaultdict(dict)
@@ -574,11 +620,26 @@ class RoundContext:
         return hit
 
     def view(self, rt: "JobRuntime") -> JobView:
-        """The job's :class:`JobView`, built on its first search this round."""
-        view = self._views.get(rt.job_id)
+        """The job's :class:`JobView`, handed out on its first search this
+        round: an earlier round's view of the same runtime and gang objects,
+        refreshed, or else a new one."""
+        view = self.views.get(rt.job_id)
         if view is None:
-            view = self._views[rt.job_id] = JobView(self, rt)
+            view = self._carried.pop(rt.job_id, None)
+            if view is None or view.rt is not rt or view.held is not rt.allocation:
+                view = JobView(self, rt)
+            else:
+                view.refresh(self)
+            self.views[rt.job_id] = view
         return view
+
+    def allocation(self, picks: tuple[tuple[int, str, int], ...]) -> Allocation:
+        """The round's one :class:`Allocation` of ``picks`` (sorted
+        ``(node, type, count)`` triples), built on first request."""
+        allocation = self._allocations.get(picks)
+        if allocation is None:
+            allocation = self._allocations[picks] = Allocation.from_pairs(picks)
+        return allocation
 
     def slot_book(self, state_key: StateKey) -> SlotBook:
         """The round's :class:`SlotBook`, moved to ``state_key``."""

@@ -28,7 +28,7 @@ from repro.cluster.state import ClusterState
 from repro.core.dp import DPAllocator, DPConfig
 from repro.core.find_alloc import AllocationCandidate, explain_alloc
 from repro.core.pricing import PriceBook, PriceCalibrator, PricingConfig
-from repro.core.round_context import RoundContext
+from repro.core.round_context import JobView, RoundContext
 from repro.core.utility import NormalizedThroughputUtility, Utility
 from repro.sim.checkpoint import CheckpointModel, FixedDelayCheckpoint
 from repro.sim.interface import Scheduler, SchedulerContext
@@ -103,6 +103,14 @@ class HadarScheduler(Scheduler):
         self._calibrator: Optional[PriceCalibrator] = None
         """Persistent across rounds: reuses each job's Eq. (8) record
         until its remaining work moves."""
+        self._views: dict[int, JobView] = {}
+        """The latest round's job views, handed to the next round's
+        context to refresh (:meth:`RoundContext.view`).  Derived state:
+        never snapshotted, emptied by :meth:`reset` and
+        :meth:`load_state_dict`, and rebuilt on use."""
+        self._views_basis: Optional[tuple] = None
+        """The matrix object, slot universe and checkpoint model the
+        views were built under; any other drops them all."""
 
     @property
     def name(self) -> str:
@@ -116,6 +124,8 @@ class HadarScheduler(Scheduler):
         self.audit.clear()
         self._round = None
         self._calibrator = None
+        self._views = {}
+        self._views_basis = None
 
     # ---------------------------------------------------- engine snapshots --
     def state_dict(self) -> dict:
@@ -125,7 +135,8 @@ class HadarScheduler(Scheduler):
         the round kept for :meth:`decision_record` are per-round
         transients — every consumer reads them inside the same round that
         wrote them, and the next :meth:`schedule` call overwrites them
-        before any other read — so they are left out of snapshots.
+        before any other read — so they are left out of snapshots, and so
+        are the job views carried between rounds, which are rebuilt on use.
         ``tests/core/test_chaos_snapshot.py`` checks that a
         restored run reproduces every output of the uninterrupted one.
         """
@@ -150,6 +161,8 @@ class HadarScheduler(Scheduler):
 
     def load_state_dict(self, state: dict) -> None:
         self.last_alpha = float(state["last_alpha"])
+        self._views = {}
+        self._views_basis = None
         if state["calibrator"] is None:
             self._calibrator = None
         else:
@@ -175,6 +188,7 @@ class HadarScheduler(Scheduler):
         queue = ctx.active
         if not queue:
             self.last_chosen = {}
+            self._views = {}
             return {}
         state = ctx.fresh_state()
 
@@ -194,6 +208,18 @@ class HadarScheduler(Scheduler):
         # The estimator closes over the checkpoint model, not the scheduler:
         # the kept round must not refer back to its holder.
         checkpoint = cfg.checkpoint
+        # The last round's views carry over while what they were built
+        # under holds; a wrapper that re-estimates the matrix every round
+        # (``ProfilingScheduler``) gets fresh views every round.
+        basis = self._views_basis
+        if not (
+            basis is not None
+            and basis[0] is ctx.matrix
+            and basis[2] is checkpoint
+            and (basis[1] is state.slots or basis[1] == state.slots)
+        ):
+            self._views = {}
+            self._views_basis = (ctx.matrix, state.slots, checkpoint)
         round_ctx = RoundContext(
             prices=prices,
             matrix=ctx.matrix,
@@ -202,7 +228,11 @@ class HadarScheduler(Scheduler):
             now=ctx.now,
             delay_estimator=lambda rt: checkpoint.move_delay(rt.job, rt.allocation),
             state=state,
+            views=self._views,
         )
+        # The round's views, the ones its searches and decision record
+        # use, are the next round's to refresh.
+        self._views = round_ctx.views
         chosen = DPAllocator(round_ctx, cfg.dp).allocate(queue, state)
         self.last_chosen = dict(chosen)
         round_ctx.stats.calib_jobs = calibrator.last_jobs

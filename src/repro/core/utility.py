@@ -14,9 +14,11 @@ Two evaluation entry points:
   immutable job spec;
 * :meth:`Utility.value_for` — the online form the scheduler actually
   calls, which additionally sees the job's runtime state (progress, age).
-  The default delegates to :meth:`value`; the makespan and fairness
-  utilities override it, because "how much this job matters right now"
-  depends on remaining work and accumulated slowdown.
+  The default delegates to :meth:`value`.  Every shipped utility
+  overrides it: the throughput utilities with :meth:`value`'s own
+  expression, so a call costs one Python frame instead of two; the
+  makespan and fairness utilities because "how much this job matters
+  right now" depends on remaining work and accumulated slowdown.
 
 Within one job, a utility must be non-increasing in the candidate's
 estimated JCT (so the payoff comparison prefers faster placements);
@@ -53,6 +55,11 @@ class Utility(ABC):
 
     def value_for(self, rt: "JobRuntime", jct: float, now: float) -> float:
         """Online form with runtime state; defaults to :meth:`value`.
+
+        Every shipped utility overrides it.  The throughput utilities
+        repeat :meth:`value`'s expression, so their online form is the
+        pure one bit for bit (``tests/core/test_utility.py`` checks this
+        wherever a shipped utility's online form is the pure one).
 
         For fixed ``rt`` and ``now`` it must be non-negative and
         non-increasing in ``jct`` *as computed in floats*: the exact DP
@@ -92,6 +99,9 @@ class EffectiveThroughputUtility(Utility):
     def value(self, job: Job, jct: float) -> float:
         return self.weight * job.total_iterations / jct
 
+    def value_for(self, rt: "JobRuntime", jct: float, now: float) -> float:
+        return self.weight * rt.job.total_iterations / jct
+
 
 @dataclass(frozen=True, slots=True)
 class NormalizedThroughputUtility(Utility):
@@ -115,6 +125,9 @@ class NormalizedThroughputUtility(Utility):
 
     def value(self, job: Job, jct: float) -> float:
         return self.weight * job.num_workers / jct
+
+    def value_for(self, rt: "JobRuntime", jct: float, now: float) -> float:
+        return self.weight * rt.job.num_workers / jct
 
 
 @dataclass(frozen=True)

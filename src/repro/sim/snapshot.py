@@ -39,8 +39,10 @@ before any state is touched.
 Most of a long run's state cannot change between snapshots: finished
 jobs, job specs, settled history, the configuration.  The
 engine's :class:`SnapshotCache` keeps their records and canonical JSON,
-and ``dumps`` splices those fragments into one encoding pass over the
-rest; the document is byte-identical to encoding the whole payload.
+and the latest encoding of the fields that seldom change (cluster
+occupancy, telemetry), and ``dumps`` splices those fragments into one
+encoding pass over the rest; the document is byte-identical to encoding
+the whole payload.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional, Union
 
 from repro.sim.progress import JobState
 
@@ -149,14 +151,19 @@ class EngineState:
     equality and ``repr`` ignore it."""
 
     def to_payload(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return {name: getattr(self, name) for name in _FIELDS}
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "EngineState":
         try:
-            return cls(**{f.name: payload[f.name] for f in dataclasses.fields(cls)})
+            return cls(**{name: payload[name] for name in _FIELDS})
         except KeyError as exc:
             raise SnapshotError(f"snapshot payload missing field {exc}") from None
+
+
+_FIELDS = tuple(f.name for f in dataclasses.fields(EngineState))
+"""The payload's field names, read once: ``dataclasses.fields`` rebuilds
+its tuple on every call."""
 
 
 _SENTINEL = "\x00cached-fragment\x00"
@@ -228,17 +235,23 @@ class SnapshotCache:
     COMPLETE, the job spec and the settled history are kept the same way.
     Job entries are keyed by job id and hit only for the same
     :class:`JobRuntime` object, so a table rebuilt by a restore never
-    reads a stale entry.  The engine builds a new cache whenever it
-    builds a run (start, re-run, restore); the cache itself is never
+    reads a stale entry.  The cluster occupancy and the telemetry series
+    change at few snapshots: each keeps its latest value and fragment,
+    reused while its owner's token is unchanged
+    (:meth:`capture_unchanged`).  The engine builds a new cache whenever
+    it builds a run (start, re-run, restore); the cache itself is never
     snapshotted.
     """
 
-    __slots__ = ("complete", "live", "config")
+    __slots__ = ("complete", "live", "config", "unchanged")
 
     def __init__(self) -> None:
         self.complete: dict[int, tuple["JobRuntime", dict, str]] = {}
         self.live: dict[int, _JobParts] = {}
         self.config: Optional[tuple[dict, str]] = None
+        # Payload field → (owner, stamp, value, canonical JSON) of the
+        # latest snapshot that built it.
+        self.unchanged: dict[str, tuple[object, object, object, str]] = {}
 
     def capture_jobs(self, runtimes: Mapping[int, "JobRuntime"]) -> _CachedField:
         """Every job's record in table order, COMPLETE ones from the cache.
@@ -284,6 +297,26 @@ class SnapshotCache:
             fragments.append(",".join(run))
         return _CachedField("jobs", records, encoded, fragments)
 
+    def capture_unchanged(
+        self, key: str, token: tuple[object, object], build: Callable[[], object]
+    ) -> _CachedField:
+        """A payload field spliced from its last fragment while unchanged.
+
+        ``token`` is ``(owner, stamp)``, from the object that owns the
+        field: unchanged means the same owner object with an equal stamp,
+        and the owner documents why that implies an equal value
+        (:meth:`ClusterState.snapshot_token`,
+        :attr:`UtilizationRecorder.revision`).  ``build()`` builds the
+        value when it changed; while unchanged, the field is the value
+        built last.
+        """
+        owner, stamp = token
+        kept = self.unchanged.get(key)
+        if kept is None or kept[0] is not owner or kept[1] != stamp:
+            value = build()
+            kept = self.unchanged[key] = (owner, stamp, value, _canonical(value))
+        return _CachedField(key, kept[2], _SENTINEL, [kept[3]])
+
     def capture_config(self, engine: "SimulationEngine") -> _CachedField:
         """The run's config fingerprint, built and encoded once."""
         if self.config is None:
@@ -303,6 +336,13 @@ def capture_engine_state(engine: "SimulationEngine") -> EngineState:
     cache = engine._snapshot_cache
     config = cache.capture_config(engine)
     jobs = cache.capture_jobs(engine._runtimes)
+    cluster = cache.capture_unchanged(
+        "cluster", engine._state.snapshot_token(), engine._state.state_dict
+    )
+    recorder = engine._telemetry.recorder
+    telemetry = cache.capture_unchanged(
+        "telemetry", (recorder, recorder.revision), recorder.state_dict
+    )
     state = EngineState(
         version=SNAPSHOT_VERSION,
         config=config.value,
@@ -321,14 +361,14 @@ def capture_engine_state(engine: "SimulationEngine") -> EngineState:
         events=engine._kernel.state_dict(),
         jobs=jobs.value,
         ledger=engine._ledger.state_dict(),
-        cluster=engine._state.state_dict(),
+        cluster=cluster.value,
         scheduler={
             "name": engine.scheduler.name,
             "state": engine.scheduler.state_dict(),
         },
         scheduler_phase=engine._scheduler_phase.state_dict(),
         timings=engine._timings.state_dict(),
-        telemetry=engine._telemetry.recorder.state_dict(),
+        telemetry=telemetry.value,
         faults=(
             engine._fault_phase.state_dict()
             if engine._fault_phase is not None
@@ -350,8 +390,8 @@ def capture_engine_state(engine: "SimulationEngine") -> EngineState:
         ),
         metrics=engine.metrics.state_dict() if engine.metrics is not None else None,
     )
-    # In document order: "config" < "jobs".
-    state._cached_fields = (config, jobs)
+    # In document order: "cluster" < "config" < "jobs" < "telemetry".
+    state._cached_fields = (cluster, config, jobs, telemetry)
     return state
 
 

@@ -27,6 +27,11 @@ class UtilizationRecorder:
     used_by_type: list[dict[str, int]] = field(default_factory=list)
     queue_times: list[float] = field(default_factory=list)
     queue_depths: list[int] = field(default_factory=list)
+    revision: int = field(default=0, init=False, repr=False, compare=False)
+    """Counts the changes to the series: :meth:`record`,
+    :meth:`record_queue` and :meth:`load_state_dict` are their only
+    writers, so an unchanged revision means an unchanged
+    :meth:`state_dict` (the engine's snapshot cache reuses its encoding)."""
 
     # -- engine snapshot support ----------------------------------------------
     def state_dict(self) -> dict:
@@ -40,6 +45,7 @@ class UtilizationRecorder:
         }
 
     def load_state_dict(self, state: dict) -> None:
+        self.revision += 1
         self.times = [float(t) for t in state["times"]]
         self.used_total = [int(u) for u in state["used_total"]]
         self.used_by_type = [
@@ -58,9 +64,11 @@ class UtilizationRecorder:
             )
         if self.queue_times and abs(time - self.queue_times[-1]) <= 1e-9:
             self.queue_depths[-1] = depth
+            self.revision += 1
             return
         if self.queue_depths and self.queue_depths[-1] == depth:
             return
+        self.revision += 1
         self.queue_times.append(float(time))
         self.queue_depths.append(int(depth))
 
@@ -77,11 +85,13 @@ class UtilizationRecorder:
             self.times[-1] = time
             self.used_total[-1] = total
             self.used_by_type[-1] = snapshot
+            self.revision += 1
             return
         if self.used_total and self.used_total[-1] == total and (
             self.used_by_type[-1] == snapshot
         ):
             return  # no change; keep the series compact
+        self.revision += 1
         self.times.append(float(time))
         self.used_total.append(total)
         self.used_by_type.append(snapshot)

@@ -203,3 +203,195 @@ def test_traced_run_explains_every_job_as_the_reference_does(monkeypatch):
     monkeypatch.setattr(hadar_module, "explain_alloc", checked)
     run_scheduler(hadar, 1, {"tracer": DecisionTracer(sink=[])})
     assert calls
+
+
+class _MaskedEveryThirdRound(HadarScheduler):
+    """Hadar handed, every third round, a matrix on which the fastest
+    type of the scenario's cluster is unusable: a gang held there stops
+    being a current placement the search can keep.  (Every other round
+    would not do: a gang held into a masked round would then always be
+    new, so its view would be rebuilt whatever the store checks.)"""
+
+    MASKED = "V100"
+
+    def __init__(self):
+        super().__init__()
+        self._decisions = 0
+        self._masked = {}
+
+    def schedule(self, ctx):
+        from dataclasses import replace
+
+        from repro.workload.throughput import ThroughputMatrix
+
+        self._decisions += 1
+        if self._decisions % 3 == 0:
+            base = ctx.matrix
+            if id(base) not in self._masked:
+                self._masked[id(base)] = ThroughputMatrix(
+                    {
+                        m: {t: r for t, r in row.items() if t != self.MASKED}
+                        for m, row in base.rates.items()
+                    }
+                )
+            ctx = replace(ctx, matrix=self._masked[id(base)])
+        return super().schedule(ctx)
+
+
+class _CheckpointSwappedEachRound(HadarScheduler):
+    """Hadar whose checkpoint model alternates between two move delays."""
+
+    def __init__(self):
+        from dataclasses import replace
+
+        from repro.sim.checkpoint import FixedDelayCheckpoint
+
+        super().__init__()
+        self._configs = [
+            replace(self.config, checkpoint=FixedDelayCheckpoint(delay_s=delay))
+            for delay in (10.0, 30.0)
+        ]
+        self._decisions = 0
+
+    def schedule(self, ctx):
+        self._decisions += 1
+        self.config = self._configs[self._decisions % 2]
+        return super().schedule(ctx)
+
+
+class _SlotAddedEveryThirdRound(HadarScheduler):
+    """Hadar handed, every third round, a cluster whose node 0 has one
+    more device, of a type the matrix leaves unusable: the slot sorts
+    first, so every other slot's position in a state key moves by one.
+    Every round gets the one matrix object, so only the slot universe
+    changes between rounds."""
+
+    ADDED = "A100"
+
+    def __init__(self):
+        super().__init__()
+        self._decisions = 0
+        self._matrix = self._grown = None
+
+    def schedule(self, ctx):
+        from dataclasses import replace
+
+        from repro.cluster.cluster import Cluster
+        from repro.workload.throughput import ThroughputMatrix
+
+        if self._matrix is None:
+            self._matrix = ThroughputMatrix(
+                {
+                    m: {t: r for t, r in row.items() if t != self.ADDED}
+                    for m, row in ctx.matrix.rates.items()
+                }
+            )
+            first, *rest = ctx.cluster.nodes
+            assert self.ADDED not in first.gpus
+            grown = replace(first, gpus={**first.gpus, self.ADDED: 1})
+            self._grown = Cluster([grown, *rest], ctx.cluster.comm)
+        self._decisions += 1
+        ctx = replace(ctx, matrix=self._matrix)
+        if self._decisions % 3 == 0:
+            ctx = replace(ctx, cluster=self._grown)
+        return super().schedule(ctx)
+
+
+def _profiled_hadar():
+    from repro.core.estimator import ProfilingScheduler
+
+    return ProfilingScheduler(HadarScheduler())
+
+
+@pytest.mark.parametrize(
+    "variant, seed",
+    [("plain", s) for s in (1, 2, 3)]
+    + [("profiling", s) for s in (1, 2, 3)]
+    + [("masked_matrix", 1), ("swapped_checkpoint", 1), ("added_slot", 1)],
+)
+def test_every_view_a_round_hands_out_equals_a_fresh_one(variant, seed, monkeypatch):
+    """On every round of the traced 14-job runs, the job view a round
+    hands out on a job's first search — carried from the previous round
+    and refreshed, or rebuilt because the job's gang changed — equals a
+    freshly built :class:`JobView` field for field.
+
+    Plain Hadar refreshes views and rebuilds those of jobs whose gang
+    changed.  A view may not be carried into a round whose matrix object,
+    slot universe or checkpoint model differs from its build's: what a
+    view keeps from its build depends on all three.  Under profiling the
+    matrix moves every round, so no view is ever refreshed.  A matrix
+    that makes a held type unusable every third round changes a kept
+    gang's current picks, a slot added every third round moves their
+    positions, and a checkpoint model that alternates changes the move
+    delay: a view carried across any of these differs from a fresh one."""
+    from repro.core.round_context import JobView, RoundContext
+    from repro.obs import DecisionTracer
+
+    from tests.core._hotpath_fingerprint import run_scheduler
+
+    view = RoundContext.view
+    counts = {"refreshed": 0, "gang_changed": 0, "built": 0}
+
+    def checked(ctx, rt):
+        if rt.job_id in ctx.views:
+            return view(ctx, rt)
+        carried = ctx._carried.get(rt.job_id)
+        got = view(ctx, rt)
+        fresh = JobView(ctx, rt)
+        assert {f: getattr(got, f) for f in JobView.__slots__} == {
+            f: getattr(fresh, f) for f in JobView.__slots__
+        }
+        if got is carried:
+            counts["refreshed"] += 1
+        elif carried is not None and carried.rt is rt and carried.held != rt.allocation:
+            counts["gang_changed"] += 1
+        else:
+            counts["built"] += 1
+        return got
+
+    monkeypatch.setattr(RoundContext, "view", checked)
+    scheduler = {
+        "plain": HadarScheduler,
+        "profiling": _profiled_hadar,
+        "masked_matrix": _MaskedEveryThirdRound,
+        "swapped_checkpoint": _CheckpointSwappedEachRound,
+        "added_slot": _SlotAddedEveryThirdRound,
+    }[variant]()
+    run_scheduler(scheduler, seed, {"tracer": DecisionTracer(sink=[])})
+    assert counts["built"]
+    if variant == "plain":
+        assert counts["refreshed"] and counts["gang_changed"]
+    elif variant == "profiling":
+        assert not counts["refreshed"]  # a new matrix every round
+
+
+def test_the_view_store_is_derived_state():
+    """The carried job views never enter ``state_dict()``, and ``reset()``
+    and ``load_state_dict()`` empty them; a restored scheduler rebuilds
+    them on use."""
+    import json
+
+    from repro.sim.engine import SimulationEngine
+
+    from tests.core._hotpath_fingerprint import scenario_engine
+
+    engine: SimulationEngine = scenario_engine("hadar", 1)
+    scheduler = engine.scheduler
+    engine.start()
+    while engine.scheduling_invocations < 50:
+        assert engine.step()
+    assert scheduler._views
+    state = scheduler.state_dict()
+    assert set(state) == {"last_alpha", "calibrator", "audit"}
+    views = scheduler._views
+    scheduler._views = {}
+    assert json.dumps(scheduler.state_dict()) == json.dumps(state)
+    scheduler._views = views
+
+    scheduler.load_state_dict(state)
+    assert scheduler._views == {}
+    while engine.scheduling_invocations < 60:
+        assert engine.step()
+    assert scheduler._views
+    scheduler.reset()
+    assert scheduler._views == {}

@@ -140,3 +140,45 @@ def test_value_for_non_negative_and_non_increasing_in_jct(
     rt.iterations_done = job.total_iterations * done
     short, long = jcts
     assert utility.value_for(rt, short, now) >= utility.value_for(rt, long, now) >= 0.0
+
+
+def test_every_shipped_utility_overrides_value_for():
+    from repro.core.utility import Utility
+
+    assert all(type(u).value_for is not Utility.value_for for u in SHIPPED)
+
+
+PURE_ONLINE_FORMS = (
+    (EffectiveThroughputUtility(), None),
+    (NormalizedThroughputUtility(), None),
+    (MakespanUtility(matrix=MATRIX), 0.0),
+)
+"""Each shipped utility whose online form has a pure case, with the
+progress that case needs (``None``: any).  The fairness utility weights
+by the job's drift since arrival, so its online form has none."""
+
+
+@pytest.mark.parametrize(
+    "utility, progress", PURE_ONLINE_FORMS, ids=lambda u: type(u).__name__
+)
+@given(
+    model=st.sampled_from(sorted(MODEL_ZOO)),
+    workers=st.sampled_from([1, 2, 4, 8]),
+    epochs=st.integers(1, 50),
+    done=st.floats(0.0, 1.0),
+    arrival=st.floats(0.0, 1e6),
+    now=st.floats(0.0, 2e6),
+    jct=JCTS,
+)
+@settings(max_examples=100, deadline=None)
+def test_value_for_is_value_bit_for_bit_where_the_online_form_is_pure(
+    utility, progress, model, workers, epochs, done, arrival, now, jct
+):
+    """The throughput utilities override ``value_for`` with ``value``'s own
+    expression: at any progress and time, the online form is the pure one
+    bit for bit.  So is the makespan utility's before any progress, when
+    the remaining work is the job's total."""
+    job = make_job(0, model, arrival=arrival, workers=workers, epochs=epochs)
+    rt = JobRuntime(job=job)
+    rt.iterations_done = job.total_iterations * (done if progress is None else progress)
+    assert utility.value_for(rt, jct, now).hex() == utility.value(job, jct).hex()

@@ -19,6 +19,7 @@ import time
 import pytest
 
 from repro.analysis.sanitizer import InvariantSanitizer
+from repro.cluster.allocation import Allocation
 from repro.cluster.cluster import simulated_cluster
 from repro.core import HadarScheduler
 from repro.core.estimator import ProfilingScheduler
@@ -32,9 +33,12 @@ from repro.sim.snapshot import (
     SnapshotCache,
     SnapshotCodec,
     SnapshotError,
+    _canonical,
+    _splice,
     capture_engine_state,
 )
 from repro.sim.stragglers import StragglerModel
+from repro.sim.telemetry import UtilizationRecorder
 from repro.workload.arrivals import SubmissionSource
 from repro.workload.philly import PhillyTraceConfig, generate_philly_trace
 from repro.workload.trace import Trace
@@ -532,6 +536,58 @@ class TestSnapshotCache:
         state.jobs = [dict(record, rate=-1.0) for record in state.jobs]
         assert SnapshotCodec().dumps(state) == reference_dumps(state)
 
+    def test_an_unchanged_field_is_rebuilt_whenever_its_token_moves(self):
+        """The cluster and telemetry fields are reused while their owner's
+        token holds, and rebuilt from the owner when it moves: a fault
+        rebinds the cluster's capacity map, an allocation moves its free
+        vector, and every write to the telemetry series, but not a level
+        it already holds, moves the recorder's revision."""
+        cache = SnapshotCache()
+        state = simulated_cluster().fresh_state()
+        recorder = UtilizationRecorder()
+
+        def capture():
+            fields = (
+                cache.capture_unchanged(
+                    "cluster", state.snapshot_token(), state.state_dict
+                ),
+                cache.capture_unchanged(
+                    "telemetry", (recorder, recorder.revision), recorder.state_dict
+                ),
+            )
+            for field, value in zip(fields, (state.state_dict(), recorder.state_dict())):
+                assert field.value == value
+                assert _splice(_canonical(field.encoded), field.fragments) == (
+                    _canonical(value)
+                )
+            return fields
+
+        slot = state.slots[0]
+        one = Allocation({slot: 1})
+        steps = [
+            lambda: None,
+            lambda: state.allocate(one),
+            lambda: state.release(one),
+            lambda: state.fail(*slot, 1),
+            lambda: state.restore(*slot, 1),
+            lambda: recorder.record(0.0, {"V100": 1}),
+            lambda: recorder.record(5.0, {"V100": 1}),  # the level it holds
+            lambda: recorder.record(5.0, {"V100": 2}),
+            lambda: recorder.record_queue(5.0, 3),
+            lambda: recorder.record_queue(5.0, 3),  # same instant: a write
+            lambda: recorder.load_state_dict(recorder.state_dict()),
+        ]
+        rebuilt = [(False, False), (True, False), (True, False), (True, False),
+                   (True, False), (False, True), (False, False), (False, True),
+                   (False, True), (False, True), (False, True)]
+        last = capture()
+        for step, (cluster_moved, telemetry_moved) in zip(steps, rebuilt):
+            step()
+            now = capture()
+            assert (now[0].value is not last[0].value) == cluster_moved
+            assert (now[1].value is not last[1].value) == telemetry_moved
+            last = now
+
     def test_run_and_restore_start_with_an_empty_cache(self):
         engine = make_engine()
         engine.start()
@@ -542,6 +598,7 @@ class TestSnapshotCache:
         engine.run()  # a re-run rebuilds the table
         cache = engine._snapshot_cache
         assert not cache.complete and not cache.live and cache.config is None
+        assert not cache.unchanged
         restored = make_engine()
         restored.restore(loaded_engine(steps=300).snapshot())
         assert not restored._snapshot_cache.complete
